@@ -87,7 +87,7 @@ class KeywordTrie:
                 f = self.fail[node]
                 while f and u not in self.goto[f]:
                     f = self.fail[f]
-                self.fail[n] = self.goto[f].get(u, 0) if self.goto[f].get(u, 0) != n else 0
+                self.fail[n] = self.goto[f].get(u, 0)
                 queue.append(n)
         self.node_bonus = [sum(w for _, w in acc) for acc in self.accepts]
         for node in order:
@@ -155,8 +155,7 @@ class _PrefixInfo:
 def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
                        lm: NGramLM | None = None,
                        trie: KeywordTrie | None = None,
-                       cfg: BeamConfig = BeamConfig(),
-                       with_spans: bool = True) -> list[NBestEntry]:
+                       cfg: BeamConfig = BeamConfig()) -> list[NBestEntry]:
     if pg.unit_set_id != us.id:
         raise UnitSetMismatch(f"pg has units {pg.unit_set_id!r}, expected {us.id!r}")
     if pg.num_units != len(us):
@@ -244,7 +243,7 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
                            score_am=am, score_lm=i.lm_log10,
                            score_bias=i.bias_bonus,
                            score_total=am + lmw * i.lm_log10 + i.bias_bonus)
-        if with_spans and prefix:
+        if prefix:
             entry.spans = align_viterbi(pg, list(prefix), blank)
         out.append(entry)
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentInfeasible, OutOfVocabulary
-from .pgram import Posteriorgram, ctc_min_frames
+from .pgram import Posteriorgram, ctc_trellis
 from .phonetics import CostTable, Syllable, parse_syllable, phrase_distance
 from .units import Lexicon, UnitSet
 
@@ -115,37 +115,13 @@ def score_ctc(pg: Posteriorgram, units, window: tuple[int, int],
               blank: int = 0) -> float:
     """Natural log of the total mass of window paths collapsing to units.
 
-    Standard CTC forward recursion over the blank-interleaved state sequence;
-    both final states are summed.
+    CTC forward recursion over the window; both final states are summed.
     """
     ws, we = window
-    units = list(units)
     if not 0 <= ws < we <= pg.num_frames:
         raise AlignmentInfeasible(f"bad window [{ws}, {we})")
-    n = we - ws
-    if n < ctc_min_frames(units):
-        raise AlignmentInfeasible(f"window of {n} frames too short for {len(units)} units")
-    lp = pg.logp[ws:we].astype(np.float64)
-    states = [blank]
-    for u in units:
-        states.extend((u, blank))
-    S = len(states)
-    alpha = np.full(S, -np.inf)
-    alpha[0] = lp[0, states[0]]
-    if S > 1:
-        alpha[1] = lp[0, states[1]]
-    for t in range(1, n):
-        prev = alpha
-        alpha = np.full(S, -np.inf)
-        for s in range(S):
-            acc = prev[s]
-            if s >= 1:
-                acc = np.logaddexp(acc, prev[s - 1])
-            if s >= 2 and states[s] != blank and states[s] != states[s - 2]:
-                acc = np.logaddexp(acc, prev[s - 2])
-            alpha[s] = acc + lp[t, states[s]]
-    total = alpha[-1] if S == 1 else np.logaddexp(alpha[-1], alpha[-2])
-    return float(total)
+    alpha = ctc_trellis(pg.logp[ws:we], list(units), blank)
+    return float(np.logaddexp.reduce(alpha[-1, -2:]))
 
 
 def locate_window(spans, tok_start: int, tok_end: int, pad: int,

@@ -33,10 +33,13 @@ class NGramLM:
         return token if token in self.vocab or token == BOS else UNK
 
     def score_token(self, state: tuple[str, ...], token: str) -> tuple[float, tuple[str, ...]]:
-        """Backoff score of token given state; returns (log10 p, next state)."""
+        """Backoff score of token given state; returns (log10 p, next state).
+
+        ``state`` is ``()``, ``(BOS,)`` or a state this method returned, so it
+        holds only vocabulary words, BOS and UNK; only ``token`` is mapped.
+        """
         token = self._norm(token)
-        context = tuple(self._norm(t) for t in state[-(self.order - 1):]) \
-            if self.order > 1 else ()
+        context = state[-(self.order - 1):] if self.order > 1 else ()
         score = 0.0
         while True:
             ngram = context + (token,)
@@ -49,8 +52,7 @@ class NGramLM:
                 break
             score += self.backoffs.get(context, 0.0)
             context = context[1:]
-        next_state = (tuple(self._norm(t) for t in state) + (token,))[-(self.order - 1):] \
-            if self.order > 1 else ()
+        next_state = (state + (token,))[-(self.order - 1):] if self.order > 1 else ()
         return score, next_state
 
     def score_sequence(self, tokens: list[str], with_boundaries: bool = False) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class TokenSpan:
     start_frame: int
     end_frame: int  # exclusive
     peak_frame: int
-    peak_logp: float
 
 
 def _row(v: int, target: int, noise: float, partners, rng) -> np.ndarray:
@@ -162,17 +161,40 @@ def greedy_path(pg: Posteriorgram, blank: int = 0) -> tuple[list[int], np.ndarra
     return out, frames
 
 
-def _expand(tokens: list[int], blank: int) -> list[int]:
-    states = [blank]
-    for t in tokens:
-        states.append(t)
-        states.append(blank)
-    return states
-
-
 def ctc_min_frames(tokens: list[int]) -> int:
     rep = sum(1 for a, b in zip(tokens, tokens[1:]) if a == b)
     return len(tokens) + rep
+
+
+def ctc_trellis(lp: np.ndarray, tokens: list[int], blank: int = 0,
+                plus=np.logaddexp) -> np.ndarray:
+    """CTC recursion of tokens over the T x V log posteriors lp.
+
+    Returns the (T, 2L+1) matrix over the blank-interleaved states
+    (blank, tok_1, blank, ..., tok_L, blank).  A state is entered from itself,
+    from the state before it, or by skipping the blank two states back when
+    it holds a token differing from the previous one.  ``plus=np.logaddexp``
+    gives forward masses, ``np.maximum`` best-path (Viterbi) scores.
+    """
+    T = lp.shape[0]
+    if T < max(ctc_min_frames(tokens), 1):
+        raise AlignmentInfeasible(f"{len(tokens)} tokens do not fit in {T} frames")
+    states = np.full(2 * len(tokens) + 1, blank)
+    states[1::2] = tokens
+    S = len(states)
+    emit = lp[:, states].astype(np.float64)
+    alpha = np.full((T, S), -np.inf)
+    alpha[0, :2] = emit[0, :2]
+    skip = np.zeros(S, dtype=bool)
+    skip[2:] = (states[2:] != blank) & (states[2:] != states[:-2])
+    step = np.full(S, -np.inf)
+    jump = np.full(S, -np.inf)  # stays -inf wherever skip is False
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        step[1:] = prev[:-1]
+        np.copyto(jump[2:], prev[:-2], where=skip[2:])
+        alpha[t] = plus(plus(prev, step), jump) + emit[t]
+    return alpha
 
 
 def align_viterbi(pg: Posteriorgram, tokens: list[int],
@@ -180,78 +202,38 @@ def align_viterbi(pg: Posteriorgram, tokens: list[int],
     """Best CTC alignment (max over paths) of tokens against pg.
 
     Each token's span is the set of frames its non-blank state occupies; the
-    peak is the span frame with maximal posterior for that token.
+    peak is the span frame with maximal posterior for that token.  Ties go to
+    staying in a state, then to stepping one state, then to skipping a blank.
     """
-    T = pg.num_frames
-    if T < ctc_min_frames(tokens):
-        raise AlignmentInfeasible(f"{len(tokens)} tokens need more than {T} frames")
     if not tokens:
         return []
-    states = _expand(tokens, blank)
-    S = len(states)
-    lp = pg.logp.astype(np.float64)
-    NEG = -np.inf
-    delta = np.full((T, S), NEG)
-    back = np.zeros((T, S), dtype=np.int64)
-    delta[0, 0] = lp[0, states[0]]
-    if S > 1:
-        delta[0, 1] = lp[0, states[1]]
-        back[0, 1] = 1
-    for t in range(1, T):
-        for s in range(S):
-            best, arg = delta[t - 1, s], s
-            if s >= 1 and delta[t - 1, s - 1] > best:
-                best, arg = delta[t - 1, s - 1], s - 1
-            if (s >= 2 and states[s] != blank and states[s] != states[s - 2]
-                    and delta[t - 1, s - 2] > best):
-                best, arg = delta[t - 1, s - 2], s - 2
-            delta[t, s] = best + lp[t, states[s]]
-            back[t, s] = arg
-    # best path must end in last blank or last token state
-    ends = [S - 1] if S < 2 else [S - 1, S - 2]
-    end = max(ends, key=lambda s: delta[T - 1, s])
+    delta = ctc_trellis(pg.logp, tokens, blank, plus=np.maximum)
+    T, S = delta.shape
+    # best path must end in the last blank or the last token state
+    end = S - 1 if delta[T - 1, S - 1] >= delta[T - 1, S - 2] else S - 2
     if not np.isfinite(delta[T - 1, end]):
         raise AlignmentInfeasible("no feasible path")
     path = np.zeros(T, dtype=np.int64)
     s = end
-    for t in range(T - 1, -1, -1):
+    for t in range(T - 1, 0, -1):
         path[t] = s
-        s = back[t, s]
+        prev = delta[t - 1]
+        best, arg = prev[s], s
+        if s >= 1 and prev[s - 1] > best:
+            best, arg = prev[s - 1], s - 1
+        if (s % 2 and s >= 3 and tokens[s // 2] not in (blank, tokens[s // 2 - 1])
+                and prev[s - 2] > best):
+            arg = s - 2
+        s = arg
+    path[0] = s
     spans = []
     for i, tok in enumerate(tokens):
-        st = 2 * i + 1
-        frames = np.nonzero(path == st)[0]
+        frames = np.nonzero(path == 2 * i + 1)[0]
         start, stop = int(frames[0]), int(frames[-1]) + 1
-        peak = start + int(np.argmax(lp[start:stop, tok]))
+        peak = start + int(np.argmax(pg.logp[start:stop, tok]))
         spans.append(TokenSpan(token=tok, start_frame=start, end_frame=stop,
-                               peak_frame=peak, peak_logp=float(lp[peak, tok])))
+                               peak_frame=peak))
     return spans
-
-
-def viterbi_score(pg: Posteriorgram, tokens: list[int], blank: int = 0) -> float:
-    """Log score of the best alignment; used by the enumeration oracle tests."""
-    spans = align_viterbi(pg, tokens, blank)
-    # recompute by dynamic program end value for exactness
-    T = pg.num_frames
-    states = _expand(tokens, blank)
-    lp = pg.logp.astype(np.float64)
-    S = len(states)
-    delta = np.full(S, -np.inf)
-    delta[0] = lp[0, states[0]]
-    if S > 1:
-        delta[1] = lp[0, states[1]]
-    for t in range(1, T):
-        nxt = np.full(S, -np.inf)
-        for s in range(S):
-            best = delta[s]
-            if s >= 1:
-                best = max(best, delta[s - 1])
-            if s >= 2 and states[s] != blank and states[s] != states[s - 2]:
-                best = max(best, delta[s - 2])
-            nxt[s] = best + lp[t, states[s]]
-        delta = nxt
-    del spans
-    return float(max(delta[-1], delta[-2] if S > 1 else -np.inf))
 
 
 # ---------------------------------------------------------------------------

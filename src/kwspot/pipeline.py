@@ -17,7 +17,7 @@ import numpy as np
 from . import kws as kws_mod
 from .decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                       build_bias_trie, prefix_beam_search)
-from .errors import OutOfVocabulary
+from .errors import NoScorableKeywords, OutOfVocabulary
 from .kws import Hit, Keyword, KwsConfig, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
@@ -162,7 +162,7 @@ def read_nbest(path) -> dict[str, list[NBestEntry]]:
                                    score_bias=h["score_bias"],
                                    score_total=h["score_total"])
                 entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e,
-                                         peak_frame=p, peak_logp=0.0)
+                                         peak_frame=p)
                                for t, (s, e, p) in zip(h["tokens"], h["spans"])]
                 hyps.append(entry)
             out[obj["utt_id"]] = hyps
@@ -204,7 +204,7 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
     precision, recall, f1_score = f1(len(tp), len(fp), len(fn))
     try:
         atwv_score, per_kw = atwv(tp, fp, fn, refs, cfg)
-    except Exception:
+    except NoScorableKeywords:
         atwv_score, per_kw = 0.0, {}
 
     scores = sorted(h.norm_score for h in hits)
@@ -222,7 +222,7 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
         _, _, s_f1 = f1(len(s_tp), len(s_fp), len(s_fn))
         try:
             s_atwv, _ = atwv(s_tp, s_fp, s_fn, refs, cfg)
-        except Exception:
+        except NoScorableKeywords:
             s_atwv = 0.0
         sweep.append({"threshold": theta, "f1": s_f1, "atwv": s_atwv})
 

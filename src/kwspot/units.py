@@ -146,9 +146,3 @@ def syllabify(text: str, lex: Lexicon, syll_set: UnitSet) -> list[int]:
             raise OutOfVocabulary(ch, pos)
         ids.append(syll_set.id_of(lex.entries[ch][0]))
     return ids
-
-
-def syllabify_ids(char_ids: list[int], char_set: UnitSet, lex: Lexicon,
-                  syll_set: UnitSet) -> list[int]:
-    """Same as syllabify but starting from character unit ids."""
-    return [syll_set.id_of(lex.primary(char_set.units[i])) for i in char_ids]

@@ -56,7 +56,7 @@ class TestCriterion1BruteForce:
             logp = random_pgram_logp(rng, T, V)
             pg = pg_of(logp, us.id)
             oracle = enumerate_label_masses(pg.logp.astype(np.float64))
-            got = prefix_beam_search(pg, us, cfg=NO_PRUNE, with_spans=False)
+            got = prefix_beam_search(pg, us, cfg=NO_PRUNE)
             assert len(got) == len(oracle)
             for e in got:
                 assert e.score_total == pytest.approx(oracle[e.tokens],
@@ -87,7 +87,7 @@ class TestCriterion2MicroExample:
     def test_two_frame_blank_a(self):
         # 4 paths: bb -> "", ba/ab/aa -> "a"; "aa" needs a separating blank
         pg = pg_of(np.log([[0.6, 0.4], [0.5, 0.5]]), "ua")
-        out = prefix_beam_search(pg, US2, cfg=NO_PRUNE, with_spans=False)
+        out = prefix_beam_search(pg, US2, cfg=NO_PRUNE)
         by_tokens = {e.tokens: e for e in out}
         assert math.exp(by_tokens[(1,)].score_total) == pytest.approx(0.7, abs=1e-6)
         assert math.exp(by_tokens[()].score_total) == pytest.approx(0.3, abs=1e-6)
@@ -243,10 +243,10 @@ class TestCriterion6BiasMonotonicity:
             beta = float(rng.uniform(0.5, 8.0))
             trie = build_bias_trie([list(chunk)], None,
                                    BiasConfig(alpha=0.0, beta=beta))
-            base = prefix_beam_search(pg, US3, cfg=NO_PRUNE, with_spans=False)
+            base = prefix_beam_search(pg, US3, cfg=NO_PRUNE)
             biased = prefix_beam_search(
                 pg, US3, trie=trie,
-                cfg=replace(NO_PRUNE, bias_enabled=True), with_spans=False)
+                cfg=replace(NO_PRUNE, bias_enabled=True))
             for e in biased:
                 if contains(e.tokens, chunk):
                     assert plain_above(biased, e.tokens, chunk) <= \
@@ -362,8 +362,7 @@ class TestCriterion9PerformanceFloor:
         trie = build_bias_trie(kw_seqs, lm, BiasConfig(), unit_names=units)
         cfg = BeamConfig()  # beam 10, LM fusion and bias enabled
         t0 = time.monotonic()
-        out = prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=cfg,
-                                 with_spans=False)
+        out = prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=cfg)
         elapsed = time.monotonic() - t0
         assert elapsed < 2.0
         assert 1 <= len(out) <= cfg.nbest

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwspot.decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                             build_bias_trie, prefix_beam_search)
@@ -26,7 +28,7 @@ def pg_from_probs(rows, set_id):
 class TestMicroExample:
     def test_two_frame_blk_a(self):
         pg = pg_from_probs([[0.6, 0.4], [0.5, 0.5]], "ua")
-        out = prefix_beam_search(pg, US2, cfg=NO_PRUNE, with_spans=False)
+        out = prefix_beam_search(pg, US2, cfg=NO_PRUNE)
         by_tokens = {e.tokens: e for e in out}
         assert math.exp(by_tokens[(1,)].score_total) == pytest.approx(0.7, abs=1e-6)
         assert math.exp(by_tokens[()].score_total) == pytest.approx(0.3, abs=1e-6)
@@ -44,7 +46,7 @@ class TestBruteForceEquivalence:
         logp = random_pgram_logp(rng, T, V)
         pg = Posteriorgram("u", us.id, 0.04, logp.astype(np.float32))
         oracle = enumerate_label_masses(pg.logp.astype(np.float64))
-        got = prefix_beam_search(pg, us, cfg=NO_PRUNE, with_spans=False)
+        got = prefix_beam_search(pg, us, cfg=NO_PRUNE)
         assert len(got) == len(oracle)
         for e in got:
             assert e.score_total == pytest.approx(
@@ -54,7 +56,7 @@ class TestBruteForceEquivalence:
 
     def test_empty_pg(self):
         pg = Posteriorgram("u", "ua", 0.04, np.zeros((0, 2), dtype=np.float32))
-        out = prefix_beam_search(pg, US2, cfg=NO_PRUNE, with_spans=False)
+        out = prefix_beam_search(pg, US2, cfg=NO_PRUNE)
         assert len(out) == 1
         assert out[0].tokens == ()
         assert out[0].score_total == 0.0
@@ -64,8 +66,7 @@ class TestOneHot:
     @pytest.mark.parametrize("tr", [[1], [1, 2], [2, 1, 2], [1, 1], []])
     def test_top1_recovers_transcript(self, tr):
         pg = synth_generate(tr, US3, SynthConfig(frames_per_token=2, blank_gap=1))
-        out = prefix_beam_search(pg, US3, cfg=BeamConfig(lm_weight=0.0),
-                                 with_spans=True)
+        out = prefix_beam_search(pg, US3, cfg=BeamConfig(lm_weight=0.0))
         assert list(out[0].tokens) == tr
         if tr:
             assert [s.token for s in out[0].spans] == tr
@@ -76,12 +77,11 @@ class TestShallowFusion:
         lm = train(["b b b b"], order=2, discount=0.3)
         rows = [[0.2, 0.41, 0.39]] * 2
         pg = pg_from_probs(rows, "uab")
-        plain = prefix_beam_search(pg, US3, cfg=NO_PRUNE, with_spans=False)
+        plain = prefix_beam_search(pg, US3, cfg=NO_PRUNE)
         fused = prefix_beam_search(
             pg, US3, lm=lm,
             cfg=BeamConfig(beam_size=10 ** 6, nbest=10 ** 6, lm_weight=1.5,
-                           token_min_logp=-math.inf, bias_enabled=False),
-            with_spans=False)
+                           token_min_logp=-math.inf, bias_enabled=False))
         assert plain[0].tokens[0] == 1  # acoustics alone prefer "a"
         assert fused[0].tokens[0] == 2  # strong LM flips to "b"
 
@@ -90,7 +90,7 @@ class TestShallowFusion:
         pg = pg_from_probs([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3]], "uab")
         cfg = BeamConfig(beam_size=16, nbest=16, lm_weight=0.4,
                          token_min_logp=-math.inf, bias_enabled=False)
-        for e in prefix_beam_search(pg, US3, lm=lm, cfg=cfg, with_spans=False):
+        for e in prefix_beam_search(pg, US3, lm=lm, cfg=cfg):
             recomputed = (e.score_am + cfg.lm_weight * math.log(10) * e.score_lm
                           + e.score_bias)
             assert e.score_total == pytest.approx(recomputed, abs=1e-12)
@@ -136,6 +136,25 @@ class TestBiasTrie:
         # completing [1,2] also completes the suffix chunk [2]
         assert trie.bonus(node) == pytest.approx(2.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(chunks=st.lists(st.tuples(st.lists(st.integers(1, 3), min_size=1,
+                                              max_size=4),
+                                     st.integers(-5, 5)),
+                           min_size=1, max_size=6),
+           seq=st.lists(st.integers(1, 3), max_size=12))
+    def test_bonus_matches_naive_suffix_sum(self, chunks, seq):
+        trie = KeywordTrie()
+        for cid, (chunk, weight) in enumerate(chunks):
+            trie.insert(chunk, cid, float(weight))
+        trie.finalize()
+        node = 0
+        for i, u in enumerate(seq):
+            node = trie.step(node, u)
+            # every inserted chunk that ends at position i awards its weight
+            expected = sum(w for c, w in chunks
+                           if len(c) <= i + 1 and seq[i + 1 - len(c):i + 1] == c)
+            assert trie.bonus(node) == expected
+
 
 class TestBiasMonotonicity:
     @pytest.mark.parametrize("seed", range(20))
@@ -145,10 +164,10 @@ class TestBiasMonotonicity:
         logp = random_pgram_logp(rng, T, 3)
         pg = Posteriorgram("u", "uab", 0.04, logp.astype(np.float32))
         trie = build_bias_trie([[1]], None, BiasConfig(alpha=0.0, beta=5.0))
-        base = prefix_beam_search(pg, US3, cfg=NO_PRUNE, with_spans=False)
+        base = prefix_beam_search(pg, US3, cfg=NO_PRUNE)
         cfg = BeamConfig(beam_size=10 ** 6, nbest=10 ** 6, lm_weight=0.0,
                          token_min_logp=-math.inf, bias_enabled=True)
-        biased = prefix_beam_search(pg, US3, trie=trie, cfg=cfg, with_spans=False)
+        biased = prefix_beam_search(pg, US3, trie=trie, cfg=cfg)
         # the award is per chunk occurrence, so hypotheses with more
         # occurrences may overtake those with fewer; the invariant is that a
         # chunk-containing hypothesis never loses ground to chunk-free ones
@@ -172,7 +191,7 @@ class TestBiasMonotonicity:
         trie = build_bias_trie([[1]], None, BiasConfig(alpha=0.0, beta=10.0))
         cfg = BeamConfig(beam_size=10 ** 6, nbest=10 ** 6, lm_weight=0.0,
                          token_min_logp=-math.inf, bias_enabled=True)
-        out = prefix_beam_search(pg, US3, trie=trie, cfg=cfg, with_spans=False)
+        out = prefix_beam_search(pg, US3, trie=trie, cfg=cfg)
         oracle = enumerate_label_masses(pg.logp.astype(np.float64))
         for e in out:
             e_base = oracle[e.tokens]
@@ -186,14 +205,14 @@ class TestGuards:
     def test_unit_set_mismatch(self):
         pg = pg_from_probs([[0.5, 0.5]], "other")
         with pytest.raises(UnitSetMismatch):
-            prefix_beam_search(pg, US2, with_spans=False)
+            prefix_beam_search(pg, US2)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
         logp = random_pgram_logp(rng, 5, 3)
         pg = Posteriorgram("u", "uab", 0.04, logp.astype(np.float32))
         lm = train(["ab", "ba"], order=2)
-        a = prefix_beam_search(pg, US3, lm=lm, with_spans=False)
-        b = prefix_beam_search(pg, US3, lm=lm, with_spans=False)
+        a = prefix_beam_search(pg, US3, lm=lm)
+        b = prefix_beam_search(pg, US3, lm=lm)
         assert [(e.tokens, e.score_total) for e in a] == \
             [(e.tokens, e.score_total) for e in b]

@@ -3,9 +3,8 @@ import pytest
 
 from kwspot.errors import AlignmentInfeasible, BadFormat, InvalidTranscript
 from kwspot.pgram import (LOG_ZERO, Posteriorgram, SynthConfig, align_viterbi,
-                          greedy_path, read_pgram, synth_generate,
-                          token_layout, viterbi_score, write_pgram,
-                          write_pgram_json)
+                          ctc_trellis, greedy_path, read_pgram, synth_generate,
+                          token_layout, write_pgram, write_pgram_json)
 from kwspot.units import BLANK, UnitKind, UnitSet
 
 from oracles import best_alignment, random_pgram_logp
@@ -83,6 +82,31 @@ class TestGreedy:
         assert greedy_path(one_hot_pg([0, 0, 0]))[0] == []
 
 
+def trellis_loop(logp, label, blank=0, plus=np.logaddexp):
+    """Per-state loop form of the CTC recursion, the reference for the
+    vectorised kernel; backpointers prefer stay, then step, then skip."""
+    states = [blank]
+    for u in label:
+        states += [u, blank]
+    T, S = len(logp), len(states)
+    alpha = np.full((T, S), -np.inf)
+    back = np.zeros((T, S), dtype=np.int64)
+    alpha[0, :2] = logp[0, states[:2]]
+    for t in range(1, T):
+        for s in range(S):
+            acc, arg = alpha[t - 1, s], s
+            preds = [s - 1] if s >= 1 else []
+            if s >= 2 and states[s] != blank and states[s] != states[s - 2]:
+                preds.append(s - 2)
+            for p in preds:
+                acc = plus(acc, alpha[t - 1, p])
+                if alpha[t - 1, p] > alpha[t - 1, arg]:
+                    arg = p
+            alpha[t, s] = acc + logp[t, states[s]]
+            back[t, s] = arg
+    return alpha, back
+
+
 class TestViterbi:
     def test_one_hot_span(self):
         pg = synth_generate([1], US, SynthConfig(frames_per_token=2, blank_gap=1))
@@ -110,20 +134,58 @@ class TestViterbi:
         oracle_score, oracle_path = best_alignment(pg.logp.astype(np.float64), labels)
         if oracle_path is None:
             with pytest.raises(AlignmentInfeasible):
-                viterbi_score(pg, labels)
+                ctc_trellis(pg.logp, labels, plus=np.maximum)
             return
-        got = viterbi_score(pg, labels)
+        got = ctc_trellis(pg.logp, labels, plus=np.maximum)[-1, -2:].max()
         assert got == pytest.approx(oracle_score, rel=1e-9, abs=1e-9)
 
     def test_spans_match_bruteforce_tiny(self):
-        rng = np.random.default_rng(11)
-        logp = random_pgram_logp(rng, 3, 3)
+        for seed in range(11, 19):
+            rng = np.random.default_rng(seed)
+            T = int(rng.integers(2, 6))
+            for labels in ([1], [1, 2], [2, 1]):
+                logp = random_pgram_logp(rng, T, 3)
+                pg = Posteriorgram("u", "s", 0.04, logp.astype(np.float32))
+                _, path = best_alignment(pg.logp.astype(np.float64), labels)
+                spans = align_viterbi(pg, labels)
+                assert [s.token for s in spans] == labels
+                for span in spans:
+                    frames = [t for t, s in enumerate(path) if s == span.token]
+                    assert span.start_frame == frames[0]
+                    assert span.end_frame == frames[-1] + 1
+                    assert span.start_frame <= span.peak_frame < span.end_frame
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kernel_matches_loop_on_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 12))
+        V = int(rng.integers(2, 5))
+        # coarse rounding makes many paths tie
+        logp = np.round(random_pgram_logp(rng, T, V) * 2) / 2
         pg = Posteriorgram("u", "s", 0.04, logp.astype(np.float32))
-        _, path = best_alignment(pg.logp.astype(np.float64), [1])
-        spans = align_viterbi(pg, [1])
-        frames = [t for t, s in enumerate(path) if s == 1]
-        assert spans[0].start_frame == frames[0]
-        assert spans[0].end_frame == frames[-1] + 1
+        lp = pg.logp.astype(np.float64)
+        labels = [int(u) for u in rng.integers(1, V, size=rng.integers(1, 5))]
+        try:
+            fwd = ctc_trellis(pg.logp, labels)
+        except AlignmentInfeasible:
+            with pytest.raises(AlignmentInfeasible):
+                align_viterbi(pg, labels)
+            return
+        assert np.array_equal(fwd, trellis_loop(lp, labels)[0])
+        delta, back = trellis_loop(lp, labels, plus=np.maximum)
+        assert np.array_equal(ctc_trellis(pg.logp, labels, plus=np.maximum), delta)
+        S = delta.shape[1]
+        s = S - 1 if delta[-1, S - 1] >= delta[-1, S - 2] else S - 2
+        path = [s]
+        for t in range(T - 1, 0, -1):
+            s = back[t, s]
+            path.append(s)
+        path.reverse()
+        spans = align_viterbi(pg, labels)
+        for i, span in enumerate(spans):
+            frames = [t for t, st in enumerate(path) if st == 2 * i + 1]
+            assert (span.start_frame, span.end_frame) == (frames[0], frames[-1] + 1)
 
 
 class TestIO:

@@ -89,7 +89,12 @@ class TestDecodeDir:
                 [e.score_total for e in two[utt]]
 
     def test_nbest_round_trip(self, lang, small_run, tmp_path):
-        _, out, _, lm = small_run
+        # noisy posteriorgrams, so no span field can be a constant like log 1
+        corpus, _, _, lm = small_run
+        out = tmp_path / "noisy"
+        pipeline.synth_corpus(corpus.transcripts, corpus.keywords,
+                              lang.char_set, lang.syll_set, lang.lexicon,
+                              SynthConfig(noise=0.3), out, 0, 0.04)
         nbest = pipeline.decode_dir(out / "char", lang.char_set, lm, None,
                                     BeamConfig())
         path = tmp_path / "nbest.jsonl"
@@ -104,6 +109,24 @@ class TestDecodeDir:
 
 
 class TestEvaluate:
+    def test_no_refs_gives_zero_atwv(self):
+        hit = Hit(utt_id="u1", kw_id="k1", stage=Stage.CHAR, start_frame=0,
+                  end_frame=0, start_s=0.0, end_s=1.0, raw_log_s=-1.0,
+                  norm_score=-1.0, hyp_rank=0, decision=True)
+        report = pipeline.evaluate([hit], [], EvalConfig(total_speech_s=10.0))
+        assert report["atwv"] == 0.0
+        assert report["per_keyword_twv"] == {}
+        assert all(p["atwv"] == 0.0 for p in report["threshold_sweep"])
+
+    def test_other_atwv_errors_propagate(self, small_run, monkeypatch):
+        _, _, refs, _ = small_run
+
+        def broken(*args):
+            raise ZeroDivisionError("bug in atwv")
+        monkeypatch.setattr(pipeline, "atwv", broken)
+        with pytest.raises(ZeroDivisionError):
+            pipeline.evaluate([], refs, EvalConfig())
+
     def _hit(self, utt, kw, start, end, score, decision=True):
         return Hit(utt_id=utt, kw_id=kw, stage=Stage.CHAR, start_frame=0,
                    end_frame=0, start_s=start, end_s=end, raw_log_s=score,
