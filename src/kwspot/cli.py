@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
@@ -17,7 +18,7 @@ from .decoder import build_bias_trie
 from .errors import KwspotError
 from .kws import write_hits, read_hits
 from .lm import read_arpa, train, write_arpa
-from .metrics import EvalConfig, load_refs, write_refs
+from .metrics import load_refs, write_refs
 from .phonetics import CostTable, load_cost_table
 from .units import UnitKind, load_lexicon, load_unit_set, syllabify
 
@@ -45,8 +46,8 @@ def _load_resources(cfg: PipelineConfig):
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     char_set, syll_set, lexicon, _ = _load_resources(cfg)
-    keywords = pipeline.load_keyword_list(cfg.paths.keywords)
-    transcripts = pipeline.load_transcripts(args.transcripts)
+    keywords = pipeline.load_id_text(cfg.paths.keywords)
+    transcripts = pipeline.load_id_text(args.transcripts)
     char_conf = syll_conf = None
     if args.confusion:
         lang = make_language()
@@ -89,7 +90,7 @@ def cmd_decode(args) -> int:
     lm = read_arpa(lm_path) if lm_path else None
     trie = None
     if cfg.beam.bias_enabled and cfg.paths.keywords:
-        entries = pipeline.load_keyword_list(cfg.paths.keywords)
+        entries = pipeline.load_id_text(cfg.paths.keywords)
         kws = pipeline.build_keywords(entries, char_set, lexicon, syll_set)
         seqs = [list(k.char_units if args.stage == "char" else k.syll_units)
                 for k in kws]
@@ -103,7 +104,7 @@ def cmd_decode(args) -> int:
 def cmd_kws(args) -> int:
     cfg = _load_cfg(args)
     char_set, syll_set, lexicon, costs = _load_resources(cfg)
-    entries = pipeline.load_keyword_list(cfg.paths.keywords)
+    entries = pipeline.load_id_text(cfg.paths.keywords)
     keywords = pipeline.build_keywords(entries, char_set, lexicon, syll_set)
     nbest_char = pipeline.read_nbest(args.nbest_char)
     nbest_syll = pipeline.read_nbest(args.nbest_syll) if args.nbest_syll else None
@@ -123,9 +124,8 @@ def cmd_eval(args) -> int:
     if total_s is None:
         print("need --total-speech-s or --pgram-dir", file=sys.stderr)
         return 2
-    ecfg = EvalConfig(atwv_beta=cfg.eval.atwv_beta, total_speech_s=total_s,
-                      min_overlap_fraction=cfg.eval.min_overlap_fraction)
-    report = pipeline.evaluate(hits, refs, ecfg)
+    report = pipeline.evaluate(hits, refs,
+                               replace(cfg.eval, total_speech_s=total_s))
     _dump_json(report, args.out)
     return 0
 
@@ -133,14 +133,13 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
     char_set, syll_set, lexicon, costs = _load_resources(cfg)
-    entries = pipeline.load_keyword_list(cfg.paths.keywords)
+    entries = pipeline.load_id_text(cfg.paths.keywords)
     keywords = pipeline.build_keywords(entries, char_set, lexicon, syll_set)
     char_lm = read_arpa(cfg.paths.char_lm)
     syll_lm = read_arpa(cfg.paths.syll_lm)
     refs = load_refs(args.refs)
-    total_s = pipeline.total_speech_seconds(Path(args.pgram_dir) / "char")
-    ecfg = EvalConfig(atwv_beta=cfg.eval.atwv_beta, total_speech_s=total_s,
-                      min_overlap_fraction=cfg.eval.min_overlap_fraction)
+    ecfg = replace(cfg.eval, total_speech_s=pipeline.total_speech_seconds(
+        Path(args.pgram_dir) / "char"))
     subsets = None
     if args.rare_keywords:
         rare_ids = {ln.strip() for ln in
@@ -222,9 +221,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,11 +42,17 @@ class PipelineConfig:
 
 _SECTIONS = {"paths": Paths, "beam": BeamConfig, "bias": BiasConfig,
              "kws": KwsConfig, "eval": EvalConfig, "synth": SynthConfig}
+# fields a file may not set: built in code (confusion tables) or derived for
+# each run (the synth seed from the run seed, speech time from the pgrams)
+_NOT_SETTABLE = {"confusion", "seed", "total_speech_s"}
 
 
 def _coerce(raw: str, target_type):
     if target_type is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {raw!r}") from None
     if target_type is int:
         return int(raw)
     if target_type is float:
@@ -55,40 +61,41 @@ def _coerce(raw: str, target_type):
 
 
 def load_config(path) -> PipelineConfig:
+    """Read an INI config; any section, key or value it cannot use is a
+    ValueError, never skipped."""
     parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    unknown = sorted(set(sections) - set(_SECTIONS) - {"run"})
+    if unknown:
+        raise ValueError(f"unknown section(s) {unknown} in {path}")
     cfg = PipelineConfig()
     for section, cls in _SECTIONS.items():
-        if not parser.has_section(section):
+        if section not in sections:
             continue
         kwargs = {}
-        by_name = {f.name: f for f in fields(cls)}
-        for key, raw in parser.items(section):
+        by_name = {f.name: f for f in fields(cls) if f.name not in _NOT_SETTABLE}
+        for key, raw in sections[section]:
             if key not in by_name:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
-            f = by_name[key]
+            default = by_name[key].default
             if key == "stages_enabled":
                 kwargs[key] = frozenset(Stage(s) for s in raw.split())
-            elif key == "confusion":
-                continue  # confusion tables are built programmatically
             else:
-                base = getattr(cls(), f.name) if section != "paths" else ""
-                kwargs[key] = _coerce(raw, type(base) if base is not None else float)
-        setattr(cfg, section, cls(**{**_defaults(cls), **kwargs}))
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key == "seed":
-                cfg.seed = int(raw)
-            elif key == "jobs":
-                cfg.jobs = int(raw)
-            elif key == "frame_period_s":
-                cfg.frame_period_s = float(raw)
-            else:
-                raise ValueError(f"unknown key {key!r} in [run]")
+                kwargs[key] = _coerce(raw, float if default is None
+                                      else type(default))
+        setattr(cfg, section, cls(**kwargs))
+    for key, raw in sections.get("run", []):
+        if key == "seed":
+            cfg.seed = int(raw)
+        elif key == "jobs":
+            cfg.jobs = int(raw)
+        elif key == "frame_period_s":
+            cfg.frame_period_s = float(raw)
+        else:
+            raise ValueError(f"unknown key {key!r} in [run]")
     return cfg
-
-
-def _defaults(cls) -> dict:
-    inst = cls()
-    return {f.name: getattr(inst, f.name) for f in fields(cls)}

@@ -57,9 +57,6 @@ class Hit:
 class KwsConfig:
     fuzzy_threshold: float = 0.5
     decision_threshold: float = -5.0  # natural log per unit
-    # extra frames either side of the matched span; nonzero pads pull
-    # neighboring speech into the exact-collapse forward sum, so default 0
-    window_pad: int = 0
     stages_enabled: frozenset = frozenset({Stage.CHAR, Stage.SYLLABLE, Stage.FUZZY})
     nbest_matching: bool = True       # False: search only the top hypothesis
     length_norm: bool = True
@@ -124,12 +121,9 @@ def score_ctc(pg: Posteriorgram, units, window: tuple[int, int],
     return float(np.logaddexp.reduce(alpha[-1, -2:]))
 
 
-def locate_window(spans, tok_start: int, tok_end: int, pad: int,
-                  num_frames: int) -> tuple[int, int]:
-    """Frame window covering matched tokens tok_start..tok_end-1, padded."""
-    ws = max(0, spans[tok_start].start_frame - pad)
-    we = min(num_frames, spans[tok_end - 1].end_frame + pad)
-    return ws, we
+def locate_window(spans, tok_start: int, tok_end: int) -> tuple[int, int]:
+    """Frame window covering matched tokens tok_start..tok_end-1."""
+    return spans[tok_start].start_frame, spans[tok_end - 1].end_frame
 
 
 def normalize(raw_log_s: float, length: int) -> float:
@@ -182,7 +176,7 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
             spans = nbest[rank].spans
             if not spans:
                 continue
-            ws, we = locate_window(spans, ti, tj, cfg.window_pad, pg.num_frames)
+            ws, we = locate_window(spans, ti, tj)
             if stage is Stage.FUZZY:
                 # the window fits the decoded variant; the true keyword may
                 # need more frames (repeated units require separating blanks)

@@ -9,7 +9,8 @@ boundary.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BadFormat, EmptyCorpus
@@ -72,6 +73,8 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
 
     P(w|c) = max(count(c,w)-D, 0)/count(c) + D*N1plus(c)/count(c) * P(w|c');
     unigrams interpolate with the uniform distribution over vocab + <unk>.
+    Orders are built lowest first: every suffix of a counted k-gram is a
+    counted (k-1)-gram, because <s> only ever starts a sentence.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -89,55 +92,30 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
     if not sents:
         raise EmptyCorpus("no usable sentences")
 
-    counts = [Counter() for _ in range(order + 1)]  # counts[k]: k-grams
-    for sent in sents:
-        for k in range(1, order + 1):
-            start = 0
-            for i in range(start, len(sent) - k + 1):
-                gram = tuple(sent[i:i + k])
-                if k == 1 and gram == (BOS,):
-                    continue  # <s> is context only, never predicted
-                counts[k][gram] += 1
-    # context totals and distinct-continuation counts
-    ctx_total = [defaultdict(int) for _ in range(order + 1)]
-    ctx_types = [defaultdict(int) for _ in range(order + 1)]
-    for k in range(2, order + 1):
-        for gram, c in counts[k].items():
-            ctx_total[k][gram[:-1]] += c
-            ctx_types[k][gram[:-1]] += 1
-
-    lm = NGramLM(order=order, vocab=set(vocab) | {EOS, UNK})
-    uni_total = sum(counts[1].values())
-    uni_types = len(counts[1])
-    uniform = 1.0 / (len(vocab) + 2)  # vocab plus </s> and <unk>
-
-    def unigram_p(w):
-        c = counts[1].get((w,), 0)
-        lam = discount * uni_types / uni_total
-        return max(c - discount, 0.0) / uni_total + lam * uniform
-
-    def interp_p(gram):
-        k = len(gram)
+    lm = NGramLM(order=order, vocab=vocab | {EOS, UNK})
+    p: dict[tuple[str, ...], float] = {}  # the order below, as probabilities
+    for k in range(1, order + 1):
+        counts = Counter()
+        for sent in sents:
+            counts.update(zip(*(sent[j:] for j in range(k))))
         if k == 1:
-            return unigram_p(gram[0])
-        ctx = gram[:-1]
-        total = ctx_total[k][ctx]
-        lam = discount * ctx_types[k][ctx] / total
-        return (max(counts[k][gram] - discount, 0.0) / total
-                + lam * interp_p(gram[1:]))
-
-    for w in sorted(lm.vocab | {BOS}):
-        if w == BOS:
-            # <s> carries the conventional zero-prob unigram entry
-            lm.probs[(w,)] = LOG10_ZERO
+            counts.pop((BOS,), None)  # <s> is context only, never predicted
+            n = sum(counts.values())
+            lam = discount * len(counts) / n
+            uniform = 1.0 / (len(vocab) + 2)  # vocab plus </s> and <unk>
+            p = {(w,): max(counts[(w,)] - discount, 0.0) / n + lam * uniform
+                 for w in sorted(lm.vocab | {BOS})}
         else:
-            lm.probs[(w,)] = _log10(unigram_p(w))
-    for k in range(2, order + 1):
-        for gram in counts[k]:
-            lm.probs[gram] = _log10(interp_p(gram))
-        for ctx, total in ctx_total[k].items():
-            lam = discount * ctx_types[k][ctx] / total
-            lm.backoffs[ctx] = _log10(lam)
+            total, types = Counter(), Counter()
+            for gram, c in counts.items():
+                total[gram[:-1]] += c
+                types[gram[:-1]] += 1
+            lams = {ctx: discount * types[ctx] / t for ctx, t in total.items()}
+            p = {gram: max(c - discount, 0.0) / total[gram[:-1]]
+                 + lams[gram[:-1]] * p[gram[1:]] for gram, c in counts.items()}
+            lm.backoffs.update((ctx, _log10(lam)) for ctx, lam in lams.items())
+        lm.probs.update((gram, _log10(prob)) for gram, prob in p.items())
+    lm.probs[(BOS,)] = LOG10_ZERO  # the conventional entry for <s>
     return lm
 
 
@@ -147,6 +125,9 @@ def _log10(p: float) -> float:
 
 # ---------------------------------------------------------------------------
 # ARPA text format
+
+_COUNT_LINE = re.compile(r"ngram\s+([0-9]+)\s*=\s*([0-9]+)")
+_SECTION_LINE = re.compile(r"\\([0-9]+)-grams:")
 
 
 def write_arpa(lm: NGramLM, path) -> None:
@@ -170,67 +151,71 @@ def write_arpa(lm: NGramLM, path) -> None:
 
 
 def read_arpa(path) -> NGramLM:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Load an ARPA backoff model; anything that does not fit is BadFormat.
+
+    An entry is ``prob w1 .. wk [backoff]`` split on any whitespace, so a
+    last field is a backoff exactly when the line has k+2 fields.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"{path}: not UTF-8 ({exc.reason})") from None
     it = iter(lines)
-    for ln in it:
-        if ln.strip() == "\\data\\":
+    for s in it:
+        if s == "\\data\\":
             break
     else:
         raise BadFormat("missing \\data\\ section")
     declared = {}
-    for ln in it:
-        ln = ln.strip()
-        if not ln:
+    for s in it:
+        if not s:
             break
-        if not ln.startswith("ngram "):
-            raise BadFormat(f"bad count line: {ln!r}")
-        k, _, n = ln[len("ngram "):].partition("=")
-        declared[int(k)] = int(n)
-    if not declared:
-        raise BadFormat("no ngram counts declared")
-    order = max(declared)
+        m = _COUNT_LINE.fullmatch(s)
+        if m is None or int(m[1]) in declared:
+            raise BadFormat(f"bad count line: {s!r}")
+        declared[int(m[1])] = int(m[2])
+    order = len(declared)
+    if not order or sorted(declared) != list(range(1, order + 1)):
+        raise BadFormat(f"ngram counts must declare orders 1..n, got "
+                        f"{sorted(declared)}")
     lm = NGramLM(order=order, vocab=set())
-    seen = {k: 0 for k in declared}
-    current = None
-    for ln in it:
-        s = ln.strip()
+    k = None
+    for s in it:
         if not s:
             continue
-        if s == "\\end\\":
-            current = None
-            break
-        if s.endswith("-grams:") and s.startswith("\\"):
-            current = int(s[1:s.index("-")])
+        if s.startswith("\\"):
+            if s == "\\end\\":
+                break
+            m = _SECTION_LINE.fullmatch(s)
+            if m is None or int(m[1]) not in declared:
+                raise BadFormat(f"bad or undeclared section: {s!r}")
+            k = int(m[1])
             continue
-        if current is None:
+        if k is None:
             raise BadFormat(f"entry outside section: {s!r}")
-        if "\t" in s:
-            parts = s.split("\t")
-            prob = float(parts[0])
-            gram = tuple(parts[1].split())
-            bow = float(parts[2]) if len(parts) > 2 and parts[2] else None
-        else:
-            fields = s.split()
-            prob = float(fields[0])
-            # trailing field is a backoff weight iff one extra field is present
-            if len(fields) == current + 2:
-                gram = tuple(fields[1:-1])
-                bow = float(fields[-1])
-            else:
-                gram = tuple(fields[1:])
-                bow = None
-        if len(gram) != current:
-            raise BadFormat(f"{len(gram)}-gram in \\{current}-grams: section")
-        lm.probs[gram] = prob
-        if bow is not None:
-            lm.backoffs[gram] = bow
-        seen[current] += 1
-        if current == 1:
+        fields = s.split()
+        gram = tuple(fields[1:k + 1])
+        if len(fields) not in (k + 1, k + 2) or gram in lm.probs:
+            raise BadFormat(f"bad or repeated entry in \\{k}-grams: {s!r}")
+        try:
+            lm.probs[gram] = float(fields[0])
+            if len(fields) == k + 2:
+                lm.backoffs[gram] = float(fields[-1])
+        except ValueError:
+            raise BadFormat(f"bad number in {s!r}") from None
+        if k == 1:
             lm.vocab.add(gram[0])
+    else:
+        raise BadFormat("missing \\end\\")
+    if any(it):
+        raise BadFormat("text after \\end\\")
+    if not all(map(math.isfinite, [*lm.probs.values(), *lm.backoffs.values()])):
+        raise BadFormat("non-finite probability or backoff weight")
+    found = Counter(map(len, lm.probs))
     for k, n in declared.items():
-        if seen.get(k, 0) != n:
-            raise BadFormat(f"declared {n} {k}-grams, found {seen.get(k, 0)}")
+        if found[k] != n:
+            raise BadFormat(f"declared {n} {k}-grams, found {found[k]}")
     lm.vocab.discard(BOS)
     lm.vocab |= {EOS, UNK}
     return lm

@@ -17,7 +17,7 @@ import numpy as np
 from . import kws as kws_mod
 from .decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                       build_bias_trie, prefix_beam_search)
-from .errors import NoScorableKeywords, OutOfVocabulary
+from .errors import BadFormat, NoScorableKeywords, OutOfVocabulary
 from .kws import Hit, Keyword, KwsConfig, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
@@ -27,27 +27,19 @@ from .phonetics import CostTable
 from .units import Lexicon, UnitSet, syllabify, tokenize_chars
 
 
-def load_transcripts(path) -> list[tuple[str, str]]:
+def load_id_text(path) -> list[tuple[str, str]]:
+    """``id<TAB>text`` lines (transcripts, keyword lists); blank lines and
+    ``#`` comments are skipped."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            utt, _, text = line.partition("\t")
-            out.append((utt, text))
-    return out
-
-
-def load_keyword_list(path) -> list[tuple[str, str]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            kw_id, _, text = line.partition("\t")
-            out.append((kw_id, text))
+            item_id, tab, text = line.partition("\t")
+            if not tab:
+                raise BadFormat(f"{path}:{lineno}: no tab after the id")
+            out.append((item_id, text))
     return out
 
 
@@ -151,22 +143,28 @@ def write_nbest(nbest_by_utt: dict[str, list[NBestEntry]], path) -> None:
 def read_nbest(path) -> dict[str, list[NBestEntry]]:
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            hyps = []
-            for h in obj["hyps"]:
-                entry = NBestEntry(tokens=tuple(h["tokens"]), text=h["text"],
-                                   score_am=h["score_am"], score_lm=h["score_lm"],
-                                   score_bias=h["score_bias"],
-                                   score_total=h["score_total"])
-                entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e,
-                                         peak_frame=p)
-                               for t, (s, e, p) in zip(h["tokens"], h["spans"])]
-                hyps.append(entry)
-            out[obj["utt_id"]] = hyps
+            try:
+                obj = json.loads(line)
+                if obj["utt_id"] in out:
+                    raise ValueError(f"utterance {obj['utt_id']!r} repeated")
+                out[obj["utt_id"]] = [_nbest_entry(h) for h in obj["hyps"]]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise BadFormat(f"{path}:{lineno}: bad N-best line "
+                                f"({type(exc).__name__}: {exc})") from None
     return out
+
+
+def _nbest_entry(h: dict) -> NBestEntry:
+    entry = NBestEntry(tokens=tuple(h["tokens"]), text=h["text"],
+                       score_am=h["score_am"], score_lm=h["score_lm"],
+                       score_bias=h["score_bias"], score_total=h["score_total"])
+    entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e, peak_frame=p)
+                   for t, (s, e, p) in zip(h["tokens"], h["spans"],
+                                           strict=True)]
+    return entry
 
 
 def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
@@ -176,13 +174,13 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
     pgram_dir = Path(pgram_dir)
     for utt_id in sorted(nbest_char):
         pg_c = read_pgram(pgram_dir / "char" / f"{utt_id}.pgram")
-        pg_s = None
-        nb_s = None
-        if nbest_syll is not None and utt_id in nbest_syll:
-            syll_path = pgram_dir / "syll" / f"{utt_id}.pgram"
-            if syll_path.exists():
-                pg_s = read_pgram(syll_path)
-                nb_s = nbest_syll[utt_id]
+        pg_s = nb_s = None
+        if nbest_syll is not None:
+            if utt_id not in nbest_syll:
+                raise BadFormat(f"utterance {utt_id!r} is missing from the "
+                                f"syllable N-best")
+            pg_s = read_pgram(pgram_dir / "syll" / f"{utt_id}.pgram")
+            nb_s = nbest_syll[utt_id]
         hits.extend(detect(pg_c, pg_s, nbest_char[utt_id], nb_s, keywords,
                            char_set, syll_set, lexicon, costs, cfg))
     return hits
@@ -279,8 +277,7 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
     decode_cache: dict[tuple, dict] = {}
 
     def decode(stage_dir, us, lm, trie, beam):
-        key = (stage_dir, us.id, lm is not None, trie is not None,
-               beam.beam_size, beam.lm_weight)
+        key = (stage_dir, lm is not None, trie is not None, beam)
         if key not in decode_cache:
             decode_cache[key] = decode_dir(Path(pgram_dir) / stage_dir, us, lm,
                                            trie, beam, jobs=jobs)
@@ -309,7 +306,7 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
                        length_norm=s["length_norm"])
         hits = run_kws(pgram_dir, nb_c, nb_s, keywords, char_set, syll_set,
                        lexicon, costs, kcfg)
-        report = evaluate(hits, refs, eval_cfg, sweep_points=50)
+        report = evaluate(hits, refs, eval_cfg, sweep_points=0)
         # recall over all matches, before the decision threshold
         a_tp, _, a_fn = align_hits(hits, refs, eval_cfg)
         _, recall_all, _ = f1(len(a_tp), 0, len(a_fn))

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here enumerates CTC paths explicitly and never shares code with
-the implementations under test.
+The CTC oracles enumerate paths explicitly and the LM reference spells out
+the textbook recursion; nothing here shares code with the implementations
+under test.
 """
 
 import itertools
@@ -61,3 +62,62 @@ def random_pgram_logp(rng, T, V):
     p = np.maximum(p, 1e-8)
     p = p / p.sum(axis=1, keepdims=True)
     return np.log(p)
+
+
+def train_reference(lines, order, discount):
+    """Interpolated absolute discounting as the textbook recursion.
+
+    Returns (probs, backoffs, vocab) in log10, the way ``kwspot.lm.train``
+    stores them: every lower-order probability is re-derived recursively
+    from the counts, highest order first.
+    """
+    bos, eos, unk, log10_zero = "<s>", "</s>", "<unk>", -99.0
+
+    def log10(p):
+        return math.log10(p) if p > 0 else log10_zero
+
+    sents, vocab = [], set()
+    for line in lines:
+        toks = [ch for ch in line.strip() if not ch.isspace()] \
+            if isinstance(line, str) else list(line)
+        if toks:
+            sents.append([bos] * (order > 1) + toks + [eos])
+            vocab.update(toks)
+    counts = [{} for _ in range(order + 1)]
+    for sent in sents:
+        for k in range(1, order + 1):
+            for i in range(len(sent) - k + 1):
+                gram = tuple(sent[i:i + k])
+                if gram != (bos,):
+                    counts[k][gram] = counts[k].get(gram, 0) + 1
+    ctx_total = [{} for _ in range(order + 1)]
+    ctx_types = [{} for _ in range(order + 1)]
+    for k in range(2, order + 1):
+        for gram, c in counts[k].items():
+            ctx_total[k][gram[:-1]] = ctx_total[k].get(gram[:-1], 0) + c
+            ctx_types[k][gram[:-1]] = ctx_types[k].get(gram[:-1], 0) + 1
+    full_vocab = vocab | {eos, unk}
+    uni_total = sum(counts[1].values())
+    uniform = 1.0 / (len(vocab) + 2)
+
+    def interp_p(gram):
+        k = len(gram)
+        if k == 1:
+            c = counts[1].get(gram, 0)
+            lam = discount * len(counts[1]) / uni_total
+            return max(c - discount, 0.0) / uni_total + lam * uniform
+        ctx = gram[:-1]
+        total = ctx_total[k][ctx]
+        lam = discount * ctx_types[k][ctx] / total
+        return (max(counts[k][gram] - discount, 0.0) / total
+                + lam * interp_p(gram[1:]))
+
+    probs = {(w,): log10(interp_p((w,))) for w in full_vocab}
+    probs[(bos,)] = log10_zero
+    backoffs = {}
+    for k in range(2, order + 1):
+        for gram in counts[k]:
+            probs[gram] = log10(interp_p(gram))
+        for ctx, total in ctx_total[k].items():
+            backoffs[ctx] = log10(discount * ctx_types[k][ctx] / total)
+    return probs, backoffs, full_vocab

@@ -25,6 +25,17 @@ class TestExitCodes:
                    str(demo / "transcripts.tsv"), str(tmp_path / "pg")])
         assert rc == 2
 
+    def test_malformed_arpa_is_domain_error(self, demo, tmp_path):
+        bad = tmp_path / "bad.arpa"
+        bad.write_text("\\data\\\nngram 1=1\n\n\\2-grams:\n-1\ta b\n\n"
+                       "\\end\\\n", encoding="utf-8")
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8").replace(
+            str(demo / "char.arpa"), str(bad)), encoding="utf-8")
+        rc = main(["--config", str(cfg), "decode", str(tmp_path / "pg"),
+                   str(tmp_path / "nbest.jsonl")])
+        assert rc == 1
+
     def test_empty_lm_corpus_is_domain_error(self, demo, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")

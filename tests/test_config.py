@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwspot.config import PipelineConfig, load_config
 from kwspot.kws import Stage
+from fuzzing import edit_lists, mutate
 
 
 def write(tmp_path, text):
@@ -76,10 +79,61 @@ frame_period_s = 0.02
             load_config(write(tmp_path, "[beam]\nwidth = 4\n"))
         with pytest.raises(ValueError):
             load_config(write(tmp_path, "[run]\nthreads = 4\n"))
+        # set in code or derived for each run, so a file may not set them
+        for text in ("[synth]\nconfusion = 1\n", "[synth]\nseed = 3\n",
+                     "[eval]\ntotal_speech_s = 5\n"):
+            with pytest.raises(ValueError, match="unknown key"):
+                load_config(write(tmp_path, text))
+        with pytest.raises(ValueError, match="beems"):
+            load_config(write(tmp_path, "[beems]\nbeam_size = 4\n"))
 
     def test_bool_spellings(self, tmp_path):
         for raw, want in (("true", True), ("1", True), ("yes", True),
-                          ("false", False), ("0", False)):
+                          ("On", True), ("false", False), ("0", False),
+                          ("no", False), ("off", False)):
             cfg = load_config(write(tmp_path,
                                     f"[beam]\nbias_enabled = {raw}\n"))
             assert cfg.beam.bias_enabled is want
+        for raw in ("flase", "2", ""):
+            with pytest.raises(ValueError, match="not a boolean"):
+                load_config(write(tmp_path, f"[beam]\nbias_enabled = {raw}\n"))
+
+    @pytest.mark.parametrize("text", [
+        "beam_size = 4\n",                             # no section header
+        "[beam]\nbeam_size = 4\n[beam]\nnbest = 2\n",  # duplicate section
+        "[beam]\nbeam_size = 4\nbeam_size = 5\n",      # duplicate key
+        "[paths]\nlexicon = 100%\n",                   # bad interpolation
+    ])
+    def test_parser_errors_are_value_errors(self, tmp_path, text):
+        with pytest.raises(ValueError):
+            load_config(write(tmp_path, text))
+
+
+VALID_CONFIG = """\
+[paths]
+lexicon = lex.tsv
+
+[beam]
+beam_size = 20
+bias_enabled = false
+
+[kws]
+stages_enabled = char fuzzy
+
+[synth]
+noise = 0.3
+
+[run]
+seed = 7
+"""
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit_lists("[]=%:\n ab_.-019xyz"), st.booleans())
+def test_fuzz_fails_only_with_value_errors(tmp_path_factory, edits, bad_byte):
+    path = tmp_path_factory.mktemp("fuzz") / "config.ini"
+    path.write_bytes(mutate(VALID_CONFIG, edits, bad_byte))
+    try:
+        load_config(path)
+    except ValueError:
+        pass

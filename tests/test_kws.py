@@ -80,10 +80,9 @@ class TestScoreCtc:
 
 
 class TestWindowAndNormalize:
-    def test_locate_window_pad_and_clamp(self):
+    def test_locate_window_covers_matched_spans(self):
         spans = [FakeSpan(2, 4), FakeSpan(4, 6)]
-        assert locate_window(spans, 0, 2, 0, 10) == (2, 6)
-        assert locate_window(spans, 0, 2, 100, 10) == (0, 10)
+        assert locate_window(spans, 0, 2) == (2, 6)
 
     def test_normalize(self):
         assert normalize(-6.0, 3) == pytest.approx(-2.0)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from kwspot.errors import BadFormat, EmptyCorpus
 from kwspot.lm import BOS, EOS, UNK, NGramLM, read_arpa, train, write_arpa
+from fuzzing import edit_lists, mutate
+from oracles import train_reference
 
 
 def all_contexts(lm):
@@ -97,7 +99,78 @@ def test_mass_property(lines, order, discount):
         assert context_mass(lm, ctx) == pytest.approx(1.0, abs=1e-6)
 
 
+token_corpora = st.lists(
+    st.lists(st.sampled_from(["ba1", "ma3", "zhi4", "a"]), max_size=6),
+    min_size=1, max_size=10).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(corpora, token_corpora), st.integers(1, 5),
+       st.sampled_from([0.0, 0.1, 0.4, 0.75, 0.99]))
+def test_train_equals_recursive_reference(lines, order, discount):
+    lm = train(lines, order=order, discount=discount)
+    probs, backoffs, vocab = train_reference(lines, order, discount)
+    assert lm.probs == probs
+    assert lm.backoffs == backoffs
+    assert lm.vocab == vocab
+
+
+VALID_ARPA = ("\\data\\\nngram 1=3\nngram 2=1\n\n"
+              "\\1-grams:\n-0.3\ta\t-0.2\n-0.5\tb\n-99\t<unk>\n\n"
+              "\\2-grams:\n-0.1\ta b\n\n\\end\\\n")
+
+
 class TestArpa:
+    def test_whitespace_and_tab_lines_parse_alike(self, tmp_path):
+        path = tmp_path / "m.arpa"
+        path.write_text(VALID_ARPA, encoding="utf-8")
+        tabs = read_arpa(path)
+        path.write_text(VALID_ARPA.replace("\t", "  "), encoding="utf-8")
+        spaces = read_arpa(path)
+        assert tabs.probs == spaces.probs == {
+            ("a",): -0.3, ("b",): -0.5, (UNK,): -99.0, ("a", "b"): -0.1}
+        assert tabs.backoffs == spaces.backoffs == {("a",): -0.2}
+        assert tabs.order == 2
+
+    @pytest.mark.parametrize("old, new", [
+        ("ngram 2=1\n", ""),                    # undeclared section
+        ("ngram 1=3", "ngram 1=x"),             # bad count
+        ("ngram 1=3", "ngram 3=3"),             # orders not 1..n
+        ("-0.5\tb", "xx\tb"),                   # bad probability
+        ("-0.5\tb", "-0.5\tb\t-0.1\tjunk"),     # extra field
+        ("-0.5\tb", "-0.5"),                    # missing word
+        ("-0.5\tb", "nan\tb"),                  # non-finite
+        ("-0.1\ta b", "-0.1\ta b c"),           # 3 words, 2-gram section
+        ("-0.5\tb", "-0.3\ta"),                 # repeated entry
+        ("\\2-grams:", "\\two-grams:"),         # bad section header
+        ("\\end\\\n", ""),                      # truncated
+        ("\\end\\\n", "\\end\\\n-1\tc\n"),      # text after end
+    ])
+    def test_malformed_is_bad_format(self, tmp_path, old, new):
+        assert old in VALID_ARPA
+        path = tmp_path / "bad.arpa"
+        path.write_text(VALID_ARPA.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(BadFormat):
+            read_arpa(path)
+
+    def test_undecodable_bytes_are_bad_format(self, tmp_path):
+        path = tmp_path / "bad.arpa"
+        path.write_bytes(VALID_ARPA.encode("utf-8").replace(b"b", b"\xff"))
+        with pytest.raises(BadFormat):
+            read_arpa(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edit_lists("ab \t\n\\-=0123.xgram:"), st.booleans())
+    def test_fuzz_fails_only_with_bad_format(self, tmp_path_factory, edits,
+                                             bad_byte):
+        path = tmp_path_factory.mktemp("fuzz") / "m.arpa"
+        path.write_bytes(mutate(VALID_ARPA, edits, bad_byte))
+        try:
+            lm = read_arpa(path)
+        except BadFormat:
+            return
+        assert lm.order >= 1 and UNK in lm.vocab
+
     def test_round_trip_scores(self, tmp_path):
         lm = train(["abc", "abd", "cab", "ddd"], order=3, discount=0.75)
         path = tmp_path / "toy.arpa"

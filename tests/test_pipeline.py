@@ -1,9 +1,14 @@
+import json
+import shutil
+
 import pytest
 
 from kwspot import pipeline
 from kwspot.corpus import make_corpus, make_language
 from kwspot.decoder import BeamConfig
-from kwspot.kws import Hit, Stage
+from kwspot.errors import BadFormat
+from kwspot.kws import Hit, KwsConfig, Stage
+from kwspot.phonetics import CostTable
 from kwspot.lm import train
 from kwspot.metrics import EvalConfig
 from kwspot.pgram import SynthConfig, token_layout
@@ -19,10 +24,16 @@ class TestFileParsing:
     def test_transcripts_and_keywords(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# comment\nu1\tab\n\nu2\tcd\n", encoding="utf-8")
-        assert pipeline.load_transcripts(p) == [("u1", "ab"), ("u2", "cd")]
+        assert pipeline.load_id_text(p) == [("u1", "ab"), ("u2", "cd")]
         k = tmp_path / "k.tsv"
         k.write_text("k1\txy\n# skip\nk2\tz\n", encoding="utf-8")
-        assert pipeline.load_keyword_list(k) == [("k1", "xy"), ("k2", "z")]
+        assert pipeline.load_id_text(k) == [("k1", "xy"), ("k2", "z")]
+
+    def test_line_without_tab_is_bad_format(self, tmp_path):
+        p = tmp_path / "k.tsv"
+        p.write_text("k1\txy\nk2 z\n", encoding="utf-8")
+        with pytest.raises(BadFormat, match=":2:"):
+            pipeline.load_id_text(p)
 
 
 class TestUttSeed:
@@ -106,6 +117,63 @@ class TestDecodeDir:
                 assert a.tokens == b.tokens and a.text == b.text
                 assert a.score_total == pytest.approx(b.score_total)
                 assert a.spans == b.spans
+
+
+class TestBrokenKwsInputs:
+    @pytest.fixture(scope="class")
+    def decoded(self, lang, small_run):
+        corpus, out, _, lm = small_run
+        beam = BeamConfig(nbest=2)
+        nb_c = pipeline.decode_dir(out / "char", lang.char_set, lm, None, beam)
+        nb_s = pipeline.decode_dir(out / "syll", lang.syll_set, None, None,
+                                   beam)
+        keywords = pipeline.build_keywords(corpus.keywords, lang.char_set,
+                                           lang.lexicon, lang.syll_set)
+        return nb_c, nb_s, keywords
+
+    def _run_kws(self, lang, pgram_dir, nb_c, nb_s, keywords):
+        return pipeline.run_kws(pgram_dir, nb_c, nb_s, keywords, lang.char_set,
+                                lang.syll_set, lang.lexicon, CostTable(),
+                                KwsConfig())
+
+    @pytest.mark.parametrize("breakage", ["json", "key", "spans", "repeat"])
+    def test_broken_nbest_is_bad_format(self, decoded, tmp_path, breakage):
+        path = tmp_path / "nbest.jsonl"
+        pipeline.write_nbest(decoded[0], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[0])
+        if breakage == "json":
+            lines[0] = lines[0][:-1]
+        elif breakage == "key":
+            del obj["hyps"][0]["score_lm"]
+        elif breakage == "spans":
+            obj["hyps"][0]["spans"].pop()
+        else:
+            lines.append(lines[0])
+        if breakage in ("key", "spans"):
+            lines[0] = json.dumps(obj, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(BadFormat):
+            pipeline.read_nbest(path)
+
+    def test_utterance_missing_from_syllable_nbest(self, lang, small_run,
+                                                    decoded):
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        first = min(nb_c)
+        partial = {u: hyps for u, hyps in nb_s.items() if u != first}
+        with pytest.raises(BadFormat, match=first):
+            self._run_kws(lang, out, nb_c, partial, keywords)
+
+    def test_missing_syllable_pgram(self, lang, small_run, decoded, tmp_path):
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        data = tmp_path / "data"
+        shutil.copytree(out, data)
+        first = min(nb_c)
+        (data / "syll" / f"{first}.pgram").unlink()
+        with pytest.raises(FileNotFoundError, match=first):
+            self._run_kws(lang, data, nb_c, nb_s, keywords)
 
 
 class TestEvaluate:
