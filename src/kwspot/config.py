@@ -90,12 +90,7 @@ def load_config(path) -> PipelineConfig:
                                       else type(default))
         setattr(cfg, section, cls(**kwargs))
     for key, raw in sections.get("run", []):
-        if key == "seed":
-            cfg.seed = int(raw)
-        elif key == "jobs":
-            cfg.jobs = int(raw)
-        elif key == "frame_period_s":
-            cfg.frame_period_s = float(raw)
-        else:
+        if key not in ("seed", "jobs", "frame_period_s"):
             raise ValueError(f"unknown key {key!r} in [run]")
+        setattr(cfg, key, _coerce(raw, type(getattr(cfg, key))))
     return cfg

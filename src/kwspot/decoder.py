@@ -34,6 +34,8 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
+        if self.nbest < 1:
+            raise ValueError("nbest must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AlignmentInfeasible, OutOfVocabulary
 from .pgram import Posteriorgram, ctc_trellis
 from .phonetics import CostTable, Syllable, parse_syllable, phrase_distance
-from .units import Lexicon, UnitSet
+from .units import Lexicon, UnitSet, read_tsv
 
 
 class Stage(enum.Enum):
@@ -47,9 +47,7 @@ class Hit:
     end_frame: int
     start_s: float
     end_s: float
-    raw_log_s: float
     norm_score: float
-    hyp_rank: int
     decision: bool = False
 
 
@@ -173,25 +171,21 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
                 # scored with the true keyword's units, not the decoded variant
                 cands.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units, rank, i, j))
         for stage, nbest, pg, units, rank, ti, tj in cands:
-            spans = nbest[rank].spans
-            if not spans:
-                continue
-            ws, we = locate_window(spans, ti, tj)
-            if stage is Stage.FUZZY:
-                # the window fits the decoded variant; the true keyword may
-                # need more frames (repeated units require separating blanks)
-                try:
-                    raw = score_ctc(pg, units, (ws, we))
-                except AlignmentInfeasible:
-                    continue
-            else:
+            ws, we = locate_window(nbest[rank].spans, ti, tj)
+            try:
                 raw = score_ctc(pg, units, (ws, we))
+            except AlignmentInfeasible:
+                # a fuzzy window fits the decoded variant; the true keyword
+                # may need more frames (repeated units need separating blanks)
+                if stage is not Stage.FUZZY:
+                    raise
+                continue
             score = normalize(raw, len(units)) if cfg.length_norm else raw
             hits.append(Hit(utt_id=pg.utt_id, kw_id=kw.id, stage=stage,
                             start_frame=ws, end_frame=we,
                             start_s=ws * pg.frame_period_s,
                             end_s=we * pg.frame_period_s,
-                            raw_log_s=raw, norm_score=score, hyp_rank=rank))
+                            norm_score=score))
     merged = merge_stages(hits)
     for h in merged:
         h.decision = h.norm_score >= cfg.decision_threshold
@@ -206,16 +200,11 @@ def write_hits(hits: list[Hit], path) -> None:
 
 
 def read_hits(path) -> list[Hit]:
-    hits = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            utt, kw, start_s, end_s, score, dec, stage = line.split("\t")
-            hits.append(Hit(utt_id=utt, kw_id=kw, stage=Stage(stage),
-                            start_frame=0, end_frame=0,
-                            start_s=float(start_s), end_s=float(end_s),
-                            raw_log_s=float(score), norm_score=float(score),
-                            hyp_rank=0, decision=bool(int(dec))))
-    return hits
+    """Hits as write_hits writes them; frames are not stored and read as 0."""
+    def hit(f):
+        utt, kw, start_s, end_s, score, dec, stage = f
+        return Hit(utt_id=utt, kw_id=kw, stage=Stage(stage),
+                   start_frame=0, end_frame=0,
+                   start_s=float(start_s), end_s=float(end_s),
+                   norm_score=float(score), decision=bool(int(dec)))
+    return list(read_tsv(path, 7, hit))

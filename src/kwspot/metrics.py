@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoScorableKeywords
+from .units import read_tsv
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,9 @@ def atwv(tp_pairs, fp_hits, fn_refs, all_refs, cfg: EvalConfig):
 
 
 def load_refs(path) -> list[RefOccurrence]:
-    refs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            utt, kw, start_s, end_s = line.split("\t")
-            refs.append(RefOccurrence(utt, kw, float(start_s), float(end_s)))
-    return refs
+    """``utt<TAB>kw<TAB>start_s<TAB>end_s`` lines."""
+    return list(read_tsv(path, 4, lambda f: RefOccurrence(
+        f[0], f[1], float(f[2]), float(f[3]))))
 
 
 def write_refs(refs, path) -> None:

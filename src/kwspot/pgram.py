@@ -8,7 +8,6 @@ scale against enumeration oracles.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -46,10 +45,14 @@ class Posteriorgram:
         return self.logp.shape[1]
 
     def validate(self) -> None:
+        if not (np.isfinite(self.frame_period_s) and self.frame_period_s > 0):
+            raise BadFormat(f"frame period {self.frame_period_s!r} is not > 0")
+        if not self.num_units:
+            raise BadFormat("no units")
         lp = self.logp.astype(np.float64)
-        if lp.size and lp.max() > 1e-6:
-            raise BadFormat("log posterior above 0")
         if lp.shape[0]:
+            if not lp.max() <= 1e-6:  # NaN fails this test too
+                raise BadFormat("log posterior above 0 or NaN")
             norms = np.logaddexp.reduce(lp, axis=1)
             if np.abs(norms).max() > ROW_NORM_TOL:
                 raise BadFormat(f"row normalization off by {np.abs(norms).max():g}")
@@ -237,76 +240,49 @@ def align_viterbi(pg: Posteriorgram, tokens: list[int],
 
 
 # ---------------------------------------------------------------------------
-# binary / JSON I/O
+# binary I/O
 
 
 def write_pgram(pg: Posteriorgram, path) -> None:
     pg.validate()
     uid = pg.utt_id.encode("utf-8")
     sid = pg.unit_set_id.encode("utf-8")
-    T, V = pg.logp.shape
+    head = struct.pack(f"<4sHH{len(uid)}sH{len(sid)}sdII", MAGIC, VERSION,
+                       len(uid), uid, len(sid), sid, pg.frame_period_s,
+                       *pg.logp.shape)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<H", len(uid)) + uid)
-        fh.write(struct.pack("<H", len(sid)) + sid)
-        fh.write(struct.pack("<d", pg.frame_period_s))
-        fh.write(struct.pack("<II", T, V))
-        fh.write(pg.logp.astype("<f4").tobytes(order="C"))
+        fh.write(head + pg.logp.astype("<f4").tobytes(order="C"))
 
 
 def read_pgram(path) -> Posteriorgram:
+    """Read a binary posteriorgram; anything that does not fit is BadFormat."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == MAGIC:
-            return _read_binary(fh, path)
-    return _read_json(path)
-
-
-def _read_binary(fh, path) -> Posteriorgram:
-    def take(n):
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise BadFormat(f"truncated file: {path}")
-        return buf
-
-    (version,) = struct.unpack("<H", take(2))
-    if version != VERSION:
-        raise BadFormat(f"unsupported version {version}")
-    (nu,) = struct.unpack("<H", take(2))
-    utt_id = take(nu).decode("utf-8")
-    (ns,) = struct.unpack("<H", take(2))
-    set_id = take(ns).decode("utf-8")
-    (period,) = struct.unpack("<d", take(8))
-    T, V = struct.unpack("<II", take(8))
-    data = take(T * V * 4)
-    logp = np.frombuffer(data, dtype="<f4").reshape(T, V).copy()
-    pg = Posteriorgram(utt_id=utt_id, unit_set_id=set_id,
-                       frame_period_s=period, logp=logp)
-    pg.validate()
-    return pg
-
-
-def _read_json(path) -> Posteriorgram:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        pg = Posteriorgram(utt_id=obj["utt_id"], unit_set_id=obj["unit_set_id"],
-                           frame_period_s=float(obj["frame_period_s"]),
-                           logp=np.array(obj["logp"], dtype=np.float32).reshape(
-                               len(obj["logp"]), -1) if obj["logp"]
-                           else np.zeros((0, int(obj["num_units"]))))
-    except (OSError, ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise BadFormat(f"not a posteriorgram file: {path} ({exc})") from None
-    pg.validate()
+        pg = _parse_pgram(data)
+        pg.validate()
+    except BadFormat as exc:
+        raise BadFormat(f"{path}: {exc}") from None
     return pg
 
 
-def write_pgram_json(pg: Posteriorgram, path) -> None:
-    pg.validate()
-    obj = {"utt_id": pg.utt_id, "unit_set_id": pg.unit_set_id,
-           "frame_period_s": pg.frame_period_s,
-           "num_units": pg.num_units,
-           "logp": [[float(x) for x in row] for row in pg.logp]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+def _parse_pgram(data: bytes) -> Posteriorgram:
+    try:
+        if struct.unpack_from("<4sH", data) != (MAGIC, VERSION):
+            raise BadFormat(f"not a version {VERSION} posteriorgram")
+        pos, ids = 6, []
+        for _ in range(2):  # utterance id, unit-set id
+            (n,) = struct.unpack_from("<H", data, pos)
+            ids.append(data[pos + 2:pos + 2 + n].decode("utf-8"))
+            pos += 2 + n
+        period, T, V = struct.unpack_from("<dII", data, pos)
+    except struct.error:
+        raise BadFormat("truncated header") from None
+    except UnicodeDecodeError:
+        raise BadFormat("an id is not UTF-8") from None
+    pos += 16
+    if len(data) - pos != T * V * 4:
+        raise BadFormat(f"{len(data) - pos} data bytes, header says "
+                        f"{T}x{V} float32")
+    logp = np.frombuffer(data, dtype="<f4", offset=pos).reshape(T, V)
+    return Posteriorgram(ids[0], ids[1], period, logp.copy())

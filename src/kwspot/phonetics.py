@@ -69,28 +69,38 @@ def load_cost_table(path) -> CostTable:
     """Sectioned key-value file: [initial_groups], [final_groups], [costs].
 
     Group lines are space-separated members followed by ':cost'; cost lines
-    are 'name = value' for tone_cost, substitution_cost, indel_cost.
+    are 'name = value' for tone_cost, substitution_cost, indel_cost.  A line
+    that fits none of these is a ValueError at ``path:line``.
     """
-    init_groups, final_groups = [], []
-    costs = {"tone_cost": 0.2, "substitution_cost": 1.0, "indel_cost": 1.0}
+    sections = {"initial_groups": [], "final_groups": [], "costs": {}}
     section = None
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1]
-                continue
-            if section in ("initial_groups", "final_groups"):
-                members, _, cost = line.rpartition(":")
-                group = (frozenset(members.split()), float(cost))
-                (init_groups if section == "initial_groups" else final_groups).append(group)
-            elif section == "costs":
-                key, _, val = line.partition("=")
-                costs[key.strip()] = float(val)
-    return CostTable(initial_groups=tuple(init_groups),
-                     final_groups=tuple(final_groups), **costs)
+            try:
+                if line.startswith("[") and line.endswith("]"):
+                    section = line[1:-1]
+                    if section not in sections:
+                        raise ValueError(f"unknown section [{section}]")
+                elif section == "costs":
+                    key, val = (x.strip() for x in line.split("="))
+                    if key not in ("tone_cost", "substitution_cost",
+                                   "indel_cost"):
+                        raise ValueError(f"unknown cost {key!r}")
+                    sections["costs"][key] = float(val)
+                elif section:
+                    members, cost = line.rsplit(":", 1)
+                    sections[section].append((frozenset(members.split()),
+                                              float(cost)))
+                else:
+                    raise ValueError("line before any section")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return CostTable(initial_groups=tuple(sections["initial_groups"]),
+                     final_groups=tuple(sections["final_groups"]),
+                     **sections["costs"])
 
 
 @lru_cache(maxsize=None)

@@ -24,23 +24,12 @@ from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
 from .pgram import (Posteriorgram, SynthConfig, TokenSpan, read_pgram,
                     synth_generate, token_layout, write_pgram)
 from .phonetics import CostTable
-from .units import Lexicon, UnitSet, syllabify, tokenize_chars
+from .units import Lexicon, UnitSet, read_tsv, syllabify, tokenize_chars
 
 
 def load_id_text(path) -> list[tuple[str, str]]:
-    """``id<TAB>text`` lines (transcripts, keyword lists); blank lines and
-    ``#`` comments are skipped."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            item_id, tab, text = line.partition("\t")
-            if not tab:
-                raise BadFormat(f"{path}:{lineno}: no tab after the id")
-            out.append((item_id, text))
-    return out
+    """``id<TAB>text`` lines (transcripts, keyword lists)."""
+    return list(read_tsv(path, 2))
 
 
 def build_keywords(entries, char_set: UnitSet, lexicon: Lexicon,
@@ -100,9 +89,18 @@ def synth_corpus(transcripts, keywords, char_set, syll_set, lexicon,
     return refs, skipped
 
 
+def _read_utt_pgram(path) -> Posteriorgram:
+    """A posteriorgram file is named ``<utt_id>.pgram``."""
+    pg = read_pgram(path)
+    if pg.utt_id != Path(path).stem:
+        raise BadFormat(f"{path}: utterance id {pg.utt_id!r} differs from "
+                        f"the file name")
+    return pg
+
+
 def _decode_one(args):
     path, us, lm, trie, beam_cfg = args
-    pg = read_pgram(path)
+    pg = _read_utt_pgram(path)
     nbest = prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=beam_cfg)
     return pg.utt_id, nbest
 
@@ -110,8 +108,7 @@ def _decode_one(args):
 def decode_dir(pgram_dir, us: UnitSet, lm: NGramLM | None,
                trie: KeywordTrie | None, beam_cfg: BeamConfig,
                jobs: int = 1) -> dict[str, list[NBestEntry]]:
-    paths = sorted(Path(pgram_dir).glob("*.pgram")) + \
-        sorted(Path(pgram_dir).glob("*.json"))
+    paths = sorted(Path(pgram_dir).glob("*.pgram"))
     work = [(p, us, lm, trie, beam_cfg) for p in paths]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -142,12 +139,14 @@ def write_nbest(nbest_by_utt: dict[str, list[NBestEntry]], path) -> None:
 
 def read_nbest(path) -> dict[str, list[NBestEntry]]:
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
+                if not isinstance(obj["utt_id"], str):
+                    raise ValueError("utt_id must be a string")
                 if obj["utt_id"] in out:
                     raise ValueError(f"utterance {obj['utt_id']!r} repeated")
                 out[obj["utt_id"]] = [_nbest_entry(h) for h in obj["hyps"]]
@@ -158,29 +157,39 @@ def read_nbest(path) -> dict[str, list[NBestEntry]]:
 
 
 def _nbest_entry(h: dict) -> NBestEntry:
-    entry = NBestEntry(tokens=tuple(h["tokens"]), text=h["text"],
+    tokens, spans = h["tokens"], h["spans"]
+    frames = [x for span in spans for x in span]
+    # bool is a subclass of int, so test the exact type
+    if any(type(x) is not int for x in [*tokens, *frames]):
+        raise ValueError("tokens and span frames must be integers")
+    entry = NBestEntry(tokens=tuple(tokens), text=h["text"],
                        score_am=h["score_am"], score_lm=h["score_lm"],
                        score_bias=h["score_bias"], score_total=h["score_total"])
     entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e, peak_frame=p)
-                   for t, (s, e, p) in zip(h["tokens"], h["spans"],
-                                           strict=True)]
+                   for t, (s, e, p) in zip(tokens, spans, strict=True)]
     return entry
 
 
 def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             char_set: UnitSet, syll_set: UnitSet | None, lexicon: Lexicon,
             costs: CostTable, cfg: KwsConfig) -> list[Hit]:
+    if nbest_syll is not None and set(nbest_syll) != set(nbest_char):
+        odd = sorted(set(nbest_syll) ^ set(nbest_char))
+        raise BadFormat(f"utterance(s) {odd} are not in both the char and "
+                        f"the syllable N-best")
+    for nbest, us in ((nbest_char, char_set), (nbest_syll or {}, syll_set)):
+        for utt_id, entries in nbest.items():
+            if any(not 0 < t < len(us) for e in entries for t in e.tokens):
+                raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
+                                f"the {us.id!r} units 1..{len(us) - 1}")
     hits: list[Hit] = []
     pgram_dir = Path(pgram_dir)
     for utt_id in sorted(nbest_char):
-        pg_c = read_pgram(pgram_dir / "char" / f"{utt_id}.pgram")
+        pg_c = _read_utt_pgram(pgram_dir / "char" / f"{utt_id}.pgram")
         pg_s = nb_s = None
         if nbest_syll is not None:
-            if utt_id not in nbest_syll:
-                raise BadFormat(f"utterance {utt_id!r} is missing from the "
-                                f"syllable N-best")
-            pg_s = read_pgram(pgram_dir / "syll" / f"{utt_id}.pgram")
             nb_s = nbest_syll[utt_id]
+            pg_s = _read_utt_pgram(pgram_dir / "syll" / f"{utt_id}.pgram")
         hits.extend(detect(pg_c, pg_s, nbest_char[utt_id], nb_s, keywords,
                            char_set, syll_set, lexicon, costs, cfg))
     return hits
@@ -189,7 +198,7 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
 def total_speech_seconds(pgram_dir) -> float:
     total = 0.0
     for p in sorted(Path(pgram_dir).glob("*.pgram")):
-        pg = read_pgram(p)
+        pg = _read_utt_pgram(p)
         total += pg.num_frames * pg.frame_period_s
     return total
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import DuplicateUnit, EmptyUnitSet, OutOfVocabulary
+from .errors import BadFormat, DuplicateUnit, EmptyUnitSet, OutOfVocabulary
 
 BLANK = "<blk>"
 
@@ -81,6 +81,29 @@ def write_unit_set(us: UnitSet, path) -> None:
             fh.write(u + "\n")
 
 
+def read_tsv(path, num_fields: int, make=tuple):
+    """Yield ``make(fields)`` for each line but blank and ``#`` lines; a line
+    splits on tabs into num_fields fields, the last keeping further tabs.
+    Fewer fields or a ValueError from make is BadFormat at ``path:line``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"{path}: not UTF-8 ({exc.reason})") from None
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t", num_fields - 1)
+        try:
+            if len(fields) != num_fields:
+                raise ValueError(f"{len(fields)} tab-separated field(s), "
+                                 f"expected {num_fields}")
+            record = make(fields)
+        except ValueError as exc:
+            raise BadFormat(f"{path}:{lineno}: {exc}") from None
+        yield record
+
+
 def tokenize_chars(text: str, us: UnitSet) -> list[int]:
     """Map each non-whitespace Unicode scalar to its unit id."""
     if us.kind is not UnitKind.CHARACTER:
@@ -116,18 +139,14 @@ class Lexicon:
 
 
 def load_lexicon(path) -> Lexicon:
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            char, _, prons = line.partition("\t")
-            plist = tuple(prons.split())
-            if not char or not plist:
-                raise ValueError(f"malformed lexicon line: {line!r}")
-            entries[char] = plist
-    return Lexicon(entries=entries)
+    """``char<TAB>pron [pron ...]`` lines; the first pron is the primary."""
+    def entry(fields):
+        char, prons = fields[0], tuple(fields[1].split())
+        if not char or not prons:
+            raise ValueError("a lexicon line needs a character and a "
+                             "pronunciation")
+        return char, prons
+    return Lexicon(entries=dict(read_tsv(path, 2, entry)))
 
 
 def write_lexicon(lex: Lexicon, path) -> None:

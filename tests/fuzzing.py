@@ -12,9 +12,11 @@ def edit_lists(alphabet: str):
                     min_size=1, max_size=4)
 
 
-def mutate(text: str, edits, bad_byte: bool) -> bytes:
-    """Apply edits to text's UTF-8; bad_byte appends a byte UTF-8 never uses."""
-    data = bytearray(text.encode("utf-8"))
+def mutate(valid: str | bytes, edits, bad_byte: bool) -> bytes:
+    """Apply edits to a file's bytes (text as UTF-8); bad_byte appends a
+    byte UTF-8 never uses."""
+    data = bytearray(valid.encode("utf-8") if isinstance(valid, str)
+                     else valid)
     for op, pos, payload in edits:
         pos %= len(data) + 1
         if op == "drop":

@@ -256,8 +256,8 @@ class TestCriterion6BiasMonotonicity:
 class TestCriterion7MetricGoldenCases:
     def _hit(self, utt, kw, start, end):
         return Hit(utt_id=utt, kw_id=kw, stage=Stage.CHAR, start_frame=0,
-                   end_frame=0, start_s=start, end_s=end, raw_log_s=-1.0,
-                   norm_score=-1.0, hyp_rank=0, decision=True)
+                   end_frame=0, start_s=start, end_s=end, norm_score=-1.0,
+                   decision=True)
 
     def test_hand_example_and_edge_cases(self):
         cfg = EvalConfig(total_speech_s=100.0)

@@ -36,6 +36,17 @@ class TestExitCodes:
                    str(tmp_path / "nbest.jsonl")])
         assert rc == 1
 
+    @pytest.mark.parametrize("broken", ["hits", "refs"])
+    def test_malformed_hits_or_refs_is_domain_error(self, tmp_path, broken):
+        files = {"hits": "u1\tk1\t0.5\t1.0\t-1.0\t1\tchar\n",
+                 "refs": "u1\tk1\t0.5\t1.0\n"}
+        files[broken] = files[broken].replace("\t1.0", "")
+        for name, text in files.items():
+            (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+        rc = main(["eval", str(tmp_path / "hits.tsv"),
+                   str(tmp_path / "refs.tsv"), "--total-speech-s", "10"])
+        assert rc == 1
+
     def test_empty_lm_corpus_is_domain_error(self, demo, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")

@@ -98,6 +98,12 @@ frame_period_s = 0.02
             with pytest.raises(ValueError, match="not a boolean"):
                 load_config(write(tmp_path, f"[beam]\nbias_enabled = {raw}\n"))
 
+    @pytest.mark.parametrize("nbest", ["0", "-1"])
+    def test_nbest_below_one_rejected(self, tmp_path, nbest):
+        # an empty N-best list would make kws find nothing without a word
+        with pytest.raises(ValueError, match="nbest"):
+            load_config(write(tmp_path, f"[beam]\nnbest = {nbest}\n"))
+
     @pytest.mark.parametrize("text", [
         "beam_size = 4\n",                             # no section header
         "[beam]\nbeam_size = 4\n[beam]\nnbest = 2\n",  # duplicate section

@@ -100,7 +100,7 @@ class FakeSpan:
 def make_hit(score, start, end, stage=Stage.CHAR, kw="kw0", utt="u"):
     return Hit(utt_id=utt, kw_id=kw, stage=stage, start_frame=start,
                end_frame=end, start_s=start * 0.04, end_s=end * 0.04,
-               raw_log_s=score, norm_score=score, hyp_rank=0)
+               norm_score=score)
 
 
 class TestMergeStages:

@@ -8,8 +8,8 @@ from kwspot.metrics import (EvalConfig, RefOccurrence, align_hits, atwv, f1,
 
 def hit(utt, kw, start, end, score=-1.0):
     return Hit(utt_id=utt, kw_id=kw, stage=Stage.CHAR, start_frame=0,
-               end_frame=0, start_s=start, end_s=end, raw_log_s=score,
-               norm_score=score, hyp_rank=0, decision=True)
+               end_frame=0, start_s=start, end_s=end, norm_score=score,
+               decision=True)
 
 
 CFG = EvalConfig(total_speech_s=100.0)

@@ -1,12 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwspot.errors import AlignmentInfeasible, BadFormat, InvalidTranscript
-from kwspot.pgram import (LOG_ZERO, Posteriorgram, SynthConfig, align_viterbi,
-                          ctc_trellis, greedy_path, read_pgram, synth_generate,
-                          token_layout, write_pgram, write_pgram_json)
+from kwspot.pgram import (LOG_ZERO, MAGIC, Posteriorgram, SynthConfig,
+                          align_viterbi, ctc_trellis, greedy_path, read_pgram,
+                          synth_generate, token_layout, write_pgram)
 from kwspot.units import BLANK, UnitKind, UnitSet
 
+from fuzzing import edit_lists, mutate
 from oracles import best_alignment, random_pgram_logp
 
 US = UnitSet(id="abc", kind=UnitKind.CHARACTER, units=(BLANK, "a", "b", "c"))
@@ -17,6 +22,20 @@ def one_hot_pg(frames, v=4, set_id="abc"):
     for t, u in enumerate(frames):
         logp[t, u] = 0.0
     return Posteriorgram("u", set_id, 0.04, logp.astype(np.float32))
+
+
+def raw_pgram(logp, uid=b"u", period=0.04, frames=None, extra=b""):
+    """Bytes of a posteriorgram file, built without write_pgram's checks;
+    frames overrides the header's frame count."""
+    T, V = logp.shape
+    return (MAGIC + struct.pack("<HH", 1, len(uid)) + uid
+            + struct.pack("<H", 3) + b"abc"
+            + struct.pack("<dII", period, T if frames is None else frames, V)
+            + logp.astype("<f4").tobytes() + extra)
+
+
+VALID_PGRAM = raw_pgram(synth_generate([1, 2, 3], US, SynthConfig(
+    noise=0.2, seed=5)).logp)
 
 
 class TestSynth:
@@ -215,12 +234,47 @@ class TestIO:
         with pytest.raises(BadFormat):
             write_pgram(pg, path)
 
-    def test_json_mirror(self, tmp_path):
-        pg = synth_generate([1, 2], US, SynthConfig(noise=0.1, seed=1))
-        path = tmp_path / "x.json"
-        write_pgram_json(pg, path)
-        back = read_pgram(path)
-        assert np.array_equal(back.logp, pg.logp)
+    def test_raw_bytes_match_writer(self, tmp_path):
+        pg = synth_generate([1, 2, 3], US, SynthConfig(noise=0.2, seed=5),
+                            utt_id="u")
+        path = tmp_path / "u.pgram"
+        write_pgram(pg, path)
+        assert path.read_bytes() == raw_pgram(pg.logp)
+
+    @pytest.mark.parametrize("case", ["trailing_bytes", "header_larger",
+                                      "header_huge", "nan_row", "id_not_utf8",
+                                      "zero_period", "nan_period"])
+    def test_malformed_is_bad_format(self, tmp_path, case):
+        logp = one_hot_pg([0, 1, 0]).logp.copy()
+        kw = {}
+        if case == "trailing_bytes":
+            kw["extra"] = b"\0" * 4
+        elif case == "header_larger":
+            kw["frames"] = 4
+        elif case == "header_huge":
+            kw["frames"] = 2**32 - 1
+        elif case == "nan_row":
+            logp[1] = np.nan
+        elif case == "id_not_utf8":
+            kw["uid"] = b"u\xff"
+        else:
+            kw["period"] = 0.0 if case == "zero_period" else float("nan")
+        path = tmp_path / "u.pgram"
+        path.write_bytes(raw_pgram(logp, **kw))
+        with pytest.raises(BadFormat, match="u.pgram"):
+            read_pgram(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit_lists("\0\x01\x02\x7fabu"), st.booleans())
+    def test_fuzz_fails_only_with_bad_format(self, tmp_path_factory, edits,
+                                             bad_byte):
+        path = tmp_path_factory.mktemp("fuzz") / "u.pgram"
+        path.write_bytes(mutate(VALID_PGRAM, edits, bad_byte))
+        try:
+            pg = read_pgram(path)
+        except BadFormat:
+            return
+        pg.validate()
 
     def test_greedy_round_trip_property(self):
         rng = np.random.default_rng(0)

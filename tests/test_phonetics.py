@@ -95,3 +95,17 @@ tone_cost = 0.1
     assert table.final_cost("an", "ang") == pytest.approx(0.4)
     assert table.tone_cost == pytest.approx(0.1)
     assert table.initial_cost("zh", "m") == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[costs]\ntone_cost = 0.1\nswap_cost = 0.3\n", 3),   # unknown key
+    ("tone_cost = 0.1\n[costs]\n", 1),                    # before a section
+    ("[costs]\n[finals]\nan ang : 0.4\n", 2),             # unknown section
+    ("[initial_groups]\nzh z 0.3\n", 2),                  # no ':cost'
+    ("[final_groups]\nan ang : x\n", 2),                  # bad number
+])
+def test_cost_table_errors_name_the_line(tmp_path, text, line):
+    p = tmp_path / "costs.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"costs.txt:{line}:"):
+        load_cost_table(p)

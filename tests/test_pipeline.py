@@ -1,7 +1,10 @@
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwspot import pipeline
 from kwspot.corpus import make_corpus, make_language
@@ -11,8 +14,10 @@ from kwspot.kws import Hit, KwsConfig, Stage
 from kwspot.phonetics import CostTable
 from kwspot.lm import train
 from kwspot.metrics import EvalConfig
-from kwspot.pgram import SynthConfig, token_layout
+from kwspot.pgram import SynthConfig, read_pgram, token_layout, write_pgram
 from kwspot.units import tokenize_chars
+
+from fuzzing import edit_lists, mutate
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +104,16 @@ class TestDecodeDir:
             assert [e.score_total for e in one[utt]] == \
                 [e.score_total for e in two[utt]]
 
+    def test_utt_id_must_match_file_name(self, lang, small_run, tmp_path):
+        _, out, _, _ = small_run
+        first = sorted((out / "char").glob("*.pgram"))[0]
+        shutil.copytree(out / "char", tmp_path / "char")
+        # a second file carrying the first one's utterance id
+        write_pgram(read_pgram(first), tmp_path / "char" / "zz.pgram")
+        with pytest.raises(BadFormat, match="zz.pgram"):
+            pipeline.decode_dir(tmp_path / "char", lang.char_set, None, None,
+                                BeamConfig())
+
     def test_nbest_round_trip(self, lang, small_run, tmp_path):
         # noisy posteriorgrams, so no span field can be a constant like log 1
         corpus, _, _, lm = small_run
@@ -117,6 +132,13 @@ class TestDecodeDir:
                 assert a.tokens == b.tokens and a.text == b.text
                 assert a.score_total == pytest.approx(b.score_total)
                 assert a.spans == b.spans
+
+
+VALID_NBEST = (
+    '{"utt_id": "u1", "hyps": [{"text": "ab", "tokens": [1, 2], '
+    '"score_am": -1.5, "score_lm": -0.5, "score_bias": 0.0, '
+    '"score_total": -2.0, "spans": [[1, 3, 2], [3, 5, 4]]}]}\n'
+    '{"utt_id": "u2", "hyps": []}\n')
 
 
 class TestBrokenKwsInputs:
@@ -156,6 +178,69 @@ class TestBrokenKwsInputs:
         with pytest.raises(BadFormat):
             pipeline.read_nbest(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", "x"), ("tokens", 1.5), ("tokens", True), ("tokens", None),
+        ("spans", "3"), ("spans", 2.0), ("spans", False)])
+    def test_non_integer_token_or_frame_is_bad_format(self, decoded, tmp_path,
+                                                      field, value):
+        path = tmp_path / "nbest.jsonl"
+        pipeline.write_nbest(decoded[0], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[0])
+        hyp = obj["hyps"][0]
+        if field == "tokens":
+            hyp["tokens"][0] = value
+        else:
+            hyp["spans"][0][1] = value
+        lines[0] = json.dumps(obj, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(BadFormat, match=":1:"):
+            pipeline.read_nbest(path)
+
+    @pytest.mark.parametrize("side, token", [
+        ("char", -1), ("char", 0), ("char", 999), ("syll", -1),
+        ("syll", "len")])
+    def test_token_outside_unit_set_is_bad_format(self, lang, small_run,
+                                                  decoded, side, token):
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        nbest, us = (nb_c, lang.char_set) if side == "char" \
+            else (nb_s, lang.syll_set)
+        utt = max(nb_c)
+        first = nbest[utt][0]
+        bad = replace(first, tokens=(len(us) if token == "len" else token,)
+                      + first.tokens[1:])
+        nbest = {**nbest, utt: [bad] + nbest[utt][1:]}
+        if side == "char":
+            nb_c = nbest
+        else:
+            nb_s = nbest
+        with pytest.raises(BadFormat, match=utt):
+            self._run_kws(lang, out, nb_c, nb_s, keywords)
+
+    def test_utterance_only_in_syllable_nbest(self, lang, small_run, decoded):
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        extra = {**nb_s, "zz_extra": nb_s[min(nb_s)]}
+        with pytest.raises(BadFormat, match="zz_extra"):
+            self._run_kws(lang, out, nb_c, extra, keywords)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edit_lists('{}[]",:0123456789.-eutrlas '), st.booleans())
+    def test_fuzz_fails_only_with_bad_format(self, tmp_path_factory, edits,
+                                             bad_byte):
+        path = tmp_path_factory.mktemp("fuzz") / "nbest.jsonl"
+        path.write_bytes(mutate(VALID_NBEST, edits, bad_byte))
+        try:
+            nbest = pipeline.read_nbest(path)
+        except BadFormat:
+            return
+        for utt, entries in nbest.items():
+            assert isinstance(utt, str)
+            for e in entries:
+                assert all(type(t) is int for t in e.tokens)
+                assert len(e.spans) == len(e.tokens)
+
     def test_utterance_missing_from_syllable_nbest(self, lang, small_run,
                                                     decoded):
         _, out, _, _ = small_run
@@ -179,8 +264,8 @@ class TestBrokenKwsInputs:
 class TestEvaluate:
     def test_no_refs_gives_zero_atwv(self):
         hit = Hit(utt_id="u1", kw_id="k1", stage=Stage.CHAR, start_frame=0,
-                  end_frame=0, start_s=0.0, end_s=1.0, raw_log_s=-1.0,
-                  norm_score=-1.0, hyp_rank=0, decision=True)
+                  end_frame=0, start_s=0.0, end_s=1.0, norm_score=-1.0,
+                  decision=True)
         report = pipeline.evaluate([hit], [], EvalConfig(total_speech_s=10.0))
         assert report["atwv"] == 0.0
         assert report["per_keyword_twv"] == {}
@@ -197,8 +282,8 @@ class TestEvaluate:
 
     def _hit(self, utt, kw, start, end, score, decision=True):
         return Hit(utt_id=utt, kw_id=kw, stage=Stage.CHAR, start_frame=0,
-                   end_frame=0, start_s=start, end_s=end, raw_log_s=score,
-                   norm_score=score, hyp_rank=0, decision=decision)
+                   end_frame=0, start_s=start, end_s=end, norm_score=score,
+                   decision=decision)
 
     def test_report_fields_and_sweep(self, small_run):
         _, out, refs, _ = small_run

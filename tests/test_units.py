@@ -1,8 +1,12 @@
 import pytest
 
-from kwspot.errors import DuplicateUnit, EmptyUnitSet, OutOfVocabulary
+from kwspot.errors import (BadFormat, DuplicateUnit, EmptyUnitSet,
+                           OutOfVocabulary)
+from kwspot.kws import read_hits
+from kwspot.metrics import load_refs
+from kwspot.pipeline import load_id_text
 from kwspot.units import (BLANK, Lexicon, UnitKind, UnitSet, load_lexicon,
-                          load_unit_set, syllabify, tokenize_chars,
+                          load_unit_set, read_tsv, syllabify, tokenize_chars,
                           write_lexicon, write_unit_set)
 
 
@@ -99,3 +103,43 @@ def test_syllabify_length_matches_tokenize(tmp_path):
     for text in ["".join(list(lang.lexicon.entries)[:5]), "", next(iter(lang.lexicon.entries))]:
         assert len(syllabify(text, lang.lexicon, lang.syll_set)) == \
             len(tokenize_chars(text, lang.char_set))
+
+
+class TestReadTsv:
+    def test_last_field_keeps_tabs(self, tmp_path):
+        p = write_lines(tmp_path, "x.tsv", ["# c", "", "a\tb\tc\td"])
+        assert list(read_tsv(p, 3)) == [("a", "b", "c\td")]
+
+    GOOD = {load_id_text: "u1\tab",
+            load_refs: "u1\tk1\t0.5\t1.0",
+            load_lexicon: "中\tzhong1",
+            read_hits: "u1\tk1\t0.5\t1.0\t-1.0\t1\tchar"}
+
+    @pytest.mark.parametrize("loader", list(GOOD), ids=lambda f: f.__name__)
+    def test_comments_and_blank_lines_skipped(self, tmp_path, loader):
+        good = self.GOOD[loader]
+        plain = write_lines(tmp_path, "a.tsv", [good])
+        commented = write_lines(tmp_path, "b.tsv", ["# comment", "", good])
+        assert loader(commented) == loader(plain)
+
+    @pytest.mark.parametrize("loader, bad", [
+        (load_refs, "u2\tk1\t0.5"),                            # 3 fields
+        (load_refs, "u2\tk1\t0.5\tx"),                        # bad float
+        (load_refs, "u2\tk1\t1.0\t0.5"),                      # start > end
+        (load_refs, "u2\tk1\t0.5\t1.0\textra"),               # 5 fields
+        (load_lexicon, "国 guo2"),                              # no tab
+        (load_lexicon, "国\t"),                                 # no pron
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1"),             # 6 fields
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\tyes\tchar"),     # bad int
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tphone"),      # bad stage
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_bad_line_is_bad_format_at_path_line(self, tmp_path, loader, bad):
+        p = write_lines(tmp_path, "x.tsv", [self.GOOD[loader], bad])
+        with pytest.raises(BadFormat, match="x.tsv:2:"):
+            loader(p)
+
+    def test_undecodable_bytes_are_bad_format(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_bytes(b"u1\t\xff\n")
+        with pytest.raises(BadFormat, match="not UTF-8"):
+            load_id_text(p)
