@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentInfeasible, OutOfVocabulary
+from .errors import AlignmentInfeasible
 from .pgram import Posteriorgram, ctc_trellis
 from .phonetics import CostTable, Syllable, parse_syllable, phrase_distance
 from .units import Lexicon, UnitSet, read_tsv
@@ -60,50 +60,46 @@ class KwsConfig:
     length_norm: bool = True
 
 
+def char_syllables(char_set: UnitSet,
+                   lexicon: Lexicon) -> tuple[Syllable | None, ...]:
+    """The parsed primary pronunciation of every char unit, by unit id, with
+    None at the blank.  A unit with no lexicon entry raises OutOfVocabulary,
+    a malformed pronunciation BadSyllable."""
+    return (None, *(parse_syllable(lexicon.primary(u))
+                    for u in char_set.units[1:]))
+
+
+def _windows(nbest, k: int, max_rank: int | None):
+    """(rank, start, window) for every k-token window of nbest[:max_rank]."""
+    for rank, entry in enumerate(nbest[:max_rank]):
+        toks = tuple(entry.tokens)
+        for i in range(len(toks) - k + 1):
+            yield rank, i, toks[i:i + k]
+
+
 def match_exact(nbest, kw_units: tuple[int, ...], max_rank: int | None = None):
     """All contiguous occurrences of kw_units in every hypothesis."""
-    out = []
     kw = tuple(kw_units)
-    k = len(kw)
-    for rank, entry in enumerate(nbest):
-        if max_rank is not None and rank >= max_rank:
-            break
-        toks = tuple(entry.tokens)
-        for i in range(len(toks) - k + 1):
-            if toks[i:i + k] == kw:
-                out.append((rank, i, i + k))
-    return out
+    return [(rank, i, i + len(kw))
+            for rank, i, window in _windows(nbest, len(kw), max_rank)
+            if window == kw]
 
 
-def match_fuzzy(nbest, kw: Keyword, char_set: UnitSet, lexicon: Lexicon,
-                costs: CostTable, threshold: float,
+def match_fuzzy(nbest, kw: Keyword, sylls, costs: CostTable, threshold: float,
                 max_rank: int | None = None):
-    """Sliding windows of width |kw| whose syllabification is phonetically
-    close to the keyword; exact character matches are excluded."""
-    kw_sylls = _keyword_syllables(kw, lexicon)
+    """Sliding windows of width |kw| whose syllables (``sylls``, from
+    char_syllables) are phonetically close to the keyword's; exact character
+    matches are excluded."""
+    kw_sylls = [sylls[u] for u in kw.char_units]
     k = len(kw.char_units)
     out = []
-    for rank, entry in enumerate(nbest):
-        if max_rank is not None and rank >= max_rank:
-            break
-        toks = tuple(entry.tokens)
-        for i in range(len(toks) - k + 1):
-            window = toks[i:i + k]
-            if window == tuple(kw.char_units):
-                continue
-            try:
-                win_sylls = [parse_syllable(lexicon.primary(char_set.units[u]))
-                             for u in window]
-            except OutOfVocabulary:
-                continue
-            d = phrase_distance(win_sylls, kw_sylls, costs)
-            if d < threshold:
-                out.append((rank, i, i + k, d))
+    for rank, i, window in _windows(nbest, k, max_rank):
+        if window == kw.char_units:
+            continue
+        d = phrase_distance([sylls[u] for u in window], kw_sylls, costs)
+        if d < threshold:
+            out.append((rank, i, i + k, d))
     return out
-
-
-def _keyword_syllables(kw: Keyword, lexicon: Lexicon) -> list[Syllable]:
-    return [parse_syllable(lexicon.primary(ch)) for ch in kw.text if not ch.isspace()]
 
 
 def score_ctc(pg: Posteriorgram, units, window: tuple[int, int],
@@ -117,17 +113,6 @@ def score_ctc(pg: Posteriorgram, units, window: tuple[int, int],
         raise AlignmentInfeasible(f"bad window [{ws}, {we})")
     alpha = ctc_trellis(pg.logp[ws:we], list(units), blank)
     return float(np.logaddexp.reduce(alpha[-1, -2:]))
-
-
-def locate_window(spans, tok_start: int, tok_end: int) -> tuple[int, int]:
-    """Frame window covering matched tokens tok_start..tok_end-1."""
-    return spans[tok_start].start_frame, spans[tok_end - 1].end_frame
-
-
-def normalize(raw_log_s: float, length: int) -> float:
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return raw_log_s / length
 
 
 def merge_stages(hits: list[Hit]) -> list[Hit]:
@@ -151,9 +136,10 @@ def merge_stages(hits: list[Hit]) -> list[Hit]:
 
 def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
            nbest_char, nbest_syll,
-           keywords: list[Keyword], char_set: UnitSet, syll_set: UnitSet | None,
-           lexicon: Lexicon, costs: CostTable, cfg: KwsConfig) -> list[Hit]:
-    """Full matching + scoring pipeline for one utterance."""
+           keywords: list[Keyword], sylls, costs: CostTable,
+           cfg: KwsConfig) -> list[Hit]:
+    """Full matching + scoring pipeline for one utterance; ``sylls`` is the
+    char_syllables table."""
     hits: list[Hit] = []
     max_rank = None if cfg.nbest_matching else 1
     for kw in keywords:
@@ -166,12 +152,13 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
             for rank, i, j in match_exact(nbest_syll, kw.syll_units, max_rank):
                 cands.append((Stage.SYLLABLE, nbest_syll, pg_syll, kw.syll_units, rank, i, j))
         if Stage.FUZZY in cfg.stages_enabled:
-            for rank, i, j, _d in match_fuzzy(nbest_char, kw, char_set, lexicon,
-                                              costs, cfg.fuzzy_threshold, max_rank):
+            for rank, i, j, _d in match_fuzzy(nbest_char, kw, sylls, costs,
+                                              cfg.fuzzy_threshold, max_rank):
                 # scored with the true keyword's units, not the decoded variant
                 cands.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units, rank, i, j))
         for stage, nbest, pg, units, rank, ti, tj in cands:
-            ws, we = locate_window(nbest[rank].spans, ti, tj)
+            spans = nbest[rank].spans
+            ws, we = spans[ti].start_frame, spans[tj - 1].end_frame
             try:
                 raw = score_ctc(pg, units, (ws, we))
             except AlignmentInfeasible:
@@ -180,7 +167,7 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
                 if stage is not Stage.FUZZY:
                     raise
                 continue
-            score = normalize(raw, len(units)) if cfg.length_norm else raw
+            score = raw / len(units) if cfg.length_norm else raw
             hits.append(Hit(utt_id=pg.utt_id, kw_id=kw.id, stage=stage,
                             start_frame=ws, end_frame=we,
                             start_s=ws * pg.frame_period_s,
@@ -196,15 +183,23 @@ def write_hits(hits: list[Hit], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for h in hits:
             fh.write(f"{h.utt_id}\t{h.kw_id}\t{h.start_s:.6f}\t{h.end_s:.6f}\t"
-                     f"{h.norm_score:.6f}\t{int(h.decision)}\t{h.stage.value}\n")
+                     f"{h.norm_score:.6f}\t{int(h.decision)}\t{h.stage.value}\t"
+                     f"{h.start_frame}\t{h.end_frame}\n")
 
 
 def read_hits(path) -> list[Hit]:
-    """Hits as write_hits writes them; frames are not stored and read as 0."""
+    """Hits as write_hits writes them: utt, keyword, start and end seconds,
+    score, decision (0 or 1), stage, start and end frame (end exclusive)."""
     def hit(f):
-        utt, kw, start_s, end_s, score, dec, stage = f
+        utt, kw, start_s, end_s, score, dec, stage, start_f, end_f = f
+        if dec not in ("0", "1"):
+            raise ValueError(f"decision {dec!r} is not 0 or 1")
+        start_frame, end_frame = int(start_f), int(end_f)
+        if not 0 <= start_frame < end_frame:
+            raise ValueError(f"frames [{start_frame}, {end_frame}) are not "
+                             f"0 <= start < end")
         return Hit(utt_id=utt, kw_id=kw, stage=Stage(stage),
-                   start_frame=0, end_frame=0,
+                   start_frame=start_frame, end_frame=end_frame,
                    start_s=float(start_s), end_s=float(end_s),
-                   norm_score=float(score), decision=bool(int(dec)))
-    return list(read_tsv(path, 7, hit))
+                   norm_score=float(score), decision=dec == "1")
+    return list(read_tsv(path, 9, hit))

@@ -78,7 +78,6 @@ class TokenSpan:
     token: int
     start_frame: int
     end_frame: int  # exclusive
-    peak_frame: int
 
 
 def _row(v: int, target: int, noise: float, partners, rng) -> np.ndarray:
@@ -204,9 +203,9 @@ def align_viterbi(pg: Posteriorgram, tokens: list[int],
                   blank: int = 0) -> list[TokenSpan]:
     """Best CTC alignment (max over paths) of tokens against pg.
 
-    Each token's span is the set of frames its non-blank state occupies; the
-    peak is the span frame with maximal posterior for that token.  Ties go to
-    staying in a state, then to stepping one state, then to skipping a blank.
+    Each token's span is the set of frames its non-blank state occupies.
+    Ties go to staying in a state, then to stepping one state, then to
+    skipping a blank.
     """
     if not tokens:
         return []
@@ -232,10 +231,8 @@ def align_viterbi(pg: Posteriorgram, tokens: list[int],
     spans = []
     for i, tok in enumerate(tokens):
         frames = np.nonzero(path == 2 * i + 1)[0]
-        start, stop = int(frames[0]), int(frames[-1]) + 1
-        peak = start + int(np.argmax(pg.logp[start:stop, tok]))
-        spans.append(TokenSpan(token=tok, start_frame=start, end_frame=stop,
-                               peak_frame=peak))
+        spans.append(TokenSpan(token=tok, start_frame=int(frames[0]),
+                               end_frame=int(frames[-1]) + 1))
     return spans
 
 

@@ -130,8 +130,7 @@ def write_nbest(nbest_by_utt: dict[str, list[NBestEntry]], path) -> None:
                     "score_lm": e.score_lm,
                     "score_bias": e.score_bias,
                     "score_total": e.score_total,
-                    "spans": [[s.start_frame, s.end_frame, s.peak_frame]
-                              for s in e.spans],
+                    "spans": [[s.start_frame, s.end_frame] for s in e.spans],
                 })
             fh.write(json.dumps({"utt_id": utt_id, "hyps": hyps},
                                 ensure_ascii=False) + "\n")
@@ -156,17 +155,21 @@ def read_nbest(path) -> dict[str, list[NBestEntry]]:
     return out
 
 
+_SCORES = ("score_am", "score_lm", "score_bias", "score_total")
+
+
 def _nbest_entry(h: dict) -> NBestEntry:
     tokens, spans = h["tokens"], h["spans"]
     frames = [x for span in spans for x in span]
     # bool is a subclass of int, so test the exact type
     if any(type(x) is not int for x in [*tokens, *frames]):
         raise ValueError("tokens and span frames must be integers")
+    if any(type(h[k]) not in (int, float) for k in _SCORES):
+        raise ValueError("scores must be numbers")
     entry = NBestEntry(tokens=tuple(tokens), text=h["text"],
-                       score_am=h["score_am"], score_lm=h["score_lm"],
-                       score_bias=h["score_bias"], score_total=h["score_total"])
-    entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e, peak_frame=p)
-                   for t, (s, e, p) in zip(tokens, spans, strict=True)]
+                       **{k: h[k] for k in _SCORES})
+    entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e)
+                   for t, (s, e) in zip(tokens, spans, strict=True)]
     return entry
 
 
@@ -182,6 +185,7 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             if any(not 0 < t < len(us) for e in entries for t in e.tokens):
                 raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
                                 f"the {us.id!r} units 1..{len(us) - 1}")
+    sylls = kws_mod.char_syllables(char_set, lexicon)
     hits: list[Hit] = []
     pgram_dir = Path(pgram_dir)
     for utt_id in sorted(nbest_char):
@@ -191,7 +195,7 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             nb_s = nbest_syll[utt_id]
             pg_s = _read_utt_pgram(pgram_dir / "syll" / f"{utt_id}.pgram")
         hits.extend(detect(pg_c, pg_s, nbest_char[utt_id], nb_s, keywords,
-                           char_set, syll_set, lexicon, costs, cfg))
+                           sylls, costs, cfg))
     return hits
 
 

@@ -129,22 +129,20 @@ class Lexicon:
         except KeyError:
             raise OutOfVocabulary(char) from None
 
-    def validate(self, char_set: UnitSet, syll_set: UnitSet) -> None:
-        for ch, prons in self.entries.items():
-            if ch not in char_set.index:
-                raise OutOfVocabulary(ch)
-            for p in prons:
-                if p not in syll_set.index:
-                    raise OutOfVocabulary(p)
-
 
 def load_lexicon(path) -> Lexicon:
-    """``char<TAB>pron [pron ...]`` lines; the first pron is the primary."""
+    """``char<TAB>pron [pron ...]`` lines, one per char; the first pron is
+    the primary."""
+    seen = set()
+
     def entry(fields):
         char, prons = fields[0], tuple(fields[1].split())
         if not char or not prons:
             raise ValueError("a lexicon line needs a character and a "
                              "pronunciation")
+        if char in seen:
+            raise ValueError(f"character {char!r} listed twice")
+        seen.add(char)
         return char, prons
     return Lexicon(entries=dict(read_tsv(path, 2, entry)))
 

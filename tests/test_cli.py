@@ -3,6 +3,9 @@ import json
 import pytest
 
 from kwspot.cli import main
+from kwspot.decoder import BeamConfig
+from kwspot.pipeline import decode_dir, write_nbest
+from kwspot.units import load_unit_set
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +41,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("broken", ["hits", "refs"])
     def test_malformed_hits_or_refs_is_domain_error(self, tmp_path, broken):
-        files = {"hits": "u1\tk1\t0.5\t1.0\t-1.0\t1\tchar\n",
+        files = {"hits": "u1\tk1\t0.5\t1.0\t-1.0\t1\tchar\t12\t25\n",
                  "refs": "u1\tk1\t0.5\t1.0\n"}
         files[broken] = files[broken].replace("\t1.0", "")
         for name, text in files.items():
@@ -46,6 +49,30 @@ class TestExitCodes:
         rc = main(["eval", str(tmp_path / "hits.tsv"),
                    str(tmp_path / "refs.tsv"), "--total-speech-s", "10"])
         assert rc == 1
+
+    def test_char_unit_without_lexicon_entry(self, demo, tmp_path, capsys):
+        cfg = demo / "config.ini"
+        pg = tmp_path / "pg"
+        assert main(["--config", str(cfg), "synth",
+                     str(demo / "transcripts.tsv"), str(pg)]) == 0
+        nbest = tmp_path / "char.jsonl"
+        char_set = load_unit_set(demo / "char_units.txt", set_id="char")
+        write_nbest(decode_dir(pg / "char", char_set, None, None, BeamConfig()),
+                    nbest)
+        # drop the lexicon line of a char unit that is in no keyword
+        keywords = (demo / "keywords.tsv").read_text(encoding="utf-8")
+        lines = (demo / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+        drop = next(ln for ln in lines if ln[0] not in keywords)
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("".join(ln + "\n" for ln in lines if ln != drop),
+                           encoding="utf-8")
+        bad = tmp_path / "config.ini"
+        bad.write_text(cfg.read_text(encoding="utf-8").replace(
+            str(demo / "lexicon.tsv"), str(lexicon)), encoding="utf-8")
+        rc = main(["--config", str(bad), "kws", str(pg),
+                   str(tmp_path / "hits.tsv"), "--nbest-char", str(nbest)])
+        assert rc == 1
+        assert repr(drop[0]) in capsys.readouterr().err
 
     def test_empty_lm_corpus_is_domain_error(self, demo, tmp_path):
         empty = tmp_path / "empty.txt"

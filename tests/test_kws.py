@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from kwspot.decoder import BeamConfig, prefix_beam_search
-from kwspot.errors import AlignmentInfeasible
-from kwspot.kws import (Hit, Keyword, KwsConfig, Stage, detect, locate_window,
-                        match_exact, match_fuzzy, merge_stages, normalize,
-                        read_hits, score_ctc, write_hits)
+from kwspot.errors import AlignmentInfeasible, BadFormat
+from kwspot.kws import (Hit, Keyword, KwsConfig, Stage, char_syllables, detect,
+                        match_exact, match_fuzzy, merge_stages, read_hits,
+                        score_ctc, write_hits)
 from kwspot.pgram import Posteriorgram, SynthConfig, synth_generate, token_layout
 from kwspot.phonetics import CostTable
 from kwspot.corpus import make_language
@@ -79,24 +79,6 @@ class TestScoreCtc:
         assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
 
-class TestWindowAndNormalize:
-    def test_locate_window_covers_matched_spans(self):
-        spans = [FakeSpan(2, 4), FakeSpan(4, 6)]
-        assert locate_window(spans, 0, 2) == (2, 6)
-
-    def test_normalize(self):
-        assert normalize(-6.0, 3) == pytest.approx(-2.0)
-        assert normalize(-1.3, 1) == pytest.approx(-1.3)
-        with pytest.raises(ValueError):
-            normalize(-1.0, 0)
-
-
-class FakeSpan:
-    def __init__(self, start, end):
-        self.start_frame = start
-        self.end_frame = end
-
-
 def make_hit(score, start, end, stage=Stage.CHAR, kw="kw0", utt="u"):
     return Hit(utt_id=utt, kw_id=kw, stage=stage, start_frame=start,
                end_frame=end, start_s=start * 0.04, end_s=end * 0.04,
@@ -131,6 +113,11 @@ def lang():
     return make_language()
 
 
+@pytest.fixture(scope="module")
+def sylls(lang):
+    return char_syllables(lang.char_set, lang.lexicon)
+
+
 def decode_pair(lang, text, cfg=SynthConfig(frames_per_token=3, blank_gap=2)):
     tr_c = tokenize_chars(text, lang.char_set)
     tr_s = syllabify(text, lang.lexicon, lang.syll_set)
@@ -149,14 +136,14 @@ def make_keyword(lang, text, kw_id="kw0"):
 
 
 class TestDetect:
-    def test_noiseless_hit(self, lang):
+    def test_noiseless_hit(self, lang, sylls):
         chars = list(lang.lexicon.entries)
         kw_text = chars[0] + chars[5]
         text = chars[10] + kw_text + chars[12]
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         kw = make_keyword(lang, kw_text)
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], lang.char_set,
-                      lang.syll_set, lang.lexicon, CostTable(), KwsConfig())
+        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
+                      CostTable(), KwsConfig())
         assert len(hits) == 1
         h = hits[0]
         assert h.decision
@@ -165,17 +152,31 @@ class TestDetect:
         # window covers the generator's true keyword frames
         assert h.start_frame <= layout[1][0]
         assert h.end_frame >= layout[2][1]
+        # top hypothesis only: the window runs from the first matched token's
+        # span start to the last one's span end, and the score is the CTC
+        # mass of the window per keyword unit (raw without length_norm)
+        for length_norm in (True, False):
+            cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR}),
+                            nbest_matching=False, length_norm=length_norm)
+            (h,) = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls, CostTable(), cfg)
+            ((rank, i, j),) = match_exact(nb_c, kw.char_units, max_rank=1)
+            spans = nb_c[rank].spans
+            assert (h.start_frame, h.end_frame) == (spans[i].start_frame,
+                                                    spans[j - 1].end_frame)
+            raw = score_ctc(pg_c, kw.char_units, (h.start_frame, h.end_frame))
+            assert h.norm_score == (raw / len(kw.char_units) if length_norm
+                                    else raw)
 
-    def test_no_keyword_no_hits(self, lang):
+    def test_no_keyword_no_hits(self, lang, sylls):
         chars = list(lang.lexicon.entries)
         text = chars[20] + chars[21]
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         kw = make_keyword(lang, chars[0] + chars[5])
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], lang.char_set,
-                      lang.syll_set, lang.lexicon, CostTable(), KwsConfig())
+        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
+                      CostTable(), KwsConfig())
         assert [h for h in hits if h.decision] == []
 
-    def test_fuzzy_recovers_tone_variant(self, lang):
+    def test_fuzzy_recovers_tone_variant(self, lang, sylls):
         # utterance contains the tone variant of the keyword's first char
         kw_char = next(c for c, v in lang.confusable.items() if v)
         variant = lang.confusable[kw_char][0]
@@ -185,31 +186,29 @@ class TestDetect:
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         cfg = KwsConfig(decision_threshold=-1e9,
                         stages_enabled=frozenset({Stage.FUZZY}))
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], lang.char_set,
-                      lang.syll_set, lang.lexicon, CostTable(), cfg)
+        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls, CostTable(), cfg)
         assert len(hits) == 1
         assert hits[0].stage is Stage.FUZZY
         # strict threshold rejects the same variant
         tight = KwsConfig(decision_threshold=-1e9, fuzzy_threshold=0.05,
                           stages_enabled=frozenset({Stage.FUZZY}))
-        assert detect(pg_c, pg_s, nb_c, nb_s, [kw], lang.char_set,
-                      lang.syll_set, lang.lexicon, CostTable(), tight) == []
+        assert detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
+                      CostTable(), tight) == []
 
-    def test_fuzzy_excludes_exact(self, lang):
+    def test_fuzzy_excludes_exact(self, lang, sylls):
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[0] + chars[5])
-        got = match_fuzzy(nb_c, kw, lang.char_set, lang.lexicon, CostTable(), 0.5)
+        got = match_fuzzy(nb_c, kw, sylls, CostTable(), 0.5)
         assert all(nb_c[r].tokens[i:j] != kw.char_units for r, i, j, _ in got)
 
-    def test_fuzzy_threshold_zero_empty(self, lang):
+    def test_fuzzy_threshold_zero_empty(self, lang, sylls):
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[1] + chars[5])
-        assert match_fuzzy(nb_c, kw, lang.char_set, lang.lexicon,
-                           CostTable(), 0.0) == []
+        assert match_fuzzy(nb_c, kw, sylls, CostTable(), 0.0) == []
 
-    def test_decision_monotone_in_threshold(self, lang):
+    def test_decision_monotone_in_threshold(self, lang, sylls):
         chars = list(lang.lexicon.entries)
         kw_text = chars[0] + chars[5]
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[10] + kw_text)
@@ -217,8 +216,8 @@ class TestDetect:
         counts = []
         for theta in [-10.0, -5.0, -1e-4, 1.0]:
             cfg = KwsConfig(decision_threshold=theta)
-            hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], lang.char_set,
-                          lang.syll_set, lang.lexicon, CostTable(), cfg)
+            hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
+                          CostTable(), cfg)
             counts.append(sum(h.decision for h in hits))
         assert counts == sorted(counts, reverse=True)
 
@@ -235,3 +234,14 @@ class TestHitIO:
         assert back[0].decision is True
         assert back[0].norm_score == pytest.approx(-1.234567, abs=1e-6)
         assert back[1].stage is Stage.FUZZY
+        assert [(h.start_frame, h.end_frame) for h in back] == [(3, 9), (12, 20)]
+
+    @pytest.mark.parametrize("decision", ["7", "-1", "01", "true"])
+    def test_decision_other_than_0_or_1_is_bad_format(self, tmp_path, decision):
+        path = tmp_path / "hits.tsv"
+        write_hits([make_hit(-0.5, 3, 9)], path)
+        fields = path.read_text(encoding="utf-8").split("\t")
+        fields[5] = decision
+        path.write_text("\t".join(fields), encoding="utf-8")
+        with pytest.raises(BadFormat, match="hits.tsv:1:"):
+            read_hits(path)

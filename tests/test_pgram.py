@@ -132,7 +132,6 @@ class TestViterbi:
         spans = align_viterbi(pg, [1])
         assert len(spans) == 1
         assert (spans[0].start_frame, spans[0].end_frame) == (1, 3)
-        assert spans[0].peak_frame in (1, 2)
 
     def test_repeat_infeasible(self):
         pg = one_hot_pg([1, 1])
@@ -172,7 +171,6 @@ class TestViterbi:
                     frames = [t for t, s in enumerate(path) if s == span.token]
                     assert span.start_frame == frames[0]
                     assert span.end_frame == frames[-1] + 1
-                    assert span.start_frame <= span.peak_frame < span.end_frame
 
 
     @pytest.mark.parametrize("seed", range(20))

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from kwspot import pipeline
 from kwspot.corpus import make_corpus, make_language
 from kwspot.decoder import BeamConfig
-from kwspot.errors import BadFormat
+from kwspot.errors import BadFormat, BadSyllable, OutOfVocabulary
 from kwspot.kws import Hit, KwsConfig, Stage
 from kwspot.phonetics import CostTable
 from kwspot.lm import train
 from kwspot.metrics import EvalConfig
 from kwspot.pgram import SynthConfig, read_pgram, token_layout, write_pgram
-from kwspot.units import tokenize_chars
+from kwspot.units import Lexicon, tokenize_chars
 
 from fuzzing import edit_lists, mutate
 
@@ -137,7 +137,7 @@ class TestDecodeDir:
 VALID_NBEST = (
     '{"utt_id": "u1", "hyps": [{"text": "ab", "tokens": [1, 2], '
     '"score_am": -1.5, "score_lm": -0.5, "score_bias": 0.0, '
-    '"score_total": -2.0, "spans": [[1, 3, 2], [3, 5, 4]]}]}\n'
+    '"score_total": -2.0, "spans": [[1, 3], [3, 5]]}]}\n'
     '{"utt_id": "u2", "hyps": []}\n')
 
 
@@ -158,7 +158,8 @@ class TestBrokenKwsInputs:
                                 lang.syll_set, lang.lexicon, CostTable(),
                                 KwsConfig())
 
-    @pytest.mark.parametrize("breakage", ["json", "key", "spans", "repeat"])
+    @pytest.mark.parametrize("breakage", ["json", "key", "spans", "repeat",
+                                          "span_length"])
     def test_broken_nbest_is_bad_format(self, decoded, tmp_path, breakage):
         path = tmp_path / "nbest.jsonl"
         pipeline.write_nbest(decoded[0], path)
@@ -170,9 +171,11 @@ class TestBrokenKwsInputs:
             del obj["hyps"][0]["score_lm"]
         elif breakage == "spans":
             obj["hyps"][0]["spans"].pop()
+        elif breakage == "span_length":
+            obj["hyps"][0]["spans"][0].append(0)
         else:
             lines.append(lines[0])
-        if breakage in ("key", "spans"):
+        if breakage in ("key", "spans", "span_length"):
             lines[0] = json.dumps(obj, ensure_ascii=False)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(BadFormat):
@@ -180,7 +183,9 @@ class TestBrokenKwsInputs:
 
     @pytest.mark.parametrize("field, value", [
         ("tokens", "x"), ("tokens", 1.5), ("tokens", True), ("tokens", None),
-        ("spans", "3"), ("spans", 2.0), ("spans", False)])
+        ("spans", "3"), ("spans", 2.0), ("spans", False),
+        ("score_am", "high"), ("score_lm", None), ("score_bias", True),
+        ("score_total", [1.0])])
     def test_non_integer_token_or_frame_is_bad_format(self, decoded, tmp_path,
                                                       field, value):
         path = tmp_path / "nbest.jsonl"
@@ -190,8 +195,10 @@ class TestBrokenKwsInputs:
         hyp = obj["hyps"][0]
         if field == "tokens":
             hyp["tokens"][0] = value
-        else:
+        elif field == "spans":
             hyp["spans"][0][1] = value
+        else:
+            hyp[field] = value
         lines[0] = json.dumps(obj, ensure_ascii=False)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(BadFormat, match=":1:"):
@@ -249,6 +256,24 @@ class TestBrokenKwsInputs:
         partial = {u: hyps for u, hyps in nb_s.items() if u != first}
         with pytest.raises(BadFormat, match=first):
             self._run_kws(lang, out, nb_c, partial, keywords)
+
+    @pytest.mark.parametrize("entry, error", [(None, OutOfVocabulary),
+                                              (("zhong",), BadSyllable)])
+    def test_char_unit_needs_a_good_lexicon_entry(self, lang, small_run,
+                                                 decoded, entry, error):
+        # a char unit in no keyword still needs its primary pronunciation
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        used = {u for k in keywords for u in k.char_units}
+        unit = next(u for u in lang.char_set.units[1:]
+                    if lang.char_set.index[u] not in used)
+        entries = {c: p for c, p in lang.lexicon.entries.items() if c != unit}
+        if entry is not None:
+            entries[unit] = entry
+        with pytest.raises(error, match=repr(entry[0] if entry else unit)):
+            pipeline.run_kws(out, nb_c, nb_s, keywords, lang.char_set,
+                             lang.syll_set, Lexicon(entries), CostTable(),
+                             KwsConfig())
 
     def test_missing_syllable_pgram(self, lang, small_run, decoded, tmp_path):
         _, out, _, _ = small_run

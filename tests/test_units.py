@@ -113,7 +113,7 @@ class TestReadTsv:
     GOOD = {load_id_text: "u1\tab",
             load_refs: "u1\tk1\t0.5\t1.0",
             load_lexicon: "中\tzhong1",
-            read_hits: "u1\tk1\t0.5\t1.0\t-1.0\t1\tchar"}
+            read_hits: "u1\tk1\t0.5\t1.0\t-1.0\t1\tchar\t12\t25"}
 
     @pytest.mark.parametrize("loader", list(GOOD), ids=lambda f: f.__name__)
     def test_comments_and_blank_lines_skipped(self, tmp_path, loader):
@@ -129,9 +129,13 @@ class TestReadTsv:
         (load_refs, "u2\tk1\t0.5\t1.0\textra"),               # 5 fields
         (load_lexicon, "国 guo2"),                              # no tab
         (load_lexicon, "国\t"),                                 # no pron
-        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1"),             # 6 fields
-        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\tyes\tchar"),     # bad int
-        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tphone"),      # bad stage
+        (load_lexicon, "中\tzhong4"),                           # repeated
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1"),                # 6 fields
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tchar"),          # 7 fields
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\tyes\tchar\t1\t3"),  # bad int
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tphone\t1\t3"),   # bad stage
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tchar\t1\tx"),    # bad frame
+        (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tchar\t3\t3"),    # no frames
     ], ids=lambda x: getattr(x, "__name__", None))
     def test_bad_line_is_bad_format_at_path_line(self, tmp_path, loader, bad):
         p = write_lines(tmp_path, "x.tsv", [self.GOOD[loader], bad])
