@@ -10,13 +10,14 @@ overlapping hits for the same keyword are merged keeping the higher score.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentInfeasible
+from .errors import AlignmentInfeasible, BadSyllable
 from .pgram import Posteriorgram, ctc_trellis
-from .phonetics import CostTable, Syllable, parse_syllable, phrase_distance
+from .phonetics import (CostTable, Syllable, parse_syllable, phrase_distance,
+                        substitution_matrix)
 from .units import Lexicon, UnitSet, read_tsv
 
 
@@ -64,9 +65,31 @@ def char_syllables(char_set: UnitSet,
                    lexicon: Lexicon) -> tuple[Syllable | None, ...]:
     """The parsed primary pronunciation of every char unit, by unit id, with
     None at the blank.  A unit with no lexicon entry raises OutOfVocabulary,
-    a malformed pronunciation BadSyllable."""
-    return (None, *(parse_syllable(lexicon.primary(u))
-                    for u in char_set.units[1:]))
+    a malformed pronunciation BadSyllable naming the unit."""
+    out: list[Syllable | None] = [None]
+    for u in char_set.units[1:]:
+        try:
+            out.append(parse_syllable(lexicon.primary(u)))
+        except BadSyllable as exc:
+            raise BadSyllable(f"char unit {u!r}: {exc}") from None
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class FuzzyCosts:
+    """What fuzzy matching reads during one run_kws call: the capped
+    substitution matrix over char unit ids (substitution_matrix), the indel
+    cost, and the memo of phrase distances by (window, keyword char units)."""
+    sub: list[list[float]]
+    indel_cost: float
+    memo: dict = field(default_factory=dict, repr=False)
+
+
+def fuzzy_costs(char_set: UnitSet, lexicon: Lexicon,
+                costs: CostTable) -> FuzzyCosts:
+    """A fresh FuzzyCosts for the char units, with an empty memo."""
+    return FuzzyCosts(substitution_matrix(char_syllables(char_set, lexicon),
+                                          costs), costs.indel_cost)
 
 
 def _windows(nbest, k: int, max_rank: int | None):
@@ -85,18 +108,23 @@ def match_exact(nbest, kw_units: tuple[int, ...], max_rank: int | None = None):
             if window == kw]
 
 
-def match_fuzzy(nbest, kw: Keyword, sylls, costs: CostTable, threshold: float,
+def match_fuzzy(nbest, kw: Keyword, fuzzy: FuzzyCosts, threshold: float,
                 max_rank: int | None = None):
-    """Sliding windows of width |kw| whose syllables (``sylls``, from
-    char_syllables) are phonetically close to the keyword's; exact character
-    matches are excluded."""
-    kw_sylls = [sylls[u] for u in kw.char_units]
-    k = len(kw.char_units)
+    """Sliding windows of width |kw| whose pronunciation is close to the
+    keyword's; exact character matches are excluded.  Each distinct (window,
+    keyword) distance is computed once per ``fuzzy`` memo."""
+    kw_units = kw.char_units
+    k = len(kw_units)
+    memo = fuzzy.memo
     out = []
     for rank, i, window in _windows(nbest, k, max_rank):
-        if window == kw.char_units:
+        if window == kw_units:
             continue
-        d = phrase_distance([sylls[u] for u in window], kw_sylls, costs)
+        key = (window, kw_units)
+        d = memo.get(key)
+        if d is None:
+            d = memo[key] = phrase_distance(window, kw_units, fuzzy.sub,
+                                            fuzzy.indel_cost)
         if d < threshold:
             out.append((rank, i, i + k, d))
     return out
@@ -136,10 +164,10 @@ def merge_stages(hits: list[Hit]) -> list[Hit]:
 
 def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
            nbest_char, nbest_syll,
-           keywords: list[Keyword], sylls, costs: CostTable,
+           keywords: list[Keyword], fuzzy: FuzzyCosts | None,
            cfg: KwsConfig) -> list[Hit]:
-    """Full matching + scoring pipeline for one utterance; ``sylls`` is the
-    char_syllables table."""
+    """Full matching + scoring pipeline for one utterance; ``fuzzy`` (from
+    fuzzy_costs) is read only when Stage.FUZZY is enabled."""
     hits: list[Hit] = []
     max_rank = None if cfg.nbest_matching else 1
     for kw in keywords:
@@ -152,7 +180,7 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
             for rank, i, j in match_exact(nbest_syll, kw.syll_units, max_rank):
                 cands.append((Stage.SYLLABLE, nbest_syll, pg_syll, kw.syll_units, rank, i, j))
         if Stage.FUZZY in cfg.stages_enabled:
-            for rank, i, j, _d in match_fuzzy(nbest_char, kw, sylls, costs,
+            for rank, i, j, _d in match_fuzzy(nbest_char, kw, fuzzy,
                                               cfg.fuzzy_threshold, max_rank):
                 # scored with the true keyword's units, not the decoded variant
                 cands.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units, rank, i, j))

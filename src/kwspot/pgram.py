@@ -149,20 +149,6 @@ def token_layout(transcript: list[int], cfg: SynthConfig) -> list[tuple[int, int
     return spans
 
 
-def greedy_path(pg: Posteriorgram, blank: int = 0) -> tuple[list[int], np.ndarray]:
-    """Per-frame argmax plus its CTC collapse (dedupe runs, drop blanks)."""
-    if pg.num_frames == 0:
-        return [], np.zeros(0, dtype=np.int64)
-    frames = np.argmax(pg.logp, axis=1)
-    out, prev = [], -1
-    for t in frames:
-        t = int(t)
-        if t != prev and t != blank:
-            out.append(t)
-        prev = t
-    return out, frames
-
-
 def ctc_min_frames(tokens: list[int]) -> int:
     rep = sum(1 for a, b in zip(tokens, tokens[1:]) if a == b)
     return len(tokens) + rep

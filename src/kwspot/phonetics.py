@@ -5,10 +5,16 @@ tone) decompositions.  Confusable initial/final pairs carry reduced
 substitution cost; tone mismatches add a small constant.  Phrase distance is
 a Levenshtein DP normalized by the longer sequence length, so a single
 threshold applies across keyword lengths.
+
+The DP runs over unit ids, not syllables: ``substitution_matrix`` tabulates
+the substitution cost of every pair of units once (capped at one indel, so
+the normalized distance stays in [0, 1]), and ``phrase_distance`` reads its
+substitutions from that matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -130,19 +136,31 @@ def syllable_distance(a: Syllable, b: Syllable, table: CostTable) -> float:
     return d
 
 
-def phrase_distance(a: list[Syllable], b: list[Syllable], table: CostTable) -> float:
-    """Levenshtein with syllable_distance substitutions, normalized by max length."""
+def substitution_matrix(sylls: Sequence[Syllable | None],
+                        table: CostTable) -> list[list[float]]:
+    """``sub[x][y]``: the syllable distance of units x and y capped at one
+    indel, for ``sylls`` indexed by unit id; the row and column of a unit
+    without a syllable (the blank, ``None``) are 0."""
+    indel = table.indel_cost
+    return [[0.0 if a is None or b is None
+             else min(syllable_distance(a, b, table), indel)
+             for b in sylls] for a in sylls]
+
+
+def phrase_distance(a: Sequence[int], b: Sequence[int],
+                    sub: list[list[float]], indel_cost: float) -> float:
+    """Levenshtein over the unit ids a and b with substitutions from ``sub``
+    (substitution_matrix), normalized by the longer length."""
     if not a and not b:
         return 0.0
-    la, lb = len(a), len(b)
-    prev = [j * table.indel_cost for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        cur = [i * table.indel_cost] + [0.0] * lb
-        for j in range(1, lb + 1):
-            # substitution capped at one indel so the normalized result
-            # stays in [0, 1]
-            sub = prev[j - 1] + min(
-                syllable_distance(a[i - 1], b[j - 1], table), table.indel_cost)
-            cur[j] = min(sub, prev[j] + table.indel_cost, cur[j - 1] + table.indel_cost)
+    prev = [j * indel_cost for j in range(len(b) + 1)]
+    for i, x in enumerate(a, 1):
+        row = sub[x]
+        left = i * indel_cost
+        cur = [left]
+        for j, y in enumerate(b):
+            left = min(prev[j] + row[y], prev[j + 1] + indel_cost,
+                       left + indel_cost)
+            cur.append(left)
         prev = cur
-    return prev[lb] / max(la, lb)
+    return prev[-1] / max(len(a), len(b))

@@ -185,7 +185,8 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             if any(not 0 < t < len(us) for e in entries for t in e.tokens):
                 raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
                                 f"the {us.id!r} units 1..{len(us) - 1}")
-    sylls = kws_mod.char_syllables(char_set, lexicon)
+    fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
+             if kws_mod.Stage.FUZZY in cfg.stages_enabled else None)
     hits: list[Hit] = []
     pgram_dir = Path(pgram_dir)
     for utt_id in sorted(nbest_char):
@@ -195,7 +196,7 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             nb_s = nbest_syll[utt_id]
             pg_s = _read_utt_pgram(pgram_dir / "syll" / f"{utt_id}.pgram")
         hits.extend(detect(pg_c, pg_s, nbest_char[utt_id], nb_s, keywords,
-                           sylls, costs, cfg))
+                           fuzzy, cfg))
     return hits
 
 

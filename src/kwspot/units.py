@@ -11,7 +11,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import BadFormat, DuplicateUnit, EmptyUnitSet, OutOfVocabulary
+from .errors import (BadFormat, BadSyllable, DuplicateUnit, EmptyUnitSet,
+                     OutOfVocabulary)
+from .phonetics import parse_syllable
 
 BLANK = "<blk>"
 
@@ -132,7 +134,7 @@ class Lexicon:
 
 def load_lexicon(path) -> Lexicon:
     """``char<TAB>pron [pron ...]`` lines, one per char; the first pron is
-    the primary."""
+    the primary and must parse as a tonal pinyin syllable."""
     seen = set()
 
     def entry(fields):
@@ -143,6 +145,11 @@ def load_lexicon(path) -> Lexicon:
         if char in seen:
             raise ValueError(f"character {char!r} listed twice")
         seen.add(char)
+        try:
+            parse_syllable(prons[0])
+        except BadSyllable as exc:
+            raise ValueError(f"primary pronunciation of {char!r}: "
+                             f"{exc}") from None
         return char, prons
     return Lexicon(entries=dict(read_tsv(path, 2, entry)))
 

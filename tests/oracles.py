@@ -2,13 +2,17 @@
 
 The CTC oracles enumerate paths explicitly and the LM reference spells out
 the textbook recursion; nothing here shares code with the implementations
-under test.
+under test, except that the phrase-distance reference prices a substitution
+with ``kwspot.phonetics.syllable_distance``, the per-pair cost the kernel's
+matrix is built from.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from kwspot.phonetics import syllable_distance
 
 
 def collapse(path, blank=0):
@@ -18,6 +22,12 @@ def collapse(path, blank=0):
             out.append(s)
         prev = s
     return tuple(out)
+
+
+def greedy_path(pg, blank=0):
+    """Per-frame argmax of a posteriorgram plus its CTC collapse."""
+    frames = np.argmax(pg.logp, axis=1)
+    return list(collapse(frames.tolist(), blank)), frames
 
 
 def enumerate_label_masses(logp, blank=0):
@@ -121,3 +131,21 @@ def train_reference(lines, order, discount):
         for ctx, total in ctx_total[k].items():
             backoffs[ctx] = log10(discount * ctx_types[k][ctx] / total)
     return probs, backoffs, full_vocab
+
+
+def syllable_phrase_distance(a, b, table):
+    """Levenshtein over two Syllable lists, each substitution priced by
+    syllable_distance capped at one indel, normalized by the longer length."""
+    if not a and not b:
+        return 0.0
+    la, lb = len(a), len(b)
+    prev = [j * table.indel_cost for j in range(lb + 1)]
+    for i in range(1, la + 1):
+        cur = [i * table.indel_cost] + [0.0] * lb
+        for j in range(1, lb + 1):
+            sub = prev[j - 1] + min(
+                syllable_distance(a[i - 1], b[j - 1], table), table.indel_cost)
+            cur[j] = min(sub, prev[j] + table.indel_cost,
+                         cur[j - 1] + table.indel_cost)
+        prev = cur
+    return prev[lb] / max(la, lb)

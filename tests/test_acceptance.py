@@ -18,7 +18,7 @@ from kwspot import pipeline
 from kwspot.corpus import confusion_tables, make_corpus, make_language
 from kwspot.decoder import BeamConfig, BiasConfig, build_bias_trie, \
     prefix_beam_search
-from kwspot.kws import (Hit, Keyword, KwsConfig, Stage, char_syllables, detect,
+from kwspot.kws import (Hit, Keyword, KwsConfig, Stage, detect, fuzzy_costs,
                         score_ctc)
 from kwspot.lm import BOS, train
 from kwspot.metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
@@ -287,7 +287,7 @@ class TestCriterion7MetricGoldenCases:
 class TestCriterion8FuzzyMatching:
     def test_tone_variants_recovered_then_rejected(self, lang):
         costs = CostTable()
-        sylls = char_syllables(lang.char_set, lang.lexicon)
+        fuzzy = fuzzy_costs(lang.char_set, lang.lexicon, costs)
 
         def tone_variant(ch):
             base = parse_syllable(lang.lexicon.primary(ch))
@@ -329,7 +329,7 @@ class TestCriterion8FuzzyMatching:
                 cfg = KwsConfig(fuzzy_threshold=thr,
                                 stages_enabled=frozenset({Stage.CHAR,
                                                           Stage.FUZZY}))
-                hits = detect(pg, None, nbest, None, [kw], sylls, costs, cfg)
+                hits = detect(pg, None, nbest, None, [kw], fuzzy, cfg)
                 if want:
                     recovered += bool(hits)
                 else:

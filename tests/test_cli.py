@@ -74,6 +74,24 @@ class TestExitCodes:
         assert rc == 1
         assert repr(drop[0]) in capsys.readouterr().err
 
+    def test_malformed_primary_pronunciation_names_lexicon_line(
+            self, demo, tmp_path, capsys):
+        lines = (demo / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+        char, prons = lines[2].split("\t")
+        lines[2] = f"{char}\t{prons.split()[0][:-1]}"  # tone digit dropped
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        cfg = demo / "config.ini"
+        bad = tmp_path / "config.ini"
+        bad.write_text(cfg.read_text(encoding="utf-8").replace(
+            str(demo / "lexicon.tsv"), str(lexicon)), encoding="utf-8")
+        rc = main(["--config", str(bad), "kws", str(tmp_path / "pg"),
+                   str(tmp_path / "hits.tsv"), "--nbest-char",
+                   str(tmp_path / "char.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"lexicon.tsv:3: primary pronunciation of {char!r}" in err
+
     def test_empty_lm_corpus_is_domain_error(self, demo, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from kwspot.decoder import BeamConfig, prefix_beam_search
-from kwspot.errors import AlignmentInfeasible, BadFormat
+from kwspot.errors import AlignmentInfeasible, BadFormat, BadSyllable
 from kwspot.kws import (Hit, Keyword, KwsConfig, Stage, char_syllables, detect,
-                        match_exact, match_fuzzy, merge_stages, read_hits,
-                        score_ctc, write_hits)
+                        fuzzy_costs, match_exact, match_fuzzy, merge_stages,
+                        read_hits, score_ctc, write_hits)
 from kwspot.pgram import Posteriorgram, SynthConfig, synth_generate, token_layout
 from kwspot.phonetics import CostTable
 from kwspot.corpus import make_language
-from kwspot.units import syllabify, tokenize_chars
+from kwspot.units import Lexicon, syllabify, tokenize_chars
 
 from oracles import path_sum_for_label, random_pgram_logp
 
@@ -113,9 +113,17 @@ def lang():
     return make_language()
 
 
-@pytest.fixture(scope="module")
-def sylls(lang):
-    return char_syllables(lang.char_set, lang.lexicon)
+@pytest.fixture
+def fuzzy(lang):
+    return fuzzy_costs(lang.char_set, lang.lexicon, CostTable())
+
+
+def test_malformed_primary_pronunciation_names_the_char(lang):
+    unit = lang.char_set.units[3]
+    lexicon = Lexicon({**lang.lexicon.entries, unit: ("zhong", "zhong1")})
+    with pytest.raises(BadSyllable, match=f"char unit {unit!r}: missing tone "
+                                          f"digit: 'zhong'"):
+        char_syllables(lang.char_set, lexicon)
 
 
 def decode_pair(lang, text, cfg=SynthConfig(frames_per_token=3, blank_gap=2)):
@@ -136,14 +144,13 @@ def make_keyword(lang, text, kw_id="kw0"):
 
 
 class TestDetect:
-    def test_noiseless_hit(self, lang, sylls):
+    def test_noiseless_hit(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
         kw_text = chars[0] + chars[5]
         text = chars[10] + kw_text + chars[12]
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         kw = make_keyword(lang, kw_text)
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
-                      CostTable(), KwsConfig())
+        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, KwsConfig())
         assert len(hits) == 1
         h = hits[0]
         assert h.decision
@@ -158,7 +165,7 @@ class TestDetect:
         for length_norm in (True, False):
             cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR}),
                             nbest_matching=False, length_norm=length_norm)
-            (h,) = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls, CostTable(), cfg)
+            (h,) = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
             ((rank, i, j),) = match_exact(nb_c, kw.char_units, max_rank=1)
             spans = nb_c[rank].spans
             assert (h.start_frame, h.end_frame) == (spans[i].start_frame,
@@ -167,16 +174,15 @@ class TestDetect:
             assert h.norm_score == (raw / len(kw.char_units) if length_norm
                                     else raw)
 
-    def test_no_keyword_no_hits(self, lang, sylls):
+    def test_no_keyword_no_hits(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
         text = chars[20] + chars[21]
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         kw = make_keyword(lang, chars[0] + chars[5])
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
-                      CostTable(), KwsConfig())
+        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, KwsConfig())
         assert [h for h in hits if h.decision] == []
 
-    def test_fuzzy_recovers_tone_variant(self, lang, sylls):
+    def test_fuzzy_recovers_tone_variant(self, lang, fuzzy):
         # utterance contains the tone variant of the keyword's first char
         kw_char = next(c for c, v in lang.confusable.items() if v)
         variant = lang.confusable[kw_char][0]
@@ -186,29 +192,28 @@ class TestDetect:
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         cfg = KwsConfig(decision_threshold=-1e9,
                         stages_enabled=frozenset({Stage.FUZZY}))
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls, CostTable(), cfg)
+        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
         assert len(hits) == 1
         assert hits[0].stage is Stage.FUZZY
         # strict threshold rejects the same variant
         tight = KwsConfig(decision_threshold=-1e9, fuzzy_threshold=0.05,
                           stages_enabled=frozenset({Stage.FUZZY}))
-        assert detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
-                      CostTable(), tight) == []
+        assert detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, tight) == []
 
-    def test_fuzzy_excludes_exact(self, lang, sylls):
+    def test_fuzzy_excludes_exact(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[0] + chars[5])
-        got = match_fuzzy(nb_c, kw, sylls, CostTable(), 0.5)
+        got = match_fuzzy(nb_c, kw, fuzzy, 0.5)
         assert all(nb_c[r].tokens[i:j] != kw.char_units for r, i, j, _ in got)
 
-    def test_fuzzy_threshold_zero_empty(self, lang, sylls):
+    def test_fuzzy_threshold_zero_empty(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[1] + chars[5])
-        assert match_fuzzy(nb_c, kw, sylls, CostTable(), 0.0) == []
+        assert match_fuzzy(nb_c, kw, fuzzy, 0.0) == []
 
-    def test_decision_monotone_in_threshold(self, lang, sylls):
+    def test_decision_monotone_in_threshold(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
         kw_text = chars[0] + chars[5]
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[10] + kw_text)
@@ -216,8 +221,7 @@ class TestDetect:
         counts = []
         for theta in [-10.0, -5.0, -1e-4, 1.0]:
             cfg = KwsConfig(decision_threshold=theta)
-            hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], sylls,
-                          CostTable(), cfg)
+            hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
             counts.append(sum(h.decision for h in hits))
         assert counts == sorted(counts, reverse=True)
 

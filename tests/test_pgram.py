@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from kwspot.errors import AlignmentInfeasible, BadFormat, InvalidTranscript
 from kwspot.pgram import (LOG_ZERO, MAGIC, Posteriorgram, SynthConfig,
-                          align_viterbi, ctc_trellis, greedy_path, read_pgram,
+                          align_viterbi, ctc_trellis, read_pgram,
                           synth_generate, token_layout, write_pgram)
 from kwspot.units import BLANK, UnitKind, UnitSet
 
 from fuzzing import edit_lists, mutate
-from oracles import best_alignment, random_pgram_logp
+from oracles import best_alignment, greedy_path, random_pgram_logp
 
 US = UnitSet(id="abc", kind=UnitKind.CHARACTER, units=(BLANK, "a", "b", "c"))
 

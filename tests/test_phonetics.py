@@ -1,11 +1,16 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kwspot.corpus import make_language
 from kwspot.errors import BadSyllable
-from kwspot.phonetics import (CostTable, Syllable, load_cost_table,
+from kwspot.kws import char_syllables
+from kwspot.phonetics import (DEFAULT_FINAL_GROUPS, DEFAULT_INITIAL_GROUPS,
+                              CostTable, Syllable, load_cost_table,
                               parse_syllable, phrase_distance,
-                              syllable_distance)
+                              substitution_matrix, syllable_distance)
+
+from oracles import syllable_phrase_distance
 
 TABLE = CostTable()
 
@@ -42,36 +47,76 @@ def test_syllable_distance_default_sub():
                              parse_syllable("ka1"), TABLE) == pytest.approx(1.0)
 
 
+SYLLS = ["zhong1", "zang1", "zhang4", "ma1", "lin2", "ling2", "hen1", "feng3", "an4"]
+# unit ids into SUB: 0 is the blank, SYLLS come first so the hypothesis
+# strategies below can index them
+UNITS = [*SYLLS, "zhang1", "hai3"]
+SUB = substitution_matrix([None, *map(parse_syllable, UNITS)], TABLE)
+INDEL = TABLE.indel_cost
+
+
+def ids(*sylls):
+    return [UNITS.index(s) + 1 for s in sylls]
+
+
 def test_phrase_distance_worked():
-    a = [parse_syllable("zhang1"), parse_syllable("hai3")]
-    b = [parse_syllable("zang1"), parse_syllable("hai3")]
-    assert phrase_distance(a, b, TABLE) == pytest.approx(0.25)
+    a = ids("zhang1", "hai3")
+    b = ids("zang1", "hai3")
+    assert phrase_distance(a, b, SUB, INDEL) == pytest.approx(0.25)
 
 
 def test_phrase_distance_identity_and_indel():
-    a = [parse_syllable("zhong1")]
-    assert phrase_distance(a, a, TABLE) == 0.0
-    assert phrase_distance(a, [], TABLE) == pytest.approx(1.0)
-    assert phrase_distance([], [], TABLE) == 0.0
+    a = ids("zhong1")
+    assert phrase_distance(a, a, SUB, INDEL) == 0.0
+    assert phrase_distance(a, [], SUB, INDEL) == pytest.approx(1.0)
+    assert phrase_distance([], [], SUB, INDEL) == 0.0
 
 
-SYLLS = ["zhong1", "zang1", "zhang4", "ma1", "lin2", "ling2", "hen1", "feng3", "an4"]
 phrase = st.lists(st.sampled_from(SYLLS), max_size=5)
 
 
 @given(phrase, phrase)
 def test_symmetry(xs, ys):
-    a = [parse_syllable(s) for s in xs]
-    b = [parse_syllable(s) for s in ys]
-    assert phrase_distance(a, b, TABLE) == pytest.approx(phrase_distance(b, a, TABLE))
+    a = ids(*xs)
+    b = ids(*ys)
+    assert phrase_distance(a, b, SUB, INDEL) == pytest.approx(
+        phrase_distance(b, a, SUB, INDEL))
 
 
 @given(phrase, phrase)
 def test_normalized_range(xs, ys):
-    a = [parse_syllable(s) for s in xs]
-    b = [parse_syllable(s) for s in ys]
-    d = phrase_distance(a, b, TABLE)
+    a = ids(*xs)
+    b = ids(*ys)
+    d = phrase_distance(a, b, SUB, INDEL)
     assert 0.0 <= d <= 1.0 + 1e-12
+
+
+TOY = make_language()
+TOY_SYLLS = char_syllables(TOY.char_set, TOY.lexicon)
+cost = st.floats(0.0, 3.0)
+toy_phrase = st.lists(st.integers(1, len(TOY_SYLLS) - 1), max_size=6)
+
+
+@st.composite
+def cost_tables(draw):
+    """Random costs on the default groups; the tone cost is often 0 and the
+    substitution cost often above the indel cost, so the cap bites."""
+    return CostTable(
+        initial_groups=tuple((m, draw(cost)) for m, _ in DEFAULT_INITIAL_GROUPS),
+        final_groups=tuple((m, draw(cost)) for m, _ in DEFAULT_FINAL_GROUPS),
+        tone_cost=draw(st.just(0.0) | cost),
+        substitution_cost=draw(cost), indel_cost=draw(cost))
+
+
+@example(CostTable(tone_cost=0.0, substitution_cost=2.5, indel_cost=0.7),
+         [1, 2, 3, 4, 5, 6], [6, 5, 4])
+@given(cost_tables(), toy_phrase, toy_phrase)
+def test_phrase_distance_equals_syllable_list_oracle(table, a, b):
+    got = phrase_distance(a, b, substitution_matrix(TOY_SYLLS, table),
+                          table.indel_cost)
+    want = syllable_phrase_distance([TOY_SYLLS[u] for u in a],
+                                    [TOY_SYLLS[u] for u in b], table)
+    assert got == want
 
 
 @given(st.sampled_from(SYLLS), st.sampled_from(SYLLS))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwspot import pipeline
+from kwspot import kws, pipeline
 from kwspot.corpus import make_corpus, make_language
 from kwspot.decoder import BeamConfig
 from kwspot.errors import BadFormat, BadSyllable, OutOfVocabulary
@@ -141,18 +141,70 @@ VALID_NBEST = (
     '{"utt_id": "u2", "hyps": []}\n')
 
 
-class TestBrokenKwsInputs:
-    @pytest.fixture(scope="class")
-    def decoded(self, lang, small_run):
-        corpus, out, _, lm = small_run
-        beam = BeamConfig(nbest=2)
-        nb_c = pipeline.decode_dir(out / "char", lang.char_set, lm, None, beam)
-        nb_s = pipeline.decode_dir(out / "syll", lang.syll_set, None, None,
-                                   beam)
-        keywords = pipeline.build_keywords(corpus.keywords, lang.char_set,
-                                           lang.lexicon, lang.syll_set)
-        return nb_c, nb_s, keywords
+@pytest.fixture(scope="module")
+def decoded(lang, small_run):
+    corpus, out, _, lm = small_run
+    beam = BeamConfig(nbest=2)
+    nb_c = pipeline.decode_dir(out / "char", lang.char_set, lm, None, beam)
+    nb_s = pipeline.decode_dir(out / "syll", lang.syll_set, None, None, beam)
+    keywords = pipeline.build_keywords(corpus.keywords, lang.char_set,
+                                       lang.lexicon, lang.syll_set)
+    return nb_c, nb_s, keywords
 
+
+class TestFuzzyMemo:
+    """run_kws computes each distinct (window, keyword) distance once."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Replace kws.<name> by a wrapper that records its first two
+        arguments."""
+        seen = []
+        fn = getattr(kws, name)
+
+        def counted(*args):
+            seen.append(args[:2])
+            return fn(*args)
+        monkeypatch.setattr(kws, name, counted)
+        return seen
+
+    @staticmethod
+    def _run_kws(lang, small_run, decoded, cfg):
+        nb_c, nb_s, keywords = decoded
+        return pipeline.run_kws(small_run[1], nb_c, nb_s, keywords,
+                                lang.char_set, lang.syll_set, lang.lexicon,
+                                CostTable(), cfg)
+
+    def test_one_distance_per_distinct_pair(self, lang, small_run, decoded,
+                                            monkeypatch):
+        calls = self._count(monkeypatch, "phrase_distance")
+        builds = self._count(monkeypatch, "substitution_matrix")
+        hits = self._run_kws(lang, small_run, decoded, KwsConfig())
+        assert len(builds) == 1
+        assert len(calls) == len(set(calls))
+        memoised = calls[:]
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+        fresh = kws.fuzzy_costs
+        monkeypatch.setattr(kws, "fuzzy_costs", lambda *args: replace(
+            fresh(*args), memo=Forgetful()))
+        calls.clear()
+        assert self._run_kws(lang, small_run, decoded, KwsConfig()) == hits
+        assert set(calls) == set(memoised)
+        assert len(calls) > len(memoised)
+
+    def test_no_fuzzy_stage_no_distance_and_no_matrix(
+            self, lang, small_run, decoded, monkeypatch):
+        calls = self._count(monkeypatch, "phrase_distance")
+        builds = self._count(monkeypatch, "substitution_matrix")
+        cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR, Stage.SYLLABLE}))
+        assert self._run_kws(lang, small_run, decoded, cfg)
+        assert calls == [] and builds == []
+
+
+class TestBrokenKwsInputs:
     def _run_kws(self, lang, pgram_dir, nb_c, nb_s, keywords):
         return pipeline.run_kws(pgram_dir, nb_c, nb_s, keywords, lang.char_set,
                                 lang.syll_set, lang.lexicon, CostTable(),

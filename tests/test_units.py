@@ -130,6 +130,7 @@ class TestReadTsv:
         (load_lexicon, "国 guo2"),                              # no tab
         (load_lexicon, "国\t"),                                 # no pron
         (load_lexicon, "中\tzhong4"),                           # repeated
+        (load_lexicon, "国\tguo guo2"),                         # no tone
         (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1"),                # 6 fields
         (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tchar"),          # 7 fields
         (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\tyes\tchar\t1\t3"),  # bad int
