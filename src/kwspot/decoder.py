@@ -5,6 +5,16 @@ accumulated LM and bias scores.  Keyword chunks are matched incrementally by
 an Aho-Corasick automaton; completing a chunk adds its affine weight
 (-alpha * LM(chunk) + beta) to the hypothesis score before pruning, so rare
 keywords survive the beam.
+
+Each frame is expanded at once in numpy: every beam prefix by every live
+unit, scored from one row per LM state (the log10 increment of each unit)
+and one row per trie node (the next node on each unit).  A row covers the
+units that are live in some frame of the posteriorgram; both kinds are
+built on first use and kept for one search.  Only the extensions that
+land on a prefix already in the beam are summed in scalar code, and only
+the beam_size survivors get a prefix tuple, an LM state and a trie node.
+The float operations are those of the plain per-(prefix, unit) loop, in the
+same order, so the N-best lists equal that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -15,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidKeyword, UnitSetMismatch
-from .lm import NGramLM
+from .lm import NGramLM, ScoreRows
 from .pgram import Posteriorgram, align_viterbi
 from .units import UnitSet
 
 LN10 = math.log(10.0)
+LN2 = math.log(2.0)
 NEG_INF = -math.inf
 
 
@@ -96,17 +107,18 @@ class KeywordTrie:
             self.node_bonus[node] += self.node_bonus[self.fail[node]]
         self._final = True
 
-    def step(self, node: int, unit: int) -> int:
-        while True:
-            nxt = self.goto[node].get(unit)
-            if nxt is not None:
-                return nxt
-            if node == 0:
-                return 0
-            node = self.fail[node]
-
-    def bonus(self, node: int) -> float:
-        return self.node_bonus[node]
+    def next_row(self, node: int, width: int) -> np.ndarray:
+        """The node reached from ``node`` on each unit id below ``width``:
+        the first node on the failure chain with a goto edge for the unit
+        decides, and the root's missing edges lead back to the root."""
+        chain = [node]
+        while chain[-1]:
+            chain.append(self.fail[chain[-1]])
+        row = np.zeros(width, dtype=np.intp)
+        for n in reversed(chain):
+            for u, nxt in self.goto[n].items():
+                row[u] = nxt
+        return row
 
 
 def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
@@ -143,15 +155,40 @@ class NBestEntry:
     spans: list = field(default_factory=list)
 
 
-class _PrefixInfo:
-    """LM / bias state attached to one collapsed prefix (pure function of it)."""
-    __slots__ = ("lm_state", "lm_log10", "trie_node", "bias_bonus")
+class _Rows:
+    """Rows of one width, built by ``make(key)`` on first use and kept for
+    one search; ``id(key)`` is the key's row in ``table``, so a frame can
+    gather the rows of the whole beam at once."""
 
-    def __init__(self, lm_state, lm_log10, trie_node, bias_bonus):
-        self.lm_state = lm_state
-        self.lm_log10 = lm_log10
-        self.trie_node = trie_node
-        self.bias_bonus = bias_bonus
+    def __init__(self, make, width: int, dtype):
+        self.make = make
+        self.ids: dict = {}
+        self.keys: list = []
+        self.table = np.empty((16, width), dtype=dtype)
+
+    def id(self, key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            if i == len(self.table):
+                self.table = np.concatenate(
+                    [self.table, np.empty_like(self.table)])
+            self.table[i] = self.make(key)
+        return i
+
+
+def logaddexp(x: float, y: float) -> float:
+    """numpy's scalar ``np.logaddexp`` (``npy_logaddexp``) bit for bit, on
+    Python floats."""
+    if x == y:
+        return x + LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # NaN
 
 
 def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
@@ -164,88 +201,136 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
         raise UnitSetMismatch("unit count mismatch")
     blank = us.blank_index
     lp = pg.logp.astype(np.float64)
-    use_bias = trie is not None and cfg.bias_enabled
+    live_at = lp > cfg.token_min_logp
+    # rows cover only the units some frame can extend a prefix by, so a
+    # row costs what the utterance uses, not the whole inventory
+    cols = np.flatnonzero(live_at.any(axis=0))
+    cols = cols[cols != blank]
+    col_of = np.full(len(us), -1)
+    col_of[cols] = np.arange(len(cols))
     lmw = cfg.lm_weight * LN10  # applied to log10 LM increments
+    # log10 LM increment of each column's unit, per LM state; without an LM
+    # one state () whose increments are 0.0
+    if lm is not None:
+        scores = ScoreRows(lm, [us.units[u] for u in cols])
+        lm_rows = _Rows(scores.row, len(cols), np.float64)
+    else:
+        lm_rows = _Rows(lambda state: np.zeros(len(cols)), len(cols),
+                        np.float64)
+    # next trie node on each column's unit, per node; without bias one
+    # node 0 whose bonus is 0.0
+    if trie is not None and cfg.bias_enabled:
+        trie_rows = _Rows(lambda node: trie.next_row(node, len(us))[cols],
+                          len(cols), np.intp)
+        node_bonus = np.array(trie.node_bonus, dtype=np.float64)
+    else:
+        trie_rows = _Rows(lambda node: np.zeros(len(cols), dtype=np.intp),
+                          len(cols), np.intp)
+        node_bonus = np.zeros(1)
 
-    empty = ()
-    info: dict[tuple[int, ...], _PrefixInfo] = {
-        empty: _PrefixInfo((), 0.0, 0, 0.0)}
-    # prefix -> [logp_blank, logp_nonblank]
-    beam: dict[tuple[int, ...], list[float]] = {empty: [0.0, NEG_INF]}
-
-    def extend_info(prefix, pref_info, unit):
-        if prefix + (unit,) in info:
-            return info[prefix + (unit,)]
-        if lm is not None:
-            inc, nxt_state = lm.score_token(pref_info.lm_state, us.units[unit])
-            lm_log10 = pref_info.lm_log10 + inc
-        else:
-            nxt_state, lm_log10 = pref_info.lm_state, 0.0
-        node, bonus = 0, 0.0
-        if use_bias:
-            node = trie.step(pref_info.trie_node, unit)
-            bonus = pref_info.bias_bonus + trie.bonus(node)
-        newi = _PrefixInfo(nxt_state, lm_log10, node, bonus)
-        info[prefix + (unit,)] = newi
-        return newi
-
-    def total_score(prefix, masses):
-        i = info[prefix]
-        return (np.logaddexp(masses[0], masses[1])
-                + lmw * i.lm_log10 + i.bias_bonus)
+    # the beam, one entry per collapsed prefix: blank / non-blank log
+    # masses, accumulated log10 LM score and bias, and the rows of its LM
+    # state and trie node
+    prefixes = [()]
+    pb, pnb = np.zeros(1), np.full(1, NEG_INF)
+    lm10, bias = np.zeros(1), np.zeros(1)
+    lm_id = np.array([lm_rows.id(())])
+    trie_id = np.array([trie_rows.id(0)])
 
     for t in range(pg.num_frames):
-        row = lp[t]
-        active = np.nonzero(row > cfg.token_min_logp)[0]
-        nxt: dict[tuple[int, ...], list[float]] = {}
+        row, live = lp[t], live_at[t]
+        units = np.flatnonzero(live)
+        units = units[units != blank]
+        at = col_of[units]  # their columns in the rows
+        n, m = len(prefixes), len(units)
+        last = np.array([p[-1] if p else -1 for p in prefixes], dtype=np.intp)
+        # the array loop of np.logaddexp is the one its scalar call runs
+        ptot = np.logaddexp(pb, pnb)
 
-        def add(prefix, slot, value):
-            if value == NEG_INF:
-                return
-            masses = nxt.get(prefix)
-            if masses is None:
-                masses = [NEG_INF, NEG_INF]
-                nxt[prefix] = masses
-            masses[slot] = np.logaddexp(masses[slot], value)
+        # every prefix again: after a blank, or after a repeat of its last
+        # unit (the parent's extension onto it is added below)
+        stay_b = ptot + row[blank] if live[blank] else np.full(n, NEG_INF)
+        stay_nb = np.where((last >= 0) & live[last], pnb + row[last], NEG_INF)
 
-        for prefix, (pb, pnb) in beam.items():
-            pref_info = info[prefix]
-            ptot = np.logaddexp(pb, pnb)
-            for u in active:
-                u = int(u)
-                pu = row[u]
-                if u == blank:
-                    add(prefix, 0, ptot + pu)
-                elif prefix and u == prefix[-1]:
-                    # repeat frame extends the same collapsed prefix...
-                    add(prefix, 1, pnb + pu)
-                    # ...while a preceding blank starts a new token
-                    extend_info(prefix, pref_info, u)
-                    add(prefix + (u,), 1, pb + pu)
-                else:
-                    extend_info(prefix, pref_info, u)
-                    add(prefix + (u,), 1, ptot + pu)
+        # every prefix extended by every live unit; after its own last unit
+        # only the blank-ended mass starts a new token
+        ext = np.where(units == last[:, None], pb[:, None],
+                       ptot[:, None]) + row[units]
+        ext_lm = lm10[:, None] + lm_rows.table[lm_id[:, None], at]
+        ext_node = trie_rows.table[trie_id[:, None], at]
+        ext_bias = bias[:, None] + node_bonus[ext_node]
+        ext_score = ext + lmw * ext_lm + ext_bias
 
-        if len(nxt) > cfg.beam_size:
-            ranked = sorted(nxt.items(),
-                            key=lambda kv: (-total_score(kv[0], kv[1]), kv[0]))
-            nxt = dict(ranked[:cfg.beam_size])
-        beam = nxt
-        # keep LM/bias state only for surviving prefixes: memory stays
-        # proportional to beam size times prefix length
-        info = {p: info[p] for p in beam}
+        # an extension that is already in the beam adds its mass there:
+        # slot 1 then holds at most two terms, and logaddexp is symmetric
+        column = np.full(len(us), -1)
+        column[units] = np.arange(m)
+        where = {p: k for k, p in enumerate(prefixes)}
+        for k, p in enumerate(prefixes):
+            i = where.get(p[:-1]) if p else None
+            if i is not None and column[p[-1]] >= 0:
+                j = column[p[-1]]
+                stay_nb[k] = logaddexp(stay_nb[k], ext[i, j])
+                ext_score[i, j] = NEG_INF
+        stay_score = np.logaddexp(stay_b, stay_nb) + lmw * lm10 + bias
 
-    ranked = sorted(beam.items(), key=lambda kv: (-total_score(kv[0], kv[1]), kv[0]))
+        # candidate c < n is prefix c, c >= n extends prefix (c-n) // m by
+        # unit (c-n) % m; a candidate with no path mass scores -inf
+        score = np.concatenate([stay_score, ext_score.ravel()])
+        keep = np.flatnonzero(score > NEG_INF)
+        if len(keep) > cfg.beam_size:
+            # the beam_size best by (-score, prefix): those at or above the
+            # beam_size-th score, ties there broken by the prefix
+            kth = np.partition(score, -cfg.beam_size)[-cfg.beam_size]
+            keep = np.flatnonzero(score >= kth)
+            if len(keep) > cfg.beam_size:
+                keep = sorted(keep.tolist(), key=lambda c: (
+                    -score[c], _candidate(c, prefixes, units)))
+                keep = np.array(keep[:cfg.beam_size])
+
+        new_prefixes, new_lm_id, new_trie_id = [], [], []
+        for c in keep.tolist():
+            new_prefixes.append(_candidate(c, prefixes, units))
+            if c < n:
+                new_lm_id.append(lm_id[c])
+                new_trie_id.append(trie_id[c])
+                continue
+            i, j = divmod(c - n, m)
+            state = lm_rows.keys[lm_id[i]]
+            if lm is not None:
+                state = lm.score_token(state, us.units[units[j]])[1]
+            new_lm_id.append(lm_rows.id(state))
+            new_trie_id.append(trie_rows.id(int(ext_node[i, j])))
+        prefixes = new_prefixes
+        lm_id = np.array(new_lm_id, dtype=np.intp)
+        trie_id = np.array(new_trie_id, dtype=np.intp)
+        pb = np.concatenate([stay_b, np.full(n * m, NEG_INF)])[keep]
+        pnb = np.concatenate([stay_nb, ext.ravel()])[keep]
+        lm10 = np.concatenate([lm10, ext_lm.ravel()])[keep]
+        bias = np.concatenate([bias, ext_bias.ravel()])[keep]
+
+    pb, pnb, lm10, bias = pb.tolist(), pnb.tolist(), lm10.tolist(), bias.tolist()
+    am = [logaddexp(b, nb) for b, nb in zip(pb, pnb)]
+    total = [a + lmw * s + b for a, s, b in zip(am, lm10, bias)]
+    ranked = sorted(range(len(prefixes)),
+                    key=lambda k: (-total[k], prefixes[k]))
     out = []
-    for prefix, (pb, pnb) in ranked[:cfg.nbest]:
-        i = info[prefix]
-        am = float(np.logaddexp(pb, pnb))
+    for k in ranked[:cfg.nbest]:
+        prefix = prefixes[k]
         entry = NBestEntry(tokens=prefix,
                            text="".join(us.units[u] for u in prefix),
-                           score_am=am, score_lm=i.lm_log10,
-                           score_bias=i.bias_bonus,
-                           score_total=am + lmw * i.lm_log10 + i.bias_bonus)
+                           score_am=am[k], score_lm=lm10[k],
+                           score_bias=bias[k], score_total=total[k])
         if prefix:
             entry.spans = align_viterbi(pg, list(prefix), blank)
         out.append(entry)
     return out
+
+
+def _candidate(c: int, prefixes: list, units) -> tuple[int, ...]:
+    """The prefix of candidate c of a frame (see prefix_beam_search)."""
+    n = len(prefixes)
+    if c < n:
+        return prefixes[c]
+    i, j = divmod(c - n, len(units))
+    return prefixes[i] + (int(units[j]),)

@@ -13,6 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BadFormat, EmptyCorpus
 
 BOS = "<s>"
@@ -66,6 +68,58 @@ class NGramLM:
             s, state = self.score_token(state, EOS)
             total += s
         return total
+
+
+class ScoreRows:
+    """``score_token`` of every token in a fixed list, one row per state.
+
+    ``row(state)[i] == lm.score_token(state, tokens[i])[0]`` bit for bit.
+    A token takes the log10 probability of its n-gram after the longest
+    context that has one, plus the backoff weights of the contexts longer
+    than that one, summed left to right from 0.0 as ``score_token`` sums
+    them.  So a row
+    starts as the unigram level under every backoff, and each longer
+    context then overwrites the tokens it has an n-gram for.  The level
+    tables (which tokens have an n-gram after a context, and its log10
+    probability) are memoised per context, so an instance should live only
+    as long as its caller.
+    """
+
+    def __init__(self, lm: NGramLM, tokens):
+        self.lm = lm
+        self.ends = [(lm._norm(t),) for t in tokens]  # n-gram = context + end
+        self._levels: dict[tuple[str, ...], tuple] = {}
+
+    def _level(self, context):
+        level = self._levels.get(context)
+        if level is None:
+            get = self.lm.probs.get
+            if context:
+                found = [(i, p) for i, end in enumerate(self.ends)
+                         if (p := get(context + end)) is not None]
+            else:  # the unigram fallback covers every token
+                found = [(i, get(end, LOG10_ZERO))
+                         for i, end in enumerate(self.ends)]
+            level = (np.array([i for i, _ in found], dtype=np.intp),
+                     np.array([p for _, p in found], dtype=np.float64),
+                     self.lm.backoffs.get(context, 0.0))
+            self._levels[context] = level
+        return level
+
+    def row(self, state: tuple[str, ...]) -> np.ndarray:
+        order = self.lm.order
+        context = state[-(order - 1):] if order > 1 else ()
+        longer = []  # a level and the backoff summed over the ones above
+        backoff = 0.0
+        while context:
+            idx, logp, weight = self._level(context)
+            longer.append((idx, logp, backoff))
+            backoff += weight
+            context = context[1:]
+        row = backoff + self._level(())[1]
+        for idx, logp, above in reversed(longer):
+            row[idx] = above + logp
+        return row
 
 
 def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:

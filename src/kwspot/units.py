@@ -134,7 +134,7 @@ class Lexicon:
 
 def load_lexicon(path) -> Lexicon:
     """``char<TAB>pron [pron ...]`` lines, one per char; the first pron is
-    the primary and must parse as a tonal pinyin syllable."""
+    the primary, and every pron must parse as a tonal pinyin syllable."""
     seen = set()
 
     def entry(fields):
@@ -145,11 +145,13 @@ def load_lexicon(path) -> Lexicon:
         if char in seen:
             raise ValueError(f"character {char!r} listed twice")
         seen.add(char)
-        try:
-            parse_syllable(prons[0])
-        except BadSyllable as exc:
-            raise ValueError(f"primary pronunciation of {char!r}: "
-                             f"{exc}") from None
+        for k, pron in enumerate(prons):
+            try:
+                parse_syllable(pron)
+            except BadSyllable as exc:
+                which = "primary pronunciation" if k == 0 \
+                    else f"pronunciation {k + 1}"
+                raise ValueError(f"{which} of {char!r}: {exc}") from None
         return char, prons
     return Lexicon(entries=dict(read_tsv(path, 2, entry)))
 

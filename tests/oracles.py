@@ -4,7 +4,8 @@ The CTC oracles enumerate paths explicitly and the LM reference spells out
 the textbook recursion; nothing here shares code with the implementations
 under test, except that the phrase-distance reference prices a substitution
 with ``kwspot.phonetics.syllable_distance``, the per-pair cost the kernel's
-matrix is built from.
+matrix is built from, and the reference prefix beam search scores with
+``NGramLM.score_token`` and aligns its N-best with ``align_viterbi``.
 """
 
 import itertools
@@ -12,7 +13,13 @@ import math
 
 import numpy as np
 
+from kwspot.decoder import BeamConfig, NBestEntry
+from kwspot.errors import UnitSetMismatch
+from kwspot.pgram import align_viterbi
 from kwspot.phonetics import syllable_distance
+
+LN10 = math.log(10.0)
+NEG_INF = -math.inf
 
 
 def collapse(path, blank=0):
@@ -149,3 +156,122 @@ def syllable_phrase_distance(a, b, table):
                          cur[j - 1] + table.indel_cost)
         prev = cur
     return prev[lb] / max(la, lb)
+
+
+class _PrefixInfo:
+    """LM / bias state attached to one collapsed prefix (pure function of it)."""
+    __slots__ = ("lm_state", "lm_log10", "trie_node", "bias_bonus")
+
+    def __init__(self, lm_state, lm_log10, trie_node, bias_bonus):
+        self.lm_state = lm_state
+        self.lm_log10 = lm_log10
+        self.trie_node = trie_node
+        self.bias_bonus = bias_bonus
+
+
+def trie_step(trie, node, unit):
+    """One goto/failure transition of a finalized KeywordTrie."""
+    while True:
+        nxt = trie.goto[node].get(unit)
+        if nxt is not None:
+            return nxt
+        if node == 0:
+            return 0
+        node = trie.fail[node]
+
+
+def prefix_beam_search(pg, us, lm=None, trie=None, cfg=BeamConfig()):
+    """The CTC prefix beam search as a scalar loop: one ``score_token`` call
+    and one scalar ``np.logaddexp`` per (prefix, live unit), and a full sort
+    of every candidate each frame."""
+    if pg.unit_set_id != us.id:
+        raise UnitSetMismatch(f"pg has units {pg.unit_set_id!r}, expected {us.id!r}")
+    if pg.num_units != len(us):
+        raise UnitSetMismatch("unit count mismatch")
+    blank = us.blank_index
+    lp = pg.logp.astype(np.float64)
+    use_bias = trie is not None and cfg.bias_enabled
+    lmw = cfg.lm_weight * LN10  # applied to log10 LM increments
+
+    empty = ()
+    info: dict[tuple[int, ...], _PrefixInfo] = {
+        empty: _PrefixInfo((), 0.0, 0, 0.0)}
+    # prefix -> [logp_blank, logp_nonblank]
+    beam: dict[tuple[int, ...], list[float]] = {empty: [0.0, NEG_INF]}
+
+    def extend_info(prefix, pref_info, unit):
+        if prefix + (unit,) in info:
+            return info[prefix + (unit,)]
+        if lm is not None:
+            inc, nxt_state = lm.score_token(pref_info.lm_state, us.units[unit])
+            lm_log10 = pref_info.lm_log10 + inc
+        else:
+            nxt_state, lm_log10 = pref_info.lm_state, 0.0
+        node, bonus = 0, 0.0
+        if use_bias:
+            node = trie_step(trie, pref_info.trie_node, unit)
+            bonus = pref_info.bias_bonus + trie.node_bonus[node]
+        newi = _PrefixInfo(nxt_state, lm_log10, node, bonus)
+        info[prefix + (unit,)] = newi
+        return newi
+
+    def total_score(prefix, masses):
+        i = info[prefix]
+        return (np.logaddexp(masses[0], masses[1])
+                + lmw * i.lm_log10 + i.bias_bonus)
+
+    for t in range(pg.num_frames):
+        row = lp[t]
+        active = np.nonzero(row > cfg.token_min_logp)[0]
+        nxt: dict[tuple[int, ...], list[float]] = {}
+
+        def add(prefix, slot, value):
+            if value == NEG_INF:
+                return
+            masses = nxt.get(prefix)
+            if masses is None:
+                masses = [NEG_INF, NEG_INF]
+                nxt[prefix] = masses
+            masses[slot] = np.logaddexp(masses[slot], value)
+
+        for prefix, (pb, pnb) in beam.items():
+            pref_info = info[prefix]
+            ptot = np.logaddexp(pb, pnb)
+            for u in active:
+                u = int(u)
+                pu = row[u]
+                if u == blank:
+                    add(prefix, 0, ptot + pu)
+                elif prefix and u == prefix[-1]:
+                    # repeat frame extends the same collapsed prefix...
+                    add(prefix, 1, pnb + pu)
+                    # ...while a preceding blank starts a new token
+                    extend_info(prefix, pref_info, u)
+                    add(prefix + (u,), 1, pb + pu)
+                else:
+                    extend_info(prefix, pref_info, u)
+                    add(prefix + (u,), 1, ptot + pu)
+
+        if len(nxt) > cfg.beam_size:
+            ranked = sorted(nxt.items(),
+                            key=lambda kv: (-total_score(kv[0], kv[1]), kv[0]))
+            nxt = dict(ranked[:cfg.beam_size])
+        beam = nxt
+        # keep LM/bias state only for surviving prefixes: memory stays
+        # proportional to beam size times prefix length
+        info = {p: info[p] for p in beam}
+
+    ranked = sorted(beam.items(), key=lambda kv: (-total_score(kv[0], kv[1]), kv[0]))
+    out = []
+    for prefix, (pb, pnb) in ranked[:cfg.nbest]:
+        i = info[prefix]
+        am = float(np.logaddexp(pb, pnb))
+        entry = NBestEntry(tokens=prefix,
+                           text="".join(us.units[u] for u in prefix),
+                           score_am=am, score_lm=i.lm_log10,
+                           score_bias=i.bias_bonus,
+                           score_total=am + lmw * i.lm_log10 + i.bias_bonus)
+        if prefix:
+            entry.spans = align_viterbi(pg, list(prefix), blank)
+        out.append(entry)
+    return out

@@ -1,18 +1,20 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwspot.decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
-                            build_bias_trie, prefix_beam_search)
+                            build_bias_trie, logaddexp, prefix_beam_search)
 from kwspot.errors import InvalidKeyword, UnitSetMismatch
 from kwspot.lm import train
 from kwspot.pgram import Posteriorgram, SynthConfig, synth_generate
 from kwspot.units import BLANK, UnitKind, UnitSet
 
-from oracles import enumerate_label_masses, random_pgram_logp
+import oracles
+from oracles import enumerate_label_masses, random_pgram_logp, trie_step
 
 US2 = UnitSet(id="ua", kind=UnitKind.CHARACTER, units=(BLANK, "a"))
 US3 = UnitSet(id="uab", kind=UnitKind.CHARACTER, units=(BLANK, "a", "b"))
@@ -96,6 +98,13 @@ class TestShallowFusion:
             assert e.score_total == pytest.approx(recomputed, abs=1e-12)
 
 
+def walk(trie, units, node=0):
+    """The trie node reached from node over units (ids below 10)."""
+    for u in units:
+        node = int(trie.next_row(node, 10)[u])
+    return node
+
+
 class TestBiasTrie:
     def test_affine_weight(self):
         lm = train(["ab ab ab ab"], order=2, discount=0.0)
@@ -103,14 +112,14 @@ class TestBiasTrie:
         kw = [1, 2]
         trie = build_bias_trie([kw], lm, cfg, unit_names=US3.units)
         lm_score = lm.score_sequence(["a", "b"])
-        node = trie.step(trie.step(0, 1), 2)
-        assert trie.bonus(node) == pytest.approx(-lm_score + 4.0)
+        node = walk(trie, [1, 2])
+        assert trie.node_bonus[node] == pytest.approx(-lm_score + 4.0)
 
     def test_alpha_zero_gives_beta(self):
         cfg = BiasConfig(alpha=0.0, beta=7.5, chunk_len=4)
         trie = build_bias_trie([[1, 2]], None, cfg)
-        node = trie.step(trie.step(0, 1), 2)
-        assert trie.bonus(node) == pytest.approx(7.5)
+        node = walk(trie, [1, 2])
+        assert trie.node_bonus[node] == pytest.approx(7.5)
 
     def test_chunking_9_units(self):
         cfg = BiasConfig(alpha=0.0, beta=1.0, chunk_len=4)
@@ -120,8 +129,8 @@ class TestBiasTrie:
         node = 0
         total = 0.0
         for u in kw:
-            node = trie.step(node, u)
-            total += trie.bonus(node)
+            node = walk(trie, [u], node)
+            total += trie.node_bonus[node]
         assert total == pytest.approx(3.0)
 
     def test_empty_keyword(self):
@@ -131,10 +140,9 @@ class TestBiasTrie:
     def test_overlapping_accepts_via_failure_links(self):
         cfg = BiasConfig(alpha=0.0, beta=1.0, chunk_len=4)
         trie = build_bias_trie([[1, 2], [2]], None, cfg)
-        node = trie.step(0, 1)
-        node = trie.step(node, 2)
+        node = walk(trie, [1, 2])
         # completing [1,2] also completes the suffix chunk [2]
-        assert trie.bonus(node) == pytest.approx(2.0)
+        assert trie.node_bonus[node] == pytest.approx(2.0)
 
     @settings(max_examples=200, deadline=None)
     @given(chunks=st.lists(st.tuples(st.lists(st.integers(1, 3), min_size=1,
@@ -149,11 +157,14 @@ class TestBiasTrie:
         trie.finalize()
         node = 0
         for i, u in enumerate(seq):
-            node = trie.step(node, u)
+            row = trie.next_row(node, 4)
+            # the row is the goto/failure walk from node on every unit
+            assert row.tolist() == [trie_step(trie, node, v) for v in range(4)]
+            node = int(row[u])
             # every inserted chunk that ends at position i awards its weight
             expected = sum(w for c, w in chunks
                            if len(c) <= i + 1 and seq[i + 1 - len(c):i + 1] == c)
-            assert trie.bonus(node) == expected
+            assert trie.node_bonus[node] == expected
 
 
 class TestBiasMonotonicity:
@@ -216,3 +227,80 @@ class TestGuards:
         b = prefix_beam_search(pg, US3, lm=lm)
         assert [(e.tokens, e.score_total) for e in a] == \
             [(e.tokens, e.score_total) for e in b]
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+GRID = [-math.inf, -1e308, -745.5, -50.0, -1.0, -1e-300, -0.0, 0.0, 1e-300,
+        0.5, 1.0, 36.0, 1e308, math.inf]
+
+
+@pytest.mark.parametrize("x", GRID)
+def test_logaddexp_is_numpys_bit_for_bit(x):
+    for y in GRID + [x, np.nextafter(x, 0.0), x - 40.0, x + 1e-12]:
+        y = float(y)
+        with np.errstate(over="ignore"):  # x - y beyond the float range
+            want = float(np.logaddexp(x, y))
+        assert bits(logaddexp(x, y)) == bits(want), y
+
+
+US5 = UnitSet(id="u5", kind=UnitKind.CHARACTER,
+              units=(BLANK, "a", "b", "c", "d"))
+
+
+@st.composite
+def search_inputs(draw):
+    """A posteriorgram over US5 and a search set-up, for the oracle test.
+
+    Rows come from small integer weights, so many units and many
+    hypotheses tie; a weight of 0 is a -inf log posterior.  The threshold
+    is -inf, 0 (no unit live) or a value of the matrix (from none to all
+    units of a row live).  The LMs are trained on text that lacks some
+    units, so those score as <unk>."""
+    T = draw(st.integers(0, 7))
+    weights = draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=5, max_size=5).filter(any),
+        min_size=T, max_size=T))
+    p = np.array(weights, dtype=np.float64).reshape(T, 5)
+    p /= p.sum(axis=1, keepdims=True) if T else 1.0
+    with np.errstate(divide="ignore"):
+        pg = Posteriorgram("u", US5.id, 0.04, np.log(p).astype(np.float32))
+    values = sorted(set(pg.logp.astype(np.float64).ravel().tolist()))
+    thr = draw(st.sampled_from([-math.inf, 0.0] + values))
+    order = draw(st.integers(0, 4))
+    lm = None
+    if order:
+        lines = draw(st.lists(st.text(alphabet="abce", min_size=1,
+                                      max_size=6), min_size=1, max_size=6))
+        lm = train(lines, order=order, discount=draw(st.sampled_from(
+            [0.0, 0.5, 0.75])))
+    trie = None
+    if draw(st.booleans()):
+        kws = draw(st.lists(st.lists(st.integers(1, 4), min_size=1,
+                                     max_size=5), min_size=1, max_size=4))
+        bias = BiasConfig(alpha=draw(st.sampled_from([0.0, 1.0])),
+                          beta=draw(st.sampled_from([0.0, 1.5, 4.0])),
+                          chunk_len=draw(st.integers(1, 4)))
+        trie = build_bias_trie(kws, lm, bias, unit_names=US5.units)
+    cfg = BeamConfig(beam_size=draw(st.integers(1, 12)),
+                     nbest=draw(st.integers(1, 12)),
+                     lm_weight=draw(st.sampled_from([0.0, 0.3, 1.5])),
+                     token_min_logp=thr, bias_enabled=draw(st.booleans()))
+    return pg, lm, trie, cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_inputs())
+@example((Posteriorgram("u", US5.id, 0.04, np.zeros((0, 5), np.float32)),
+          None, None, BeamConfig()))
+def test_search_equals_scalar_oracle(inputs):
+    pg, lm, trie, cfg = inputs
+    got = prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
+    want = oracles.prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
+
+    def fields(e):
+        return (e.tokens, e.text, e.score_am, e.score_lm, e.score_bias,
+                e.score_total, e.spans)
+    assert [fields(e) for e in got] == [fields(e) for e in want]

@@ -1,11 +1,14 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwspot.errors import BadFormat, EmptyCorpus
-from kwspot.lm import BOS, EOS, UNK, NGramLM, read_arpa, train, write_arpa
+from kwspot.lm import (BOS, EOS, UNK, NGramLM, ScoreRows, read_arpa, train,
+                       write_arpa)
 from fuzzing import edit_lists, mutate
 from oracles import train_reference
 
@@ -87,6 +90,30 @@ class TestScore:
 corpora = st.lists(
     st.text(alphabet="abcd", min_size=1, max_size=8), min_size=1, max_size=12
 ).filter(lambda ls: any(s.strip() for s in ls))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora, st.integers(1, 4), st.sampled_from([0.0, 0.4, 0.75]),
+       st.lists(st.text(alphabet="abcdz", min_size=1, max_size=6),
+                max_size=4),
+       st.booleans())
+def test_score_rows_equal_score_token_bit_for_bit(lines, order, discount,
+                                                  texts, drop_unk):
+    lm = train(lines, order=order, discount=discount)
+    if drop_unk:  # an ARPA file may omit <unk>: its unigram is LOG10_ZERO
+        del lm.probs[(UNK,)]
+    # units in and out of the vocabulary, and the LM's own symbols
+    tokens = ["a", "b", "c", "d", "z", "zz", BOS, EOS, UNK]
+    states = {(), (BOS,)}
+    for text, boundaries in itertools.product(texts, [False, True]):
+        state = (BOS,) if boundaries else ()
+        for tok in list(text) + [EOS] * boundaries:
+            state = lm.score_token(state, tok)[1]
+            states.add(state)
+    rows = ScoreRows(lm, tokens)
+    for state in sorted(states):
+        want = np.array([lm.score_token(state, t)[0] for t in tokens])
+        assert rows.row(state).tobytes() == want.tobytes(), state
 
 
 @settings(max_examples=40, deadline=None)

@@ -131,6 +131,7 @@ class TestReadTsv:
         (load_lexicon, "国\t"),                                 # no pron
         (load_lexicon, "中\tzhong4"),                           # repeated
         (load_lexicon, "国\tguo guo2"),                         # no tone
+        (load_lexicon, "国\tguo2 ???"),                        # bad 2nd pron
         (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1"),                # 6 fields
         (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\t1\tchar"),          # 7 fields
         (read_hits, "u2\tk1\t0.5\t1.0\t-1.0\tyes\tchar\t1\t3"),  # bad int
