@@ -20,7 +20,8 @@ from .kws import write_hits, read_hits
 from .lm import read_arpa, train, write_arpa
 from .metrics import load_refs, write_refs
 from .phonetics import CostTable, load_cost_table
-from .units import UnitKind, load_lexicon, load_unit_set, syllabify
+from .units import (UnitKind, load_lexicon, load_unit_set, read_tsv,
+                    syllabify)
 
 
 def _load_cfg(args) -> PipelineConfig:
@@ -135,17 +136,23 @@ def cmd_ablate(args) -> int:
     char_set, syll_set, lexicon, costs = _load_resources(cfg)
     entries = pipeline.load_id_text(cfg.paths.keywords)
     keywords = pipeline.build_keywords(entries, char_set, lexicon, syll_set)
-    char_lm = read_arpa(cfg.paths.char_lm)
-    syll_lm = read_arpa(cfg.paths.syll_lm)
     refs = load_refs(args.refs)
-    ecfg = replace(cfg.eval, total_speech_s=pipeline.total_speech_seconds(
-        Path(args.pgram_dir) / "char"))
     subsets = None
     if args.rare_keywords:
-        rare_ids = {ln.strip() for ln in
-                    Path(args.rare_keywords).read_text(encoding="utf-8").splitlines()
-                    if ln.strip()}
+        known = {kid for kid, _ in entries}
+
+        def rare_id(fields):
+            if fields[0] not in known:
+                raise ValueError(f"keyword id {fields[0]!r} is not in the "
+                                 f"keyword list")
+            return fields[0]
+
+        rare_ids = set(read_tsv(args.rare_keywords, 1, rare_id))
         subsets = {"rare": [r for r in refs if r.kw_id in rare_ids]}
+    char_lm = read_arpa(cfg.paths.char_lm)
+    syll_lm = read_arpa(cfg.paths.syll_lm)
+    ecfg = replace(cfg.eval, total_speech_s=pipeline.total_speech_seconds(
+        Path(args.pgram_dir) / "char"))
     report = pipeline.run_ablation(args.pgram_dir, refs, keywords, char_set,
                                    syll_set, lexicon, char_lm, syll_lm, costs,
                                    cfg.beam, cfg.bias, cfg.kws, ecfg,

@@ -65,8 +65,6 @@ class ToyCorpus:
     rare_kw_ids: list[str]                   # withheld from the LM text
     transcripts: list[tuple[str, str]]       # (utt_id, text)
     lm_lines: list[str]
-    # (utt_id, kw_id, char_start, char_end) in character positions
-    refs_chars: list[tuple[str, str, int, int]]
 
 
 def make_corpus(lang: ToyLanguage, num_utts: int = 200, num_keywords: int = 50,
@@ -99,9 +97,8 @@ def make_corpus(lang: ToyLanguage, num_utts: int = 200, num_keywords: int = 50,
             parts.insert(rng.randrange(len(parts) + 1), rng.choice(common_kws))
         lm_lines.append("".join(parts))
 
-    transcripts, refs = [], []
+    transcripts = []
     for n in range(num_utts):
-        utt_id = f"utt{n:04d}"
         while True:
             parts = [rng.choice(filler) for _ in range(rng.randint(2, utt_words))]
             k = rng.randint(1, 2)
@@ -109,28 +106,26 @@ def make_corpus(lang: ToyLanguage, num_utts: int = 200, num_keywords: int = 50,
                 _, text = rng.choice(keywords)
                 parts.insert(rng.randrange(len(parts) + 1), text)
             sent = "".join(parts)
-            occs = _scan_refs(utt_id, sent, keywords)
-            if _no_overlap(occs):
+            if _no_overlap(_scan_refs(sent, keywords)):
                 break
-        transcripts.append((utt_id, sent))
-        refs.extend(occs)
+        transcripts.append((f"utt{n:04d}", sent))
     return ToyCorpus(keywords=keywords, rare_kw_ids=rare_ids,
-                     transcripts=transcripts, lm_lines=lm_lines,
-                     refs_chars=refs)
+                     transcripts=transcripts, lm_lines=lm_lines)
 
 
-def _scan_refs(utt_id, sent, keywords):
-    occs = []
-    for kw_id, text in keywords:
+def _scan_refs(sent, keywords):
+    """(char_start, char_end) of every keyword occurrence in sent."""
+    spans = []
+    for _, text in keywords:
         start = sent.find(text)
         while start != -1:
-            occs.append((utt_id, kw_id, start, start + len(text)))
+            spans.append((start, start + len(text)))
             start = sent.find(text, start + 1)
-    return occs
+    return spans
 
 
-def _no_overlap(occs):
-    spans = sorted((s, e) for _, _, s, e in occs)
+def _no_overlap(spans):
+    spans = sorted(spans)
     return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 

@@ -7,12 +7,14 @@ an Aho-Corasick automaton; completing a chunk adds its affine weight
 keywords survive the beam.
 
 Each frame is expanded at once in numpy: every beam prefix by every live
-unit, scored from one row per LM state (the log10 increment of each unit)
-and one row per trie node (the next node on each unit).  A row covers the
-units that are live in some frame of the posteriorgram; both kinds are
-built on first use and kept for one search.  Only the extensions that
-land on a prefix already in the beam are summed in scalar code, and only
-the beam_size survivors get a prefix tuple, an LM state and a trie node.
+unit, scored from two tables whose columns are the units live in some
+frame of the posteriorgram.  One holds a row per LM state (the log10
+increment of each unit), which ``lm.ScoreRows`` fills on first use and
+keeps for one search; the other is the automaton's next-move table, built
+once by ``KeywordTrie.finalize``, so no trie row is built during a search.
+Only the extensions that land on a prefix already in the beam are summed
+in scalar code, and only the beam_size survivors get a prefix tuple and an
+LM state.
 The float operations are those of the plain per-(prefix, unit) loop, in the
 same order, so the N-best lists equal that loop's bit for bit.
 """
@@ -20,6 +22,7 @@ same order, so the N-best lists equal that loop's bit for bit.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,17 +64,24 @@ class BiasConfig:
 
 
 class KeywordTrie:
-    """Aho-Corasick automaton over unit-id sequences with accept weights."""
+    """Aho-Corasick automaton over unit-id sequences with accept weights.
+
+    ``finalize`` turns the goto and failure links into one next-move table:
+    ``next[n, u]`` is the node reached from node n on unit u, and a unit at
+    or past the table's width (1 + the largest unit id inserted) leads to
+    the root.  ``node_bonus[n]`` sums the weights of every chunk that ends
+    at n, its own and those of the nodes on its failure chain.
+    """
 
     def __init__(self):
         self.goto: list[dict[int, int]] = [{}]
         self.fail: list[int] = [0]
-        self.accepts: list[list[tuple[int, float]]] = [[]]
-        self.node_bonus: list[float] = []  # filled by finalize
-        self._final = False
+        self.weight: list[float] = [0.0]  # summed over the chunks ending here
+        self.next: np.ndarray | None = None  # filled by finalize
+        self.node_bonus: np.ndarray | None = None
 
-    def insert(self, seq: list[int], chunk_id: int, weight: float) -> None:
-        assert not self._final
+    def insert(self, seq: list[int], weight: float) -> None:
+        assert self.next is None
         node = 0
         for u in seq:
             nxt = self.goto[node].get(u)
@@ -80,45 +90,30 @@ class KeywordTrie:
                 self.goto[node][u] = nxt
                 self.goto.append({})
                 self.fail.append(0)
-                self.accepts.append([])
+                self.weight.append(0.0)
             node = nxt
-        self.accepts[node].append((chunk_id, weight))
+        self.weight[node] += weight
 
     def finalize(self) -> None:
-        """BFS failure links; node_bonus aggregates accept weights along them."""
-        from collections import deque
-
-        queue = deque()
-        for u, n in self.goto[0].items():
-            self.fail[n] = 0
-            queue.append(n)
-        order = []
+        """Fill ``fail``, ``next`` and ``node_bonus`` in BFS order, so a
+        node's failure target, which is shallower, is complete before the
+        node: the node's row and bonus start from the target's, its goto
+        edges overwrite the row, and each child fails to the node the
+        target moves to on the child's unit."""
+        width = 1 + max((u for edges in self.goto for u in edges), default=0)
+        self.next = np.zeros((len(self.goto), width), dtype=np.intp)
+        self.node_bonus = np.array(self.weight)
+        queue = deque([0])
         while queue:
             node = queue.popleft()
-            order.append(node)
+            f = self.fail[node]
+            if node:
+                self.next[node] = self.next[f]
+                self.node_bonus[node] += self.node_bonus[f]
             for u, n in self.goto[node].items():
-                f = self.fail[node]
-                while f and u not in self.goto[f]:
-                    f = self.fail[f]
-                self.fail[n] = self.goto[f].get(u, 0)
+                self.fail[n] = int(self.next[f, u]) if node else 0
+                self.next[node, u] = n
                 queue.append(n)
-        self.node_bonus = [sum(w for _, w in acc) for acc in self.accepts]
-        for node in order:
-            self.node_bonus[node] += self.node_bonus[self.fail[node]]
-        self._final = True
-
-    def next_row(self, node: int, width: int) -> np.ndarray:
-        """The node reached from ``node`` on each unit id below ``width``:
-        the first node on the failure chain with a goto edge for the unit
-        decides, and the root's missing edges lead back to the root."""
-        chain = [node]
-        while chain[-1]:
-            chain.append(self.fail[chain[-1]])
-        row = np.zeros(width, dtype=np.intp)
-        for n in reversed(chain):
-            for u, nxt in self.goto[n].items():
-                row[u] = nxt
-        return row
 
 
 def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
@@ -126,7 +121,6 @@ def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
     """Chunk each keyword to at most chunk_len units and insert with Eq-style
     affine weights computed from the chunk's LM score (no sentence boundaries)."""
     trie = KeywordTrie()
-    chunk_id = 0
     for kw in keywords:
         if not kw:
             raise InvalidKeyword("empty keyword")
@@ -138,8 +132,7 @@ def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
             else:
                 lm_score = 0.0
             weight = -cfg.alpha * lm_score + cfg.beta
-            trie.insert(chunk, chunk_id, weight)
-            chunk_id += 1
+            trie.insert(chunk, weight)
     trie.finalize()
     return trie
 
@@ -153,29 +146,6 @@ class NBestEntry:
     score_bias: float
     score_total: float  # natural log; am + lm_weight*ln10*lm + bias
     spans: list = field(default_factory=list)
-
-
-class _Rows:
-    """Rows of one width, built by ``make(key)`` on first use and kept for
-    one search; ``id(key)`` is the key's row in ``table``, so a frame can
-    gather the rows of the whole beam at once."""
-
-    def __init__(self, make, width: int, dtype):
-        self.make = make
-        self.ids: dict = {}
-        self.keys: list = []
-        self.table = np.empty((16, width), dtype=dtype)
-
-    def id(self, key) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            if i == len(self.table):
-                self.table = np.concatenate(
-                    [self.table, np.empty_like(self.table)])
-            self.table[i] = self.make(key)
-        return i
 
 
 def logaddexp(x: float, y: float) -> float:
@@ -209,33 +179,29 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
     col_of = np.full(len(us), -1)
     col_of[cols] = np.arange(len(cols))
     lmw = cfg.lm_weight * LN10  # applied to log10 LM increments
-    # log10 LM increment of each column's unit, per LM state; without an LM
-    # one state () whose increments are 0.0
-    if lm is not None:
-        scores = ScoreRows(lm, [us.units[u] for u in cols])
-        lm_rows = _Rows(scores.row, len(cols), np.float64)
-    else:
-        lm_rows = _Rows(lambda state: np.zeros(len(cols)), len(cols),
-                        np.float64)
-    # next trie node on each column's unit, per node; without bias one
-    # node 0 whose bonus is 0.0
+    # log10 LM increment of each column's unit, one row per LM state; without
+    # an LM one state () whose increments are 0.0
+    rows = ScoreRows(lm, [us.units[u] for u in cols]) if lm is not None \
+        else None
+    no_lm = np.zeros((1, len(cols)))
+    # next trie node on each column's unit, one row per node; without bias
+    # one node 0 whose bonus is 0.0
+    trie_next = np.zeros((1, len(cols)), dtype=np.intp)
+    node_bonus = np.zeros(1)
     if trie is not None and cfg.bias_enabled:
-        trie_rows = _Rows(lambda node: trie.next_row(node, len(us))[cols],
-                          len(cols), np.intp)
-        node_bonus = np.array(trie.node_bonus, dtype=np.float64)
-    else:
-        trie_rows = _Rows(lambda node: np.zeros(len(cols), dtype=np.intp),
-                          len(cols), np.intp)
-        node_bonus = np.zeros(1)
+        inside = cols < trie.next.shape[1]  # later units lead to the root
+        trie_next = np.zeros((len(trie.next), len(cols)), dtype=np.intp)
+        trie_next[:, inside] = trie.next[:, cols[inside]]
+        node_bonus = trie.node_bonus
 
     # the beam, one entry per collapsed prefix: blank / non-blank log
-    # masses, accumulated log10 LM score and bias, and the rows of its LM
-    # state and trie node
+    # masses, accumulated log10 LM score and bias, its LM state's row and
+    # its trie node
     prefixes = [()]
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
     lm10, bias = np.zeros(1), np.zeros(1)
-    lm_id = np.array([lm_rows.id(())])
-    trie_id = np.array([trie_rows.id(0)])
+    lm_id = np.array([rows.id(()) if rows is not None else 0])
+    node = np.zeros(1, dtype=np.intp)
 
     for t in range(pg.num_frames):
         row, live = lp[t], live_at[t]
@@ -256,8 +222,9 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
         # only the blank-ended mass starts a new token
         ext = np.where(units == last[:, None], pb[:, None],
                        ptot[:, None]) + row[units]
-        ext_lm = lm10[:, None] + lm_rows.table[lm_id[:, None], at]
-        ext_node = trie_rows.table[trie_id[:, None], at]
+        lm_table = rows.table if rows is not None else no_lm
+        ext_lm = lm10[:, None] + lm_table[lm_id[:, None], at]
+        ext_node = trie_next[node[:, None], at]
         ext_bias = bias[:, None] + node_bonus[ext_node]
         ext_score = ext + lmw * ext_lm + ext_bias
 
@@ -288,22 +255,22 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
                     -score[c], _candidate(c, prefixes, units)))
                 keep = np.array(keep[:cfg.beam_size])
 
-        new_prefixes, new_lm_id, new_trie_id = [], [], []
+        new_prefixes, new_lm_id = [], []
         for c in keep.tolist():
             new_prefixes.append(_candidate(c, prefixes, units))
             if c < n:
                 new_lm_id.append(lm_id[c])
-                new_trie_id.append(trie_id[c])
                 continue
             i, j = divmod(c - n, m)
-            state = lm_rows.keys[lm_id[i]]
-            if lm is not None:
-                state = lm.score_token(state, us.units[units[j]])[1]
-            new_lm_id.append(lm_rows.id(state))
-            new_trie_id.append(trie_rows.id(int(ext_node[i, j])))
+            state_id = lm_id[i]
+            if rows is not None:
+                state = lm.score_token(rows.states[state_id],
+                                       us.units[units[j]])[1]
+                state_id = rows.id(state)
+            new_lm_id.append(state_id)
         prefixes = new_prefixes
         lm_id = np.array(new_lm_id, dtype=np.intp)
-        trie_id = np.array(new_trie_id, dtype=np.intp)
+        node = np.concatenate([node, ext_node.ravel()])[keep]
         pb = np.concatenate([stay_b, np.full(n * m, NEG_INF)])[keep]
         pnb = np.concatenate([stay_nb, ext.ravel()])[keep]
         lm10 = np.concatenate([lm10, ext_lm.ravel()])[keep]

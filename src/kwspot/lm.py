@@ -73,22 +73,27 @@ class NGramLM:
 class ScoreRows:
     """``score_token`` of every token in a fixed list, one row per state.
 
-    ``row(state)[i] == lm.score_token(state, tokens[i])[0]`` bit for bit.
-    A token takes the log10 probability of its n-gram after the longest
-    context that has one, plus the backoff weights of the contexts longer
-    than that one, summed left to right from 0.0 as ``score_token`` sums
-    them.  So a row
-    starts as the unigram level under every backoff, and each longer
-    context then overwrites the tokens it has an n-gram for.  The level
+    ``id(state)`` is the state's row in ``table``, filled on first use, so
+    after ``k = id(state)``, ``table[k][i] == lm.score_token(state,
+    tokens[i])[0]`` bit for bit; ``states[k]`` is the state of row k.  A new
+    row may replace ``table`` by a larger array.  A token takes the log10
+    probability of its n-gram after the longest context that has one, plus
+    the backoff weights of the contexts longer than that one, summed left
+    to right from 0.0 as ``score_token`` sums them.  So a row starts as the
+    unigram level under every backoff, and each longer context then
+    overwrites the tokens it has an n-gram for.  The rows and the level
     tables (which tokens have an n-gram after a context, and its log10
-    probability) are memoised per context, so an instance should live only
-    as long as its caller.
+    probability) are memoised, so an instance should live only as long as
+    its caller.
     """
 
     def __init__(self, lm: NGramLM, tokens):
         self.lm = lm
         self.ends = [(lm._norm(t),) for t in tokens]  # n-gram = context + end
         self._levels: dict[tuple[str, ...], tuple] = {}
+        self._ids: dict[tuple[str, ...], int] = {}
+        self.states: list[tuple[str, ...]] = []
+        self.table = np.empty((16, len(self.ends)))
 
     def _level(self, context):
         level = self._levels.get(context)
@@ -106,7 +111,15 @@ class ScoreRows:
             self._levels[context] = level
         return level
 
-    def row(self, state: tuple[str, ...]) -> np.ndarray:
+    def id(self, state: tuple[str, ...]) -> int:
+        i = self._ids.get(state)
+        if i is not None:
+            return i
+        i = self._ids[state] = len(self.states)
+        self.states.append(state)
+        if i == len(self.table):
+            self.table = np.concatenate(
+                [self.table, np.empty_like(self.table)])
         order = self.lm.order
         context = state[-(order - 1):] if order > 1 else ()
         longer = []  # a level and the backoff summed over the ones above
@@ -116,10 +129,11 @@ class ScoreRows:
             longer.append((idx, logp, backoff))
             backoff += weight
             context = context[1:]
-        row = backoff + self._level(())[1]
+        row = self.table[i]
+        row[:] = backoff + self._level(())[1]
         for idx, logp, above in reversed(longer):
             row[idx] = above + logp
-        return row
+        return i
 
 
 def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:

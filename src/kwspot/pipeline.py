@@ -89,6 +89,16 @@ def synth_corpus(transcripts, keywords, char_set, syll_set, lexicon,
     return refs, skipped
 
 
+def _pgram_paths(pgram_dir) -> list[Path]:
+    """The ``.pgram`` files of a directory, sorted; a missing directory, or
+    one without such a file, is an error rather than an empty result."""
+    paths = sorted(Path(pgram_dir).glob("*.pgram"))
+    if not paths:
+        raise FileNotFoundError(f"{pgram_dir}: no .pgram file (missing or "
+                                f"empty posteriorgram directory)")
+    return paths
+
+
 def _read_utt_pgram(path) -> Posteriorgram:
     """A posteriorgram file is named ``<utt_id>.pgram``."""
     pg = read_pgram(path)
@@ -108,8 +118,7 @@ def _decode_one(args):
 def decode_dir(pgram_dir, us: UnitSet, lm: NGramLM | None,
                trie: KeywordTrie | None, beam_cfg: BeamConfig,
                jobs: int = 1) -> dict[str, list[NBestEntry]]:
-    paths = sorted(Path(pgram_dir).glob("*.pgram"))
-    work = [(p, us, lm, trie, beam_cfg) for p in paths]
+    work = [(p, us, lm, trie, beam_cfg) for p in _pgram_paths(pgram_dir)]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_decode_one, work)
@@ -202,7 +211,7 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
 
 def total_speech_seconds(pgram_dir) -> float:
     total = 0.0
-    for p in sorted(Path(pgram_dir).glob("*.pgram")):
+    for p in _pgram_paths(pgram_dir):
         pg = _read_utt_pgram(p)
         total += pg.num_frames * pg.frame_period_s
     return total

@@ -15,6 +15,21 @@ def demo(demo_writer, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained(demo, tmp_path_factory):
+    """The demo's posteriorgram directory, with its char and syllable LMs
+    written where the demo config expects them."""
+    cfg = str(demo / "config.ini")
+    pg = tmp_path_factory.mktemp("trained") / "pg"
+    assert main(["--config", cfg, "synth", str(demo / "transcripts.tsv"),
+                 str(pg)]) == 0
+    assert main(["--config", cfg, "lm-train", str(demo / "lm_corpus.txt"),
+                 str(demo / "char.arpa")]) == 0
+    assert main(["--config", cfg, "lm-train", str(demo / "lm_corpus.txt"),
+                 str(demo / "syll.arpa"), "--unit", "syllable"]) == 0
+    return pg
+
+
 class TestExitCodes:
     def test_missing_input_file(self, demo, tmp_path):
         rc = main(["--config", str(demo / "config.ini"), "synth",
@@ -115,6 +130,43 @@ class TestExitCodes:
         refs.write_text("", encoding="utf-8")
         rc = main(["eval", str(hits), str(refs)])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("make_dir", [False, True])
+    def test_decode_without_pgram_files_names_directory(
+            self, demo, trained, tmp_path, capsys, make_dir):
+        pgx = tmp_path / "chr"  # a mistyped stage directory
+        if make_dir:
+            pgx.mkdir()
+        out = tmp_path / "nbest.jsonl"
+        rc = main(["--config", str(demo / "config.ini"), "decode", str(pgx),
+                   str(out)])
+        assert rc == 2
+        assert str(pgx) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_without_pgram_files_names_directory(self, trained, tmp_path,
+                                                      capsys):
+        hits = tmp_path / "hits.tsv"
+        hits.write_text("", encoding="utf-8")
+        rc = main(["eval", str(hits), str(trained / "refs.tsv"),
+                   "--pgram-dir", str(tmp_path / "pgx")])
+        assert rc == 2
+        assert str(tmp_path / "pgx" / "char") in capsys.readouterr().err
+
+    def test_ablate_rare_keyword_outside_keyword_list(self, demo, trained,
+                                                      tmp_path, capsys):
+        rare = tmp_path / "rare.txt"
+        rare.write_text("# withheld from the LM text\nkw000\nkw999\n",
+                        encoding="utf-8")
+        rc = main(["--config", str(demo / "config.ini"), "ablate",
+                   str(trained), str(trained / "refs.tsv"),
+                   "--out", str(tmp_path / "report.json"),
+                   "--rare-keywords", str(rare)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (f"{rare}:3: keyword id 'kw999' is not in the keyword list"
+                in err)
 
 
 class TestFullChain:

@@ -99,9 +99,10 @@ class TestShallowFusion:
 
 
 def walk(trie, units, node=0):
-    """The trie node reached from node over units (ids below 10)."""
+    """The trie node reached from node over units; a unit at or past the
+    width of the next-move table leads to the root."""
     for u in units:
-        node = int(trie.next_row(node, 10)[u])
+        node = int(trie.next[node, u]) if u < trie.next.shape[1] else 0
     return node
 
 
@@ -149,18 +150,24 @@ class TestBiasTrie:
                                               max_size=4),
                                      st.integers(-5, 5)),
                            min_size=1, max_size=6),
-           seq=st.lists(st.integers(1, 3), max_size=12))
+           seq=st.lists(st.integers(0, 5), max_size=12))
     def test_bonus_matches_naive_suffix_sum(self, chunks, seq):
         trie = KeywordTrie()
-        for cid, (chunk, weight) in enumerate(chunks):
-            trie.insert(chunk, cid, float(weight))
+        for chunk, weight in chunks:
+            trie.insert(chunk, float(weight))
         trie.finalize()
+        width = trie.next.shape[1]
+        assert width == 1 + max(u for chunk, _ in chunks for u in chunk)
+        # the table is the goto/failure walk from every node on every unit,
+        # and the walk on a unit at or past its width ends at the root
+        for node in range(len(trie.goto)):
+            assert trie.next[node].tolist() == [
+                trie_step(trie, node, v) for v in range(width)]
+            assert [trie_step(trie, node, v)
+                    for v in range(width, width + 3)] == [0, 0, 0]
         node = 0
         for i, u in enumerate(seq):
-            row = trie.next_row(node, 4)
-            # the row is the goto/failure walk from node on every unit
-            assert row.tolist() == [trie_step(trie, node, v) for v in range(4)]
-            node = int(row[u])
+            node = walk(trie, [u], node)
             # every inserted chunk that ends at position i awards its weight
             expected = sum(w for c, w in chunks
                            if len(c) <= i + 1 and seq[i + 1 - len(c):i + 1] == c)
