@@ -4,8 +4,9 @@ Builds a synthetic Mandarin-like language: CJK code points assigned unique
 tonal-pinyin syllables, with designated confusable clusters (tone variants
 and zh/z-style initial variants) that drive both the acoustic confusion
 tables and the fuzzy-matching stress tests.  Corpora embed keywords into
-filler sentences; a subset of keywords is withheld from the LM training
-text so they are genuinely rare under the language model.
+filler sentences, no two occurrences (``units.find_all``) overlapping; a
+subset of keywords is withheld from the LM training text so they are
+genuinely rare under the language model.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .units import BLANK, Lexicon, UnitKind, UnitSet
+from .units import BLANK, Lexicon, UnitKind, UnitSet, find_all
 
 _INITIAL_PAIRS = [("zh", "z"), ("ch", "c"), ("sh", "s"), ("n", "l"), ("f", "h")]
 _PLAIN_INITIALS = ["b", "p", "m", "d", "t", "g", "k", "j", "q", "x", "r", "w", "y"]
@@ -106,27 +107,13 @@ def make_corpus(lang: ToyLanguage, num_utts: int = 200, num_keywords: int = 50,
                 _, text = rng.choice(keywords)
                 parts.insert(rng.randrange(len(parts) + 1), text)
             sent = "".join(parts)
-            if _no_overlap(_scan_refs(sent, keywords)):
+            spans = sorted((i, i + len(text)) for _, text in keywords
+                           for i in find_all(sent, text))
+            if all(a[1] <= b[0] for a, b in zip(spans, spans[1:])):
                 break
         transcripts.append((f"utt{n:04d}", sent))
     return ToyCorpus(keywords=keywords, rare_kw_ids=rare_ids,
                      transcripts=transcripts, lm_lines=lm_lines)
-
-
-def _scan_refs(sent, keywords):
-    """(char_start, char_end) of every keyword occurrence in sent."""
-    spans = []
-    for _, text in keywords:
-        start = sent.find(text)
-        while start != -1:
-            spans.append((start, start + len(text)))
-            start = sent.find(text, start + 1)
-    return spans
-
-
-def _no_overlap(spans):
-    spans = sorted(spans)
-    return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 def confusion_tables(lang: ToyLanguage):

@@ -120,6 +120,8 @@ def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
                     cfg: BiasConfig, unit_names=None) -> KeywordTrie:
     """Chunk each keyword to at most chunk_len units and insert with Eq-style
     affine weights computed from the chunk's LM score (no sentence boundaries)."""
+    if lm is not None and unit_names is None:
+        raise ValueError("an LM needs unit_names to score keyword chunks")
     trie = KeywordTrie()
     for kw in keywords:
         if not kw:
@@ -127,8 +129,8 @@ def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
         for start in range(0, len(kw), cfg.chunk_len):
             chunk = kw[start:start + cfg.chunk_len]
             if lm is not None and cfg.alpha != 0.0:
-                names = [unit_names[u] for u in chunk] if unit_names else [str(u) for u in chunk]
-                lm_score = lm.score_sequence(names, with_boundaries=False)
+                lm_score = lm.score_sequence([unit_names[u] for u in chunk],
+                                             with_boundaries=False)
             else:
                 lm_score = 0.0
             weight = -cfg.alpha * lm_score + cfg.beta

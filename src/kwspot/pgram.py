@@ -3,7 +3,8 @@
 The posteriorgram is the sole acoustic interface: a T x V matrix of natural-log
 posteriors over a unit set, one row per frame.  The synthetic generator stands
 in for the acoustic model so every downstream algorithm can be verified at desk
-scale against enumeration oracles.
+scale against enumeration oracles; its frame layout, ``token_layout``, also
+times the reference keyword occurrences.
 """
 
 from __future__ import annotations
@@ -108,27 +109,20 @@ def _row(v: int, target: int, noise: float, partners, rng) -> np.ndarray:
 def synth_generate(transcript: list[int], us: UnitSet, cfg: SynthConfig,
                    utt_id: str = "synth",
                    frame_period_s: float = DEFAULT_FRAME_PERIOD_S) -> Posteriorgram:
-    """Layout: blank_gap blanks, frames_per_token frames per token, blank_gap blanks."""
+    """One row per frame: the ``token_layout`` spans hold their tokens, all
+    else is blank, and blank_gap blank frames follow the last token."""
     v = len(us)
     for tok in transcript:
         if tok == us.blank_index or not 0 <= tok < v:
             raise InvalidTranscript(f"token {tok} invalid")
+    spans = token_layout(transcript, cfg)
+    targets = [us.blank_index] * ((spans[-1][1] if spans else cfg.blank_gap)
+                                  + cfg.blank_gap)
+    for tok, (start, end) in zip(transcript, spans):
+        targets[start:end] = [tok] * (end - start)
     rng = np.random.default_rng(cfg.seed)
     conf = cfg.confusion or {}
-    rows = []
-    for _ in range(cfg.blank_gap):
-        rows.append(_row(v, us.blank_index, cfg.noise, conf.get(us.blank_index), rng))
-    prev = None
-    for tok in transcript:
-        if tok == prev:
-            # repeated tokens need a separating blank to survive CTC collapse
-            rows.append(_row(v, us.blank_index, cfg.noise,
-                             conf.get(us.blank_index), rng))
-        for _ in range(cfg.frames_per_token):
-            rows.append(_row(v, tok, cfg.noise, conf.get(tok), rng))
-        prev = tok
-    for _ in range(cfg.blank_gap):
-        rows.append(_row(v, us.blank_index, cfg.noise, conf.get(us.blank_index), rng))
+    rows = [_row(v, t, cfg.noise, conf.get(t), rng) for t in targets]
     logp = np.array(rows, dtype=np.float64) if rows else np.zeros((0, v))
     return Posteriorgram(utt_id=utt_id, unit_set_id=us.id,
                          frame_period_s=frame_period_s,
@@ -136,12 +130,14 @@ def synth_generate(transcript: list[int], us: UnitSet, cfg: SynthConfig,
 
 
 def token_layout(transcript: list[int], cfg: SynthConfig) -> list[tuple[int, int]]:
-    """Frame spans [start, end) the generator assigns to each transcript token."""
+    """Frame spans [start, end) the generator assigns to each transcript token:
+    blank_gap blanks, then frames_per_token frames a token."""
     spans = []
     pos = cfg.blank_gap
     prev = None
     for tok in transcript:
         if tok == prev:
+            # repeated tokens need a separating blank to survive CTC collapse
             pos += 1
         spans.append((pos, pos + cfg.frames_per_token))
         pos += cfg.frames_per_token

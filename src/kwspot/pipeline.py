@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
 from .pgram import (Posteriorgram, SynthConfig, TokenSpan, read_pgram,
                     synth_generate, token_layout, write_pgram)
 from .phonetics import CostTable
-from .units import Lexicon, UnitSet, read_tsv, syllabify, tokenize_chars
+from .units import (Lexicon, UnitSet, find_all, read_tsv, syllabify,
+                    tokenize_chars)
 
 
 def load_id_text(path) -> list[tuple[str, str]]:
@@ -50,9 +52,11 @@ def synth_corpus(transcripts, keywords, char_set, syll_set, lexicon,
                  char_confusion=None, syll_confusion=None):
     """Generate char+syllable posteriorgrams and the reference TSV.
 
-    Returns (refs, skipped_utts).  Reference spans come from the generator's
-    frame layout for each keyword occurrence found in the transcript text.
+    Returns (refs, skipped_utts).  A reference is an occurrence of a keyword's
+    char units in an utterance's char tokens (both without whitespace), timed
+    by the generator's frame layout; a keyword out of vocabulary raises.
     """
+    keywords = build_keywords(keywords, char_set, lexicon, syll_set)
     out_dir = Path(out_dir)
     (out_dir / "char").mkdir(parents=True, exist_ok=True)
     (out_dir / "syll").mkdir(parents=True, exist_ok=True)
@@ -75,16 +79,12 @@ def synth_corpus(transcripts, keywords, char_set, syll_set, lexicon,
         write_pgram(pg_c, out_dir / "char" / f"{utt_id}.pgram")
         write_pgram(pg_s, out_dir / "syll" / f"{utt_id}.pgram")
         layout = token_layout(tr_c, synth_cfg)
-        compact = text.replace(" ", "")
-        for kw_id, kw_text in keywords:
-            start = compact.find(kw_text)
-            while start != -1:
-                end = start + len(kw_text)
-                refs.append(RefOccurrence(
-                    utt_id, kw_id,
-                    layout[start][0] * frame_period_s,
-                    layout[end - 1][1] * frame_period_s))
-                start = compact.find(kw_text, start + 1)
+        for kw in keywords:
+            n = len(kw.char_units)
+            for i in find_all(tr_c, list(kw.char_units)):
+                refs.append(RefOccurrence(utt_id, kw.id,
+                                          layout[i][0] * frame_period_s,
+                                          layout[i + n - 1][1] * frame_period_s))
     refs.sort(key=lambda r: (r.utt_id, r.kw_id, r.start_s))
     return refs, skipped
 
@@ -108,22 +108,22 @@ def _read_utt_pgram(path) -> Posteriorgram:
     return pg
 
 
-def _decode_one(args):
-    path, us, lm, trie, beam_cfg = args
+def _decode_one(us, lm, trie, beam_cfg, path):
     pg = _read_utt_pgram(path)
-    nbest = prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=beam_cfg)
-    return pg.utt_id, nbest
+    return pg.utt_id, prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=beam_cfg)
 
 
 def decode_dir(pgram_dir, us: UnitSet, lm: NGramLM | None,
                trie: KeywordTrie | None, beam_cfg: BeamConfig,
                jobs: int = 1) -> dict[str, list[NBestEntry]]:
-    work = [(p, us, lm, trie, beam_cfg) for p in _pgram_paths(pgram_dir)]
+    paths = _pgram_paths(pgram_dir)
+    decode = partial(_decode_one, us, lm, trie, beam_cfg)
     if jobs > 1:
+        # one chunk per worker: the decoder is pickled with each chunk
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_decode_one, work)
+            results = pool.map(decode, paths, -(-len(paths) // jobs))
     else:
-        results = [_decode_one(w) for w in work]
+        results = map(decode, paths)
     return dict(sorted(results))
 
 
@@ -194,10 +194,16 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             if any(not 0 < t < len(us) for e in entries for t in e.tokens):
                 raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
                                 f"the {us.id!r} units 1..{len(us) - 1}")
+    pgram_dir = Path(pgram_dir)
+    for stage in ("char", "syll") if nbest_syll is not None else ("char",):
+        extra = sorted({p.stem for p in (pgram_dir / stage).glob("*.pgram")}
+                       - set(nbest_char))
+        if extra:
+            raise BadFormat(f"{pgram_dir / stage}: no N-best entry covers "
+                            f"utterance(s) {extra}")
     fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
              if kws_mod.Stage.FUZZY in cfg.stages_enabled else None)
     hits: list[Hit] = []
-    pgram_dir = Path(pgram_dir)
     for utt_id in sorted(nbest_char):
         pg_c = _read_utt_pgram(pgram_dir / "char" / f"{utt_id}.pgram")
         pg_s = nb_s = None

@@ -120,6 +120,12 @@ def tokenize_chars(text: str, us: UnitSet) -> list[int]:
     return ids
 
 
+def find_all(seq, sub) -> list[int]:
+    """Each start of sub in seq, overlaps included (both str or both list)."""
+    n = len(sub)
+    return [i for i in range(len(seq) - n + 1) if seq[i:i + n] == sub]
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """char unit -> ordered pronunciations; first listed is primary."""

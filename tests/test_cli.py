@@ -123,6 +123,19 @@ class TestExitCodes:
         assert rc == 1
         assert "skipped ux" in capsys.readouterr().err
 
+    def test_synth_out_of_vocabulary_keyword(self, demo, tmp_path, capsys):
+        keywords = tmp_path / "keywords.tsv"
+        keywords.write_text((demo / "keywords.tsv").read_text(encoding="utf-8")
+                            + "kx\t?\n", encoding="utf-8")
+        cfg = demo / "config.ini"
+        bad = tmp_path / "config.ini"
+        bad.write_text(cfg.read_text(encoding="utf-8").replace(
+            str(demo / "keywords.tsv"), str(keywords)), encoding="utf-8")
+        rc = main(["--config", str(bad), "synth",
+                   str(demo / "transcripts.tsv"), str(tmp_path / "pg")])
+        assert rc == 1
+        assert repr("?") in capsys.readouterr().err
+
     def test_eval_needs_speech_duration(self, demo, tmp_path):
         hits = tmp_path / "hits.tsv"
         hits.write_text("", encoding="utf-8")

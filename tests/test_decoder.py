@@ -116,6 +116,11 @@ class TestBiasTrie:
         node = walk(trie, [1, 2])
         assert trie.node_bonus[node] == pytest.approx(-lm_score + 4.0)
 
+    def test_lm_needs_unit_names(self):
+        lm = train(["ab ab ab ab"], order=2, discount=0.0)
+        with pytest.raises(ValueError, match="unit_names"):
+            build_bias_trie([[1, 2]], lm, BiasConfig())
+
     def test_alpha_zero_gives_beta(self):
         cfg = BiasConfig(alpha=0.0, beta=7.5, chunk_len=4)
         trie = build_bias_trie([[1, 2]], None, cfg)

@@ -89,6 +89,25 @@ class TestSynth:
         # repeated token gets a separating blank frame
         assert token_layout([1, 1], cfg) == [(2, 5), (6, 9)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 2), max_size=8), st.integers(1, 4),
+           st.integers(0, 3))
+    def test_noiseless_frames_follow_token_layout(self, transcript, fpt, gap):
+        # the layout rule, written out: gap blanks, fpt frames a token after
+        # a blank if it repeats the token before, gap blanks
+        cfg = SynthConfig(frames_per_token=fpt, blank_gap=gap)
+        spans = token_layout(transcript, cfg)
+        frames = [0] * gap
+        for i, tok in enumerate(transcript):
+            if i and tok == transcript[i - 1]:
+                frames.append(0)
+            assert spans[i] == (len(frames), len(frames) + fpt)
+            frames += [tok] * fpt
+        frames += [0] * gap
+        pg = synth_generate(transcript, US, cfg)
+        assert pg.logp.argmax(axis=1).tolist() == frames
+        assert np.all(pg.logp.max(axis=1) == 0.0)
+
     def test_repeat_transcript_recoverable(self):
         pg = synth_generate([1, 1], US, SynthConfig(frames_per_token=2, blank_gap=1))
         assert greedy_path(pg)[0] == [1, 1]

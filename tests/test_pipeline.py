@@ -50,22 +50,39 @@ class TestUttSeed:
 
 
 class TestSynthCorpus:
-    def test_refs_match_generator_layout(self, lang, tmp_path):
+    # {i} is char unit i; whitespace is in no token, so each case has the
+    # refs of the plain transcript 123 with keyword 23
+    @pytest.mark.parametrize("text, kw_text", [
+        pytest.param("{1}{2}{3}", "{2}{3}", id="plain"),
+        pytest.param("{1}\u3000{2}{3}", "{2}{3}", id="ideographic-space"),
+        pytest.param("{1}{2}\t{3}", "{2}{3}", id="tab-in-keyword"),
+        pytest.param("{1}{2}{3}", "{2} {3}", id="space-in-keyword-text"),
+    ])
+    def test_refs_match_generator_layout(self, lang, tmp_path, text, kw_text):
         ch = lang.char_set.units
-        text = ch[1] + ch[2] + ch[3]
-        kw = (("k1", ch[2] + ch[3]),)
+        text, kw_text = text.format(*ch), kw_text.format(*ch)
         scfg = SynthConfig(noise=0.0)
         refs, skipped = pipeline.synth_corpus(
-            [("u1", text)], kw, lang.char_set, lang.syll_set, lang.lexicon,
-            scfg, tmp_path, seed=0, frame_period_s=0.04)
+            [("u1", text)], [("k1", kw_text)], lang.char_set, lang.syll_set,
+            lang.lexicon, scfg, tmp_path, seed=0, frame_period_s=0.04)
         assert not skipped
         assert (tmp_path / "char" / "u1.pgram").exists()
         assert (tmp_path / "syll" / "u1.pgram").exists()
-        layout = token_layout(tokenize_chars(text, lang.char_set), scfg)
+        layout = token_layout(tokenize_chars(ch[1] + ch[2] + ch[3],
+                                             lang.char_set), scfg)
         (ref,) = refs
         assert ref.kw_id == "k1"
         assert ref.start_s == pytest.approx(layout[1][0] * 0.04)
         assert ref.end_s == pytest.approx(layout[2][1] * 0.04)
+
+    def test_out_of_vocabulary_keyword_raises(self, lang, tmp_path):
+        ch = lang.char_set.units
+        with pytest.raises(OutOfVocabulary, match=repr("?")):
+            pipeline.synth_corpus(
+                [("u1", ch[1] + ch[2])], [("k1", ch[1]), ("k2", ch[2] + "?")],
+                lang.char_set, lang.syll_set, lang.lexicon, SynthConfig(),
+                tmp_path, seed=0, frame_period_s=0.04)
+        assert not (tmp_path / "char").exists()
 
     def test_oov_utterance_skipped(self, lang, tmp_path):
         refs, skipped = pipeline.synth_corpus(
@@ -335,6 +352,19 @@ class TestBrokenKwsInputs:
         first = min(nb_c)
         (data / "syll" / f"{first}.pgram").unlink()
         with pytest.raises(FileNotFoundError, match=first):
+            self._run_kws(lang, data, nb_c, nb_s, keywords)
+
+    @pytest.mark.parametrize("stage", ["char", "syll"])
+    def test_pgram_without_nbest_entry(self, lang, small_run, decoded,
+                                       tmp_path, stage):
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        data = tmp_path / "data"
+        shutil.copytree(out, data)
+        pg = read_pgram(data / stage / f"{min(nb_c)}.pgram")
+        write_pgram(replace(pg, utt_id="zz_extra"),
+                    data / stage / "zz_extra.pgram")
+        with pytest.raises(BadFormat, match=f"{stage}: .*'zz_extra'"):
             self._run_kws(lang, data, nb_c, nb_s, keywords)
 
 
