@@ -8,6 +8,7 @@ operating point (beam 10, bias alpha=1 beta=4, fuzzy threshold 0.5).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .decoder import BeamConfig, BiasConfig
@@ -47,7 +48,8 @@ _SECTIONS = {"paths": Paths, "beam": BeamConfig, "bias": BiasConfig,
 _NOT_SETTABLE = {"confusion", "seed", "total_speech_s"}
 
 
-def _coerce(raw: str, target_type):
+def _coerce(raw: str, target_type, where: str):
+    """raw as target_type; a NaN float is a ValueError naming ``where``."""
     if target_type is bool:
         try:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -56,7 +58,10 @@ def _coerce(raw: str, target_type):
     if target_type is int:
         return int(raw)
     if target_type is float:
-        return float(raw)
+        value = float(raw)
+        if math.isnan(value):
+            raise ValueError(f"{where}: not a number: {raw!r}")
+        return value
     return raw
 
 
@@ -86,11 +91,12 @@ def load_config(path) -> PipelineConfig:
             if key == "stages_enabled":
                 kwargs[key] = frozenset(Stage(s) for s in raw.split())
             else:
-                kwargs[key] = _coerce(raw, float if default is None
-                                      else type(default))
+                target = float if default is None else type(default)
+                kwargs[key] = _coerce(raw, target, f"[{section}] {key}")
         setattr(cfg, section, cls(**kwargs))
     for key, raw in sections.get("run", []):
         if key not in ("seed", "jobs", "frame_period_s"):
             raise ValueError(f"unknown key {key!r} in [run]")
-        setattr(cfg, key, _coerce(raw, type(getattr(cfg, key))))
+        setattr(cfg, key, _coerce(raw, type(getattr(cfg, key)),
+                                  f"[run] {key}"))
     return cfg

@@ -43,6 +43,8 @@ class BeamConfig:
     nbest: int = 10
     lm_weight: float = 0.3
     token_min_logp: float = -12.0
+    # whether ``kwspot decode`` builds a keyword trie; the search itself
+    # biases exactly when it is given a trie
     bias_enabled: bool = True
 
     def __post_init__(self):
@@ -50,6 +52,8 @@ class BeamConfig:
             raise ValueError("beam_size must be >= 1")
         if self.nbest < 1:
             raise ValueError("nbest must be >= 1")
+        if not math.isfinite(self.lm_weight):
+            raise ValueError(f"lm_weight must be finite, got {self.lm_weight}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,10 @@ class BiasConfig:
     def __post_init__(self):
         if self.chunk_len < 1:
             raise ValueError("chunk_len must be >= 1")
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
 
 
 class KeywordTrie:
@@ -190,7 +198,7 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
     # one node 0 whose bonus is 0.0
     trie_next = np.zeros((1, len(cols)), dtype=np.intp)
     node_bonus = np.zeros(1)
-    if trie is not None and cfg.bias_enabled:
+    if trie is not None:
         inside = cols < trie.next.shape[1]  # later units lead to the root
         trie_next = np.zeros((len(trie.next), len(cols)), dtype=np.intp)
         trie_next[:, inside] = trie.next[:, cols[inside]]

@@ -70,6 +70,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.frames_per_token < 1:
             raise ValueError("frames_per_token must be >= 1")
+        if self.blank_gap < 0:
+            raise ValueError("blank_gap must be >= 0")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError("noise must be in [0, 1)")
 

@@ -13,13 +13,11 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import kws as kws_mod
 from .decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                       build_bias_trie, prefix_beam_search)
 from .errors import BadFormat, NoScorableKeywords, OutOfVocabulary
-from .kws import Hit, Keyword, KwsConfig, detect
+from .kws import Hit, Keyword, KwsConfig, Stage, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
 from .pgram import (Posteriorgram, SynthConfig, TokenSpan, read_pgram,
@@ -30,8 +28,15 @@ from .units import (Lexicon, UnitSet, find_all, read_tsv, syllabify,
 
 
 def load_id_text(path) -> list[tuple[str, str]]:
-    """``id<TAB>text`` lines (transcripts, keyword lists)."""
-    return list(read_tsv(path, 2))
+    """``id<TAB>text`` lines (transcripts, keyword lists), each id once."""
+    seen = set()
+
+    def entry(fields):
+        if fields[0] in seen:
+            raise ValueError(f"id {fields[0]!r} repeated")
+        seen.add(fields[0])
+        return tuple(fields)
+    return list(read_tsv(path, 2, entry))
 
 
 def build_keywords(entries, char_set: UnitSet, lexicon: Lexicon,
@@ -89,42 +94,44 @@ def synth_corpus(transcripts, keywords, char_set, syll_set, lexicon,
     return refs, skipped
 
 
-def _pgram_paths(pgram_dir) -> list[Path]:
-    """The ``.pgram`` files of a directory, sorted; a missing directory, or
+def load_pgrams(pgram_dir) -> dict[str, Posteriorgram]:
+    """The posteriorgrams of a directory by utterance id, read in sorted path
+    order.  Each file is named ``<utt_id>.pgram``; a missing directory, or
     one without such a file, is an error rather than an empty result."""
     paths = sorted(Path(pgram_dir).glob("*.pgram"))
     if not paths:
         raise FileNotFoundError(f"{pgram_dir}: no .pgram file (missing or "
                                 f"empty posteriorgram directory)")
-    return paths
+    pgrams = {}
+    for path in paths:
+        pg = read_pgram(path)
+        if pg.utt_id != path.stem:
+            raise BadFormat(f"{path}: utterance id {pg.utt_id!r} differs from "
+                            f"the file name")
+        pgrams[pg.utt_id] = pg
+    return pgrams
 
 
-def _read_utt_pgram(path) -> Posteriorgram:
-    """A posteriorgram file is named ``<utt_id>.pgram``."""
-    pg = read_pgram(path)
-    if pg.utt_id != Path(path).stem:
-        raise BadFormat(f"{path}: utterance id {pg.utt_id!r} differs from "
-                        f"the file name")
-    return pg
-
-
-def _decode_one(us, lm, trie, beam_cfg, path):
-    pg = _read_utt_pgram(path)
-    return pg.utt_id, prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=beam_cfg)
+def _search(us, lm, trie, beam_cfg, pg):
+    # module-level, so that a Pool can pickle it
+    return prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=beam_cfg)
 
 
 def decode_dir(pgram_dir, us: UnitSet, lm: NGramLM | None,
                trie: KeywordTrie | None, beam_cfg: BeamConfig,
                jobs: int = 1) -> dict[str, list[NBestEntry]]:
-    paths = _pgram_paths(pgram_dir)
-    decode = partial(_decode_one, us, lm, trie, beam_cfg)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    pgrams = load_pgrams(pgram_dir)
+    search = partial(_search, us, lm, trie, beam_cfg)
     if jobs > 1:
         # one chunk per worker: the decoder is pickled with each chunk
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(decode, paths, -(-len(paths) // jobs))
+            nbests = pool.map(search, pgrams.values(),
+                              -(-len(pgrams) // jobs))
     else:
-        results = map(decode, paths)
-    return dict(sorted(results))
+        nbests = map(search, pgrams.values())
+    return dict(sorted(zip(pgrams, nbests)))
 
 
 def write_nbest(nbest_by_utt: dict[str, list[NBestEntry]], path) -> None:
@@ -194,31 +201,32 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             if any(not 0 < t < len(us) for e in entries for t in e.tokens):
                 raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
                                 f"the {us.id!r} units 1..{len(us) - 1}")
-    pgram_dir = Path(pgram_dir)
+    pgrams = {}
     for stage in ("char", "syll") if nbest_syll is not None else ("char",):
-        extra = sorted({p.stem for p in (pgram_dir / stage).glob("*.pgram")}
-                       - set(nbest_char))
+        stage_dir = Path(pgram_dir) / stage
+        pgrams[stage] = load_pgrams(stage_dir)
+        extra = sorted(pgrams[stage].keys() - nbest_char.keys())
         if extra:
-            raise BadFormat(f"{pgram_dir / stage}: no N-best entry covers "
+            raise BadFormat(f"{stage_dir}: no N-best entry covers "
                             f"utterance(s) {extra}")
+        missing = sorted(nbest_char.keys() - pgrams[stage].keys())
+        if missing:
+            raise FileNotFoundError(f"{stage_dir}: no .pgram file for "
+                                    f"utterance(s) {missing}")
     fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
-             if kws_mod.Stage.FUZZY in cfg.stages_enabled else None)
+             if Stage.FUZZY in cfg.stages_enabled else None)
+    syll_pgrams, syll_nbest = pgrams.get("syll", {}), nbest_syll or {}
     hits: list[Hit] = []
     for utt_id in sorted(nbest_char):
-        pg_c = _read_utt_pgram(pgram_dir / "char" / f"{utt_id}.pgram")
-        pg_s = nb_s = None
-        if nbest_syll is not None:
-            nb_s = nbest_syll[utt_id]
-            pg_s = _read_utt_pgram(pgram_dir / "syll" / f"{utt_id}.pgram")
-        hits.extend(detect(pg_c, pg_s, nbest_char[utt_id], nb_s, keywords,
-                           fuzzy, cfg))
+        hits.extend(detect(pgrams["char"][utt_id], syll_pgrams.get(utt_id),
+                           nbest_char[utt_id], syll_nbest.get(utt_id),
+                           keywords, fuzzy, cfg))
     return hits
 
 
 def total_speech_seconds(pgram_dir) -> float:
     total = 0.0
-    for p in _pgram_paths(pgram_dir):
-        pg = _read_utt_pgram(p)
+    for pg in load_pgrams(pgram_dir).values():
         total += pg.num_frames * pg.frame_period_s
     return total
 
@@ -268,22 +276,27 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
 # ablation ladder
 
 
-LADDER = ["greedy", "+lm", "+length_norm", "+nbest", "+bias", "+fuzzy",
-          "+syllable"]
-
-
-def _ladder_settings(row: str):
-    """Cumulative toggles for one ladder row."""
-    idx = LADDER.index(row)
-    return {
-        "use_lm": idx >= 1,
-        "length_norm": idx >= 2,
-        "nbest_matching": idx >= 3,
-        "bias": idx >= 4,
-        "fuzzy": idx >= 5,
-        "syllable": idx >= 6,
-        "beam_size": 1 if idx == 0 else None,  # None: configured value
-    }
+# The ablation ladder's four decodes: stage, beam size (None: the
+# configured one), and whether the LM and the keyword trie take part.
+LADDER_DECODES = {
+    "greedy": ("char", 1, False, False),
+    "lm": ("char", None, True, False),
+    "bias": ("char", None, True, True),
+    "syll_bias": ("syll", None, True, True),
+}
+# Each row adds one method to the row before it.  Method -> (char decode,
+# syllable decode, kws stages, N-best matching, length normalisation).
+LADDER_ROWS = {
+    "greedy": ("greedy", None, (Stage.CHAR,), False, False),
+    "+lm": ("lm", None, (Stage.CHAR,), False, False),
+    "+length_norm": ("lm", None, (Stage.CHAR,), False, True),
+    "+nbest": ("lm", None, (Stage.CHAR,), True, True),
+    "+bias": ("bias", None, (Stage.CHAR,), True, True),
+    "+fuzzy": ("bias", None, (Stage.CHAR, Stage.FUZZY), True, True),
+    "+syllable": ("bias", "syll_bias",
+                  (Stage.CHAR, Stage.FUZZY, Stage.SYLLABLE), True, True),
+}
+LADDER = list(LADDER_ROWS)
 
 
 def run_ablation(pgram_dir, refs, keywords: list[Keyword],
@@ -303,43 +316,29 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
                                 char_lm, bias_cfg, unit_names=char_set.units)
     syll_trie = build_bias_trie([list(k.syll_units) for k in keywords],
                                 syll_lm, bias_cfg, unit_names=syll_set.units)
-    decode_cache: dict[tuple, dict] = {}
-
-    def decode(stage_dir, us, lm, trie, beam):
-        key = (stage_dir, lm is not None, trie is not None, beam)
-        if key not in decode_cache:
-            decode_cache[key] = decode_dir(Path(pgram_dir) / stage_dir, us, lm,
-                                           trie, beam, jobs=jobs)
-        return decode_cache[key]
+    models = {"char": (char_set, char_lm, char_trie),
+              "syll": (syll_set, syll_lm, syll_trie)}
+    nbest = {}
+    for name, (stage, beam_size, with_lm, with_trie) in LADDER_DECODES.items():
+        us, lm, trie = models[stage]
+        nbest[name] = decode_dir(
+            Path(pgram_dir) / stage, us, lm if with_lm else None,
+            trie if with_trie else None,
+            replace(beam_cfg, beam_size=beam_size or beam_cfg.beam_size),
+            jobs=jobs)
 
     rows = []
-    for row in LADDER:
-        s = _ladder_settings(row)
-        beam = replace(beam_cfg,
-                       beam_size=s["beam_size"] or beam_cfg.beam_size,
-                       lm_weight=beam_cfg.lm_weight if s["use_lm"] else 0.0,
-                       bias_enabled=s["bias"])
-        nb_c = decode("char", char_set, char_lm if s["use_lm"] else None,
-                      char_trie if s["bias"] else None, beam)
-        nb_s = None
-        if s["syllable"]:
-            nb_s = decode("syll", syll_set, syll_lm if s["use_lm"] else None,
-                          syll_trie if s["bias"] else None, beam)
-        stages = {kws_mod.Stage.CHAR}
-        if s["fuzzy"]:
-            stages.add(kws_mod.Stage.FUZZY)
-        if s["syllable"]:
-            stages.add(kws_mod.Stage.SYLLABLE)
+    for method, (char, syll, stages, nbest_matching, length_norm) \
+            in LADDER_ROWS.items():
         kcfg = replace(kws_cfg, stages_enabled=frozenset(stages),
-                       nbest_matching=s["nbest_matching"],
-                       length_norm=s["length_norm"])
-        hits = run_kws(pgram_dir, nb_c, nb_s, keywords, char_set, syll_set,
-                       lexicon, costs, kcfg)
+                       nbest_matching=nbest_matching, length_norm=length_norm)
+        hits = run_kws(pgram_dir, nbest[char], nbest[syll] if syll else None,
+                       keywords, char_set, syll_set, lexicon, costs, kcfg)
         report = evaluate(hits, refs, eval_cfg, sweep_points=0)
         # recall over all matches, before the decision threshold
         a_tp, _, a_fn = align_hits(hits, refs, eval_cfg)
         _, recall_all, _ = f1(len(a_tp), 0, len(a_fn))
-        entry = {"method": row, "f1": report["f1"],
+        entry = {"method": method, "f1": report["f1"],
                  "atwv": report["atwv"],
                  "precision": report["precision"],
                  "recall": report["recall"],

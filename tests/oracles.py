@@ -190,7 +190,7 @@ def prefix_beam_search(pg, us, lm=None, trie=None, cfg=BeamConfig()):
         raise UnitSetMismatch("unit count mismatch")
     blank = us.blank_index
     lp = pg.logp.astype(np.float64)
-    use_bias = trie is not None and cfg.bias_enabled
+    use_bias = trie is not None
     lmw = cfg.lm_weight * LN10  # applied to log10 LM increments
 
     empty = ()

@@ -136,6 +136,63 @@ class TestExitCodes:
         assert rc == 1
         assert repr("?") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "kws"])
+    def test_repeated_id_names_line(self, demo, trained, tmp_path, capsys,
+                                    command):
+        cfg = demo / "config.ini"
+        if command == "synth":
+            listed = tmp_path / "transcripts.tsv"
+            text = (demo / "transcripts.tsv").read_text(encoding="utf-8")
+            args = ["synth", str(listed), str(tmp_path / "pg")]
+        else:
+            listed = tmp_path / "keywords.tsv"
+            text = (demo / "keywords.tsv").read_text(encoding="utf-8")
+            cfg = tmp_path / "config.ini"
+            cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                           .replace(str(demo / "keywords.tsv"), str(listed)),
+                           encoding="utf-8")
+            nbest = tmp_path / "char.jsonl"
+            write_nbest({}, nbest)
+            args = ["kws", str(trained), str(tmp_path / "hits.tsv"),
+                    "--nbest-char", str(nbest)]
+        lines = text.splitlines(keepends=True)
+        first_id = lines[0].split("\t")[0]
+        listed.write_text(text + lines[0], encoding="utf-8")
+        rc = main(["--config", str(cfg), *args])
+        assert rc == 1
+        assert (f"{listed}:{len(lines) + 1}: id {first_id!r} repeated"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("line", ["[beam]\nlm_weight = nan",
+                                      "[bias]\nalpha = inf",
+                                      "[kws]\nfuzzy_threshold = nan"])
+    def test_non_finite_config_value(self, demo, trained, tmp_path, capsys,
+                                     line):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       + line + "\n", encoding="utf-8")
+        out = tmp_path / "nbest.jsonl"
+        rc = main(["--config", str(cfg), "decode", str(trained / "char"),
+                   str(out)])
+        assert rc == 2
+        assert line.split("\n")[1].split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_jobs_below_one(self, demo, trained, tmp_path, capsys, how):
+        cfg = demo / "config.ini"
+        args = ["--config", str(cfg), "--jobs", "-5"]
+        if how == "config":
+            args = ["--config", str(tmp_path / "config.ini")]
+            (tmp_path / "config.ini").write_text(
+                cfg.read_text(encoding="utf-8").replace(
+                    "[run]\n", "[run]\njobs = 0\n"), encoding="utf-8")
+        out = tmp_path / "nbest.jsonl"
+        rc = main([*args, "decode", str(trained / "char"), str(out)])
+        assert rc == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_needs_speech_duration(self, demo, tmp_path):
         hits = tmp_path / "hits.tsv"
         hits.write_text("", encoding="utf-8")

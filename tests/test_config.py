@@ -104,6 +104,28 @@ frame_period_s = 0.02
         with pytest.raises(ValueError, match="nbest"):
             load_config(write(tmp_path, f"[beam]\nnbest = {nbest}\n"))
 
+    @pytest.mark.parametrize("section, key", [
+        ("beam", "lm_weight"), ("beam", "token_min_logp"), ("bias", "alpha"),
+        ("kws", "decision_threshold"), ("kws", "fuzzy_threshold"),
+        ("synth", "noise"), ("run", "frame_period_s"),
+    ])
+    @pytest.mark.parametrize("raw", ["nan", "-NaN"])
+    def test_nan_rejected_naming_section_and_key(self, tmp_path, section,
+                                                 key, raw):
+        with pytest.raises(ValueError, match=rf"\[{section}\] {key}: "):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+
+    @pytest.mark.parametrize("section, key", [
+        ("beam", "lm_weight"), ("bias", "alpha"), ("bias", "beta")])
+    @pytest.mark.parametrize("raw", ["inf", "-inf"])
+    def test_infinite_weight_rejected(self, tmp_path, section, key, raw):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+
+    def test_token_min_logp_may_be_minus_inf(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[beam]\ntoken_min_logp = -inf\n"))
+        assert cfg.beam.token_min_logp == float("-inf")
+
     @pytest.mark.parametrize("text", [
         "beam_size = 4\n",                             # no section header
         "[beam]\nbeam_size = 4\n[beam]\nnbest = 2\n",  # duplicate section

@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +226,29 @@ class TestBiasMonotonicity:
 
 
 class TestGuards:
+    def test_trie_alone_switches_bias_on(self):
+        rng = np.random.default_rng(7)
+        pg = Posteriorgram("u", "uab", 0.04,
+                           random_pgram_logp(rng, 4, 3).astype(np.float32))
+        trie = build_bias_trie([[1]], None, BiasConfig(alpha=0.0, beta=5.0))
+        off = replace(NO_PRUNE, bias_enabled=False)
+        on = replace(NO_PRUNE, bias_enabled=True)
+        got = prefix_beam_search(pg, US3, trie=trie, cfg=off)
+        assert any(e.score_bias == 5.0 for e in got)
+        assert [(e.tokens, e.score_total) for e in got] == [
+            (e.tokens, e.score_total)
+            for e in prefix_beam_search(pg, US3, trie=trie, cfg=on)]
+
+    @pytest.mark.parametrize("make", [
+        lambda x: BeamConfig(lm_weight=x),
+        lambda x: BiasConfig(alpha=x),
+        lambda x: BiasConfig(beta=x),
+    ], ids=["lm_weight", "alpha", "beta"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, make, x):
+        with pytest.raises(ValueError, match="finite"):
+            make(x)
+
     def test_unit_set_mismatch(self):
         pg = pg_from_probs([[0.5, 0.5]], "other")
         with pytest.raises(UnitSetMismatch):
@@ -299,7 +323,7 @@ def search_inputs(draw):
     cfg = BeamConfig(beam_size=draw(st.integers(1, 12)),
                      nbest=draw(st.integers(1, 12)),
                      lm_weight=draw(st.sampled_from([0.0, 0.3, 1.5])),
-                     token_min_logp=thr, bias_enabled=draw(st.booleans()))
+                     token_min_logp=thr)
     return pg, lm, trie, cfg
 
 

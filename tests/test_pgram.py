@@ -56,6 +56,11 @@ class TestSynth:
         with pytest.raises(InvalidTranscript):
             synth_generate([0], US, SynthConfig())
 
+    def test_negative_blank_gap_rejected(self):
+        # a gap of -1 would lay the first token at frame -1
+        with pytest.raises(ValueError, match="blank_gap"):
+            SynthConfig(blank_gap=-1)
+
     def test_deterministic_per_seed(self):
         cfg = SynthConfig(noise=0.3, seed=7)
         a = synth_generate([1, 2], US, cfg)

@@ -40,6 +40,12 @@ class TestFileParsing:
         with pytest.raises(BadFormat, match=":2:"):
             pipeline.load_id_text(p)
 
+    def test_repeated_id_is_bad_format(self, tmp_path):
+        p = tmp_path / "k.tsv"
+        p.write_text("k1\txy\n# k1 again\nk2\tz\nk1\tw\n", encoding="utf-8")
+        with pytest.raises(BadFormat, match=f"{p}:4: id 'k1' repeated"):
+            pipeline.load_id_text(p)
+
 
 class TestUttSeed:
     def test_deterministic_and_distinct(self):
@@ -120,6 +126,13 @@ class TestDecodeDir:
             assert [e.tokens for e in one[utt]] == [e.tokens for e in two[utt]]
             assert [e.score_total for e in one[utt]] == \
                 [e.score_total for e in two[utt]]
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_one_rejected(self, lang, small_run, jobs):
+        _, out, _, _ = small_run
+        with pytest.raises(ValueError, match="jobs"):
+            pipeline.decode_dir(out / "char", lang.char_set, None, None,
+                                BeamConfig(), jobs=jobs)
 
     def test_utt_id_must_match_file_name(self, lang, small_run, tmp_path):
         _, out, _, _ = small_run
@@ -417,17 +430,39 @@ class TestEvaluate:
         assert report["atwv"] == 0.0
 
 
-class TestAblationSettings:
-    def test_ladder_toggles_are_cumulative(self):
-        keys = ["use_lm", "length_norm", "nbest_matching", "bias", "fuzzy",
-                "syllable"]
-        prev = None
-        for row in pipeline.LADDER:
-            s = pipeline._ladder_settings(row)
-            if prev is not None:
-                for k in keys:
-                    assert prev[k] <= s[k]  # a toggle never switches back off
-            prev = s
-        assert pipeline._ladder_settings("greedy")["beam_size"] == 1
-        assert all(not pipeline._ladder_settings("greedy")[k] for k in keys)
-        assert all(pipeline._ladder_settings("+syllable")[k] for k in keys)
+class TestLadderTable:
+    @staticmethod
+    def methods(row):
+        """The methods a ladder row has on, named as the row that adds each."""
+        char, syll, stages, nbest_matching, length_norm = row
+        _, _, with_lm, with_trie = pipeline.LADDER_DECODES[char]
+        on = {"lm": with_lm, "length_norm": length_norm,
+              "nbest": nbest_matching, "bias": with_trie,
+              "fuzzy": Stage.FUZZY in stages,
+              "syllable": Stage.SYLLABLE in stages}
+        return {name for name, flag in on.items() if flag}
+
+    def test_each_row_adds_one_method(self):
+        rows = pipeline.LADDER_ROWS
+        assert pipeline.LADDER == list(rows)
+        assert self.methods(rows["greedy"]) == set()
+        for before, after in zip(pipeline.LADDER, pipeline.LADDER[1:]):
+            added = self.methods(rows[after]) - self.methods(rows[before])
+            assert self.methods(rows[before]) <= self.methods(rows[after])
+            assert added == {after.removeprefix("+")}
+            assert set(rows[before][2]) <= set(rows[after][2])
+        assert all(Stage.CHAR in row[2] for row in rows.values())
+
+    def test_decodes_go_greedy_lm_bias(self):
+        decodes = pipeline.LADDER_DECODES
+        assert decodes["greedy"] == ("char", 1, False, False)
+        order = list(decodes)
+        char = [order.index(row[0]) for row in pipeline.LADDER_ROWS.values()]
+        assert char == sorted(char)
+        assert [pipeline.LADDER_ROWS[m][0] for m in ("greedy", "+lm", "+bias")] \
+            == ["greedy", "lm", "bias"]
+        assert [m for m, row in pipeline.LADDER_ROWS.items()
+                if row[1] is not None] == ["+syllable"]
+        assert decodes[pipeline.LADDER_ROWS["+syllable"][1]][0] == "syll"
+        assert all(decodes[row[0]][0] == "char"
+                   for row in pipeline.LADDER_ROWS.values())
