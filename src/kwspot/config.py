@@ -99,4 +99,7 @@ def load_config(path) -> PipelineConfig:
             raise ValueError(f"unknown key {key!r} in [run]")
         setattr(cfg, key, _coerce(raw, type(getattr(cfg, key)),
                                   f"[run] {key}"))
+    if not (math.isfinite(cfg.frame_period_s) and cfg.frame_period_s > 0):
+        raise ValueError(f"[run] frame_period_s must be finite and > 0, got "
+                         f"{cfg.frame_period_s}")
     return cfg

@@ -2,15 +2,21 @@
 
 Matching runs in three stages: exact character, exact syllable, and fuzzy
 (phonetic edit distance over sliding windows of the character hypotheses).
-Every candidate is then scored by the CTC forward algorithm over the frame
-window its matched tokens align to, length-normalized in the log domain, and
-overlapping hits for the same keyword are merged keeping the higher score.
+Each utterance's N-best lists are indexed once (``WindowIndex``: per window
+width, a map from window to its (rank, start) positions), so exact matching
+is one lookup per keyword and fuzzy matching measures each distinct window
+once, in one batched ``phrase_distance`` per keyword.  Every candidate is
+then scored by the CTC forward algorithm over the frame window its matched
+tokens align to (once per distinct posteriorgram, units and window),
+length-normalized in the log domain, and overlapping hits for the same
+keyword are merged keeping the higher score.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +66,15 @@ class KwsConfig:
     nbest_matching: bool = True       # False: search only the top hypothesis
     length_norm: bool = True
 
+    def __post_init__(self):
+        # distances lie in [0, 1]; a threshold of 0 means no fuzzy hits
+        if not 0.0 <= self.fuzzy_threshold <= 1.0:
+            raise ValueError(f"fuzzy_threshold must be in [0, 1], got "
+                             f"{self.fuzzy_threshold}")
+        if not math.isfinite(self.decision_threshold):
+            raise ValueError(f"decision_threshold must be finite, got "
+                             f"{self.decision_threshold}")
+
 
 def char_syllables(char_set: UnitSet,
                    lexicon: Lexicon) -> tuple[Syllable | None, ...]:
@@ -78,56 +93,58 @@ def char_syllables(char_set: UnitSet,
 @dataclass(frozen=True)
 class FuzzyCosts:
     """What fuzzy matching reads during one run_kws call: the capped
-    substitution matrix over char unit ids (substitution_matrix), the indel
-    cost, and the memo of phrase distances by (window, keyword char units)."""
-    sub: list[list[float]]
+    substitution matrix over char unit ids (substitution_matrix) and the
+    indel cost."""
+    sub: np.ndarray
     indel_cost: float
-    memo: dict = field(default_factory=dict, repr=False)
 
 
 def fuzzy_costs(char_set: UnitSet, lexicon: Lexicon,
                 costs: CostTable) -> FuzzyCosts:
-    """A fresh FuzzyCosts for the char units, with an empty memo."""
+    """The FuzzyCosts of the char units."""
     return FuzzyCosts(substitution_matrix(char_syllables(char_set, lexicon),
                                           costs), costs.indel_cost)
 
 
-def _windows(nbest, k: int, max_rank: int | None):
-    """(rank, start, window) for every k-token window of nbest[:max_rank]."""
-    for rank, entry in enumerate(nbest[:max_rank]):
-        toks = tuple(entry.tokens)
-        for i in range(len(toks) - k + 1):
-            yield rank, i, toks[i:i + k]
+class WindowIndex(dict):
+    """The token windows of nbest[:max_rank], indexed per width on first
+    use: ``index[k]`` maps every k-token window to its [(rank, start)], in
+    rank, then start order."""
+
+    def __init__(self, nbest, max_rank: int | None = None):
+        super().__init__()
+        self.hyps = [tuple(entry.tokens) for entry in nbest[:max_rank]]
+
+    def __missing__(self, k: int) -> dict[tuple[int, ...], list]:
+        index: dict[tuple[int, ...], list] = {}
+        for rank, toks in enumerate(self.hyps):
+            for i in range(len(toks) - k + 1):
+                index.setdefault(toks[i:i + k], []).append((rank, i))
+        self[k] = index
+        return index
 
 
-def match_exact(nbest, kw_units: tuple[int, ...], max_rank: int | None = None):
-    """All contiguous occurrences of kw_units in every hypothesis."""
+def match_exact(nbest, kw_units: tuple[int, ...], windows: WindowIndex):
+    """All contiguous occurrences of kw_units in the hypotheses of nbest
+    that ``windows`` indexes."""
     kw = tuple(kw_units)
-    return [(rank, i, i + len(kw))
-            for rank, i, window in _windows(nbest, len(kw), max_rank)
-            if window == kw]
+    return [(rank, i, i + len(kw)) for rank, i in windows[len(kw)].get(kw, ())]
 
 
 def match_fuzzy(nbest, kw: Keyword, fuzzy: FuzzyCosts, threshold: float,
-                max_rank: int | None = None):
-    """Sliding windows of width |kw| whose pronunciation is close to the
-    keyword's; exact character matches are excluded.  Each distinct (window,
-    keyword) distance is computed once per ``fuzzy`` memo."""
+                windows: WindowIndex):
+    """Windows of width |kw| (of the hypotheses of nbest that ``windows``
+    indexes) whose pronunciation is close to the keyword's; exact character
+    matches are excluded.  One phrase_distance batch covers the distinct
+    windows."""
     kw_units = kw.char_units
     k = len(kw_units)
-    memo = fuzzy.memo
-    out = []
-    for rank, i, window in _windows(nbest, k, max_rank):
-        if window == kw_units:
-            continue
-        key = (window, kw_units)
-        d = memo.get(key)
-        if d is None:
-            d = memo[key] = phrase_distance(window, kw_units, fuzzy.sub,
-                                            fuzzy.indel_cost)
-        if d < threshold:
-            out.append((rank, i, i + k, d))
-    return out
+    index = windows[k]
+    distinct = [w for w in index if w != kw_units]
+    dist = phrase_distance(distinct, kw_units, fuzzy.sub,
+                           fuzzy.indel_cost).tolist()
+    return sorted((rank, i, i + k, d) for w, d in zip(distinct, dist)
+                  if d < threshold for rank, i in index[w])
 
 
 def score_ctc(pg: Posteriorgram, units, window: tuple[int, int],
@@ -170,30 +187,45 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
     fuzzy_costs) is read only when Stage.FUZZY is enabled."""
     hits: list[Hit] = []
     max_rank = None if cfg.nbest_matching else 1
+    stages = cfg.stages_enabled
+    char_windows = WindowIndex(nbest_char, max_rank)
+    syll_windows = (WindowIndex(nbest_syll, max_rank)
+                    if Stage.SYLLABLE in stages and nbest_syll is not None
+                    and pg_syll is not None else None)
+    # (id(pg), units, ws, we) -> raw score, or the AlignmentInfeasible
+    scores: dict[tuple, float | AlignmentInfeasible] = {}
     for kw in keywords:
         cands = []  # (stage, nbest, pg, units, rank, ti, tj)
-        if Stage.CHAR in cfg.stages_enabled:
-            for rank, i, j in match_exact(nbest_char, kw.char_units, max_rank):
+        if Stage.CHAR in stages:
+            for rank, i, j in match_exact(nbest_char, kw.char_units,
+                                          char_windows):
                 cands.append((Stage.CHAR, nbest_char, pg_char, kw.char_units, rank, i, j))
-        if (Stage.SYLLABLE in cfg.stages_enabled and nbest_syll is not None
-                and pg_syll is not None and kw.syll_units):
-            for rank, i, j in match_exact(nbest_syll, kw.syll_units, max_rank):
+        if syll_windows is not None and kw.syll_units:
+            for rank, i, j in match_exact(nbest_syll, kw.syll_units,
+                                          syll_windows):
                 cands.append((Stage.SYLLABLE, nbest_syll, pg_syll, kw.syll_units, rank, i, j))
-        if Stage.FUZZY in cfg.stages_enabled:
+        if Stage.FUZZY in stages:
             for rank, i, j, _d in match_fuzzy(nbest_char, kw, fuzzy,
-                                              cfg.fuzzy_threshold, max_rank):
+                                              cfg.fuzzy_threshold,
+                                              char_windows):
                 # scored with the true keyword's units, not the decoded variant
                 cands.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units, rank, i, j))
         for stage, nbest, pg, units, rank, ti, tj in cands:
             spans = nbest[rank].spans
             ws, we = spans[ti].start_frame, spans[tj - 1].end_frame
-            try:
-                raw = score_ctc(pg, units, (ws, we))
-            except AlignmentInfeasible:
+            key = (id(pg), units, ws, we)
+            raw = scores.get(key)
+            if raw is None:
+                try:
+                    raw = score_ctc(pg, units, (ws, we))
+                except AlignmentInfeasible as exc:
+                    raw = exc
+                scores[key] = raw
+            if isinstance(raw, AlignmentInfeasible):
                 # a fuzzy window fits the decoded variant; the true keyword
                 # may need more frames (repeated units need separating blanks)
                 if stage is not Stage.FUZZY:
-                    raise
+                    raise raw
                 continue
             score = raw / len(units) if cfg.length_norm else raw
             hits.append(Hit(utt_id=pg.utt_id, kw_id=kw.id, stage=stage,

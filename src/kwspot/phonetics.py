@@ -7,9 +7,11 @@ a Levenshtein DP normalized by the longer sequence length, so a single
 threshold applies across keyword lengths.
 
 The DP runs over unit ids, not syllables: ``substitution_matrix`` tabulates
-the substitution cost of every pair of units once (capped at one indel, so
-the normalized distance stays in [0, 1]), and ``phrase_distance`` reads its
-substitutions from that matrix.
+the substitution cost of every pair of units once, as a numpy array (capped
+at one indel, so the normalized distance stays in [0, 1]), and
+``phrase_distance`` reads its substitutions from that matrix.  It measures a
+whole batch of equal-width windows against one keyword in one DP, with numpy
+columns of windows; every distance is bit-identical to a scalar DP's.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import BadSyllable
 
@@ -137,30 +141,39 @@ def syllable_distance(a: Syllable, b: Syllable, table: CostTable) -> float:
 
 
 def substitution_matrix(sylls: Sequence[Syllable | None],
-                        table: CostTable) -> list[list[float]]:
-    """``sub[x][y]``: the syllable distance of units x and y capped at one
+                        table: CostTable) -> np.ndarray:
+    """``sub[x, y]``: the syllable distance of units x and y capped at one
     indel, for ``sylls`` indexed by unit id; the row and column of a unit
     without a syllable (the blank, ``None``) are 0."""
     indel = table.indel_cost
-    return [[0.0 if a is None or b is None
-             else min(syllable_distance(a, b, table), indel)
-             for b in sylls] for a in sylls]
+    return np.array([[0.0 if a is None or b is None
+                      else min(syllable_distance(a, b, table), indel)
+                      for b in sylls] for a in sylls], dtype=np.float64)
 
 
-def phrase_distance(a: Sequence[int], b: Sequence[int],
-                    sub: list[list[float]], indel_cost: float) -> float:
-    """Levenshtein over the unit ids a and b with substitutions from ``sub``
-    (substitution_matrix), normalized by the longer length."""
-    if not a and not b:
-        return 0.0
-    prev = [j * indel_cost for j in range(len(b) + 1)]
-    for i, x in enumerate(a, 1):
-        row = sub[x]
-        left = i * indel_cost
-        cur = [left]
-        for j, y in enumerate(b):
-            left = min(prev[j] + row[y], prev[j + 1] + indel_cost,
-                       left + indel_cost)
-            cur.append(left)
+def phrase_distance(windows: Sequence[Sequence[int]], b: Sequence[int],
+                    sub: np.ndarray, indel_cost: float) -> np.ndarray:
+    """Levenshtein distance of each of the equal-width unit-id ``windows`` to
+    b, with substitutions from ``sub`` (substitution_matrix), normalized by
+    the longer length.
+
+    One DP runs over the whole batch: each DP cell is a numpy column over
+    the windows.  A cell takes the same float additions and minimum as in a
+    DP over one window, so every distance is bit-identical to that DP's."""
+    if not windows:
+        return np.zeros(0)
+    a = np.array(windows, dtype=np.intp)
+    n, m = a.shape
+    k = len(b)
+    # costs[i, j, w]: substituting b[j] for the i-th unit of window w
+    costs = sub[a.T[:, None, :], np.array(b, dtype=np.intp)[:, None]]
+    prev = np.arange(k + 1.0)[:, None] * np.full(n, indel_cost)
+    for i in range(m):
+        # substitution or deletion, then insertion from the left
+        below = np.minimum(prev[:-1] + costs[i], prev[1:] + indel_cost)
+        cur = np.empty((k + 1, n))
+        cur[0] = left = (i + 1) * indel_cost
+        for j in range(k):
+            left = np.minimum(below[j], left + indel_cost, out=cur[j + 1])
         prev = cur
-    return prev[-1] / max(len(a), len(b))
+    return prev[-1] / max(m, k, 1)

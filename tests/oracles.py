@@ -6,6 +6,9 @@ under test, except that the phrase-distance reference prices a substitution
 with ``kwspot.phonetics.syllable_distance``, the per-pair cost the kernel's
 matrix is built from, and the reference prefix beam search scores with
 ``NGramLM.score_token`` and aligns its N-best with ``align_viterbi``.
+The reference keyword detector walks every window of every hypothesis and
+scores every candidate with ``kwspot.kws.score_ctc``, merging with
+``kwspot.kws.merge_stages``.
 """
 
 import itertools
@@ -14,7 +17,8 @@ import math
 import numpy as np
 
 from kwspot.decoder import BeamConfig, NBestEntry
-from kwspot.errors import UnitSetMismatch
+from kwspot.errors import AlignmentInfeasible, UnitSetMismatch
+from kwspot.kws import Hit, Stage, merge_stages, score_ctc
 from kwspot.pgram import align_viterbi
 from kwspot.phonetics import syllable_distance
 
@@ -156,6 +160,91 @@ def syllable_phrase_distance(a, b, table):
                          cur[j - 1] + table.indel_cost)
         prev = cur
     return prev[lb] / max(la, lb)
+
+
+def unit_phrase_distance(a, b, sub, indel_cost):
+    """Levenshtein over the unit ids a and b, one window at a time, with
+    substitutions from the nested list ``sub``, normalized by the longer
+    length."""
+    if not a and not b:
+        return 0.0
+    prev = [j * indel_cost for j in range(len(b) + 1)]
+    for i, x in enumerate(a, 1):
+        row = sub[x]
+        left = i * indel_cost
+        cur = [left]
+        for j, y in enumerate(b):
+            left = min(prev[j] + row[y], prev[j + 1] + indel_cost,
+                       left + indel_cost)
+            cur.append(left)
+        prev = cur
+    return prev[-1] / max(len(a), len(b))
+
+
+def _windows(nbest, k, max_rank):
+    """(rank, start, window) for every k-token window of nbest[:max_rank]."""
+    for rank, entry in enumerate(nbest[:max_rank]):
+        toks = tuple(entry.tokens)
+        for i in range(len(toks) - k + 1):
+            yield rank, i, toks[i:i + k]
+
+
+def detect(pg_char, pg_syll, nbest_char, nbest_syll, keywords, fuzzy, cfg):
+    """Keyword detection candidate by candidate: every keyword walks every
+    window of every hypothesis, each distinct (window, keyword) distance is
+    computed once per call by the scalar DP, and every candidate is scored
+    by its own ``score_ctc`` call."""
+    sub = fuzzy.sub.tolist() if fuzzy is not None else None
+    memo = {}
+    max_rank = None if cfg.nbest_matching else 1
+
+    def exact(nbest, kw):
+        return [(rank, i, i + len(kw))
+                for rank, i, window in _windows(nbest, len(kw), max_rank)
+                if window == kw]
+
+    hits = []
+    for kw in keywords:
+        cands = []
+        if Stage.CHAR in cfg.stages_enabled:
+            for rank, i, j in exact(nbest_char, kw.char_units):
+                cands.append((Stage.CHAR, nbest_char, pg_char, kw.char_units,
+                              rank, i, j))
+        if (Stage.SYLLABLE in cfg.stages_enabled and nbest_syll is not None
+                and pg_syll is not None and kw.syll_units):
+            for rank, i, j in exact(nbest_syll, kw.syll_units):
+                cands.append((Stage.SYLLABLE, nbest_syll, pg_syll,
+                              kw.syll_units, rank, i, j))
+        if Stage.FUZZY in cfg.stages_enabled:
+            k = len(kw.char_units)
+            for rank, i, window in _windows(nbest_char, k, max_rank):
+                if window == kw.char_units:
+                    continue
+                key = (window, kw.char_units)
+                if key not in memo:
+                    memo[key] = unit_phrase_distance(window, kw.char_units,
+                                                     sub, fuzzy.indel_cost)
+                if memo[key] < cfg.fuzzy_threshold:
+                    cands.append((Stage.FUZZY, nbest_char, pg_char,
+                                  kw.char_units, rank, i, i + k))
+        for stage, nbest, pg, units, rank, ti, tj in cands:
+            spans = nbest[rank].spans
+            ws, we = spans[ti].start_frame, spans[tj - 1].end_frame
+            try:
+                raw = score_ctc(pg, units, (ws, we))
+            except AlignmentInfeasible:
+                if stage is not Stage.FUZZY:
+                    raise
+                continue
+            score = raw / len(units) if cfg.length_norm else raw
+            hits.append(Hit(utt_id=pg.utt_id, kw_id=kw.id, stage=stage,
+                            start_frame=ws, end_frame=we,
+                            start_s=ws * pg.frame_period_s,
+                            end_s=we * pg.frame_period_s, norm_score=score))
+    merged = merge_stages(hits)
+    for h in merged:
+        h.decision = h.norm_score >= cfg.decision_threshold
+    return merged
 
 
 class _PrefixInfo:

@@ -30,6 +30,15 @@ def trained(demo, tmp_path_factory):
     return pg
 
 
+@pytest.fixture(scope="module")
+def char_nbest(demo, trained, tmp_path_factory):
+    """The char N-best of the trained demo, decoded with its config."""
+    out = tmp_path_factory.mktemp("nbest") / "char.jsonl"
+    assert main(["--config", str(demo / "config.ini"), "decode",
+                 str(trained / "char"), str(out)]) == 0
+    return out
+
+
 class TestExitCodes:
     def test_missing_input_file(self, demo, tmp_path):
         rc = main(["--config", str(demo / "config.ini"), "synth",
@@ -177,6 +186,34 @@ class TestExitCodes:
         assert rc == 2
         assert line.split("\n")[1].split(" =")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["fuzzy_threshold = inf",
+                                      "fuzzy_threshold = -1",
+                                      "decision_threshold = inf"])
+    def test_kws_threshold_out_of_range(self, demo, trained, char_nbest,
+                                        tmp_path, capsys, line):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       + f"[kws]\n{line}\n", encoding="utf-8")
+        out = tmp_path / "hits.tsv"
+        rc = main(["--config", str(cfg), "kws", str(trained), str(out),
+                   "--nbest-char", str(char_nbest)])
+        assert rc == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.04", "inf"])
+    def test_frame_period_not_positive(self, demo, tmp_path, capsys, value):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       .replace("[run]\n", f"[run]\nframe_period_s = {value}\n"),
+                       encoding="utf-8")
+        pg = tmp_path / "pg"
+        rc = main(["--config", str(cfg), "synth",
+                   str(demo / "transcripts.tsv"), str(pg)])
+        assert rc == 2
+        assert "[run] frame_period_s" in capsys.readouterr().err
+        assert not pg.exists()
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_jobs_below_one(self, demo, trained, tmp_path, capsys, how):

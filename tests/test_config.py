@@ -122,6 +122,24 @@ frame_period_s = 0.02
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
 
+    @pytest.mark.parametrize("key, raw", [
+        ("fuzzy_threshold", "inf"), ("fuzzy_threshold", "-inf"),
+        ("fuzzy_threshold", "-1"), ("fuzzy_threshold", "1.5"),
+        ("decision_threshold", "inf"), ("decision_threshold", "-inf")])
+    def test_kws_threshold_rejected(self, tmp_path, key, raw):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            load_config(write(tmp_path, f"[kws]\n{key} = {raw}\n"))
+
+    @pytest.mark.parametrize("raw", ["0", "1"])
+    def test_fuzzy_threshold_bounds_are_legal(self, tmp_path, raw):
+        cfg = load_config(write(tmp_path, f"[kws]\nfuzzy_threshold = {raw}\n"))
+        assert cfg.kws.fuzzy_threshold == float(raw)
+
+    @pytest.mark.parametrize("raw", ["0", "-0.04", "inf", "-inf"])
+    def test_frame_period_must_be_finite_and_positive(self, tmp_path, raw):
+        with pytest.raises(ValueError, match=r"\[run\] frame_period_s must be"):
+            load_config(write(tmp_path, f"[run]\nframe_period_s = {raw}\n"))
+
     def test_token_min_logp_may_be_minus_inf(self, tmp_path):
         cfg = load_config(write(tmp_path, "[beam]\ntoken_min_logp = -inf\n"))
         assert cfg.beam.token_min_logp == float("-inf")

@@ -1,18 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwspot.decoder import BeamConfig, prefix_beam_search
 from kwspot.errors import AlignmentInfeasible, BadFormat, BadSyllable
-from kwspot.kws import (Hit, Keyword, KwsConfig, Stage, char_syllables, detect,
-                        fuzzy_costs, match_exact, match_fuzzy, merge_stages,
-                        read_hits, score_ctc, write_hits)
-from kwspot.pgram import Posteriorgram, SynthConfig, synth_generate, token_layout
+from kwspot.kws import (FuzzyCosts, Hit, Keyword, KwsConfig, Stage, WindowIndex,
+                        char_syllables, detect, fuzzy_costs, match_exact,
+                        match_fuzzy, merge_stages, read_hits, score_ctc,
+                        write_hits)
+from kwspot.pgram import (Posteriorgram, SynthConfig, TokenSpan, synth_generate,
+                          token_layout)
 from kwspot.phonetics import CostTable
 from kwspot.corpus import make_language
 from kwspot.units import Lexicon, syllabify, tokenize_chars
 
+import oracles
 from oracles import path_sum_for_label, random_pgram_logp
 
 
@@ -25,19 +31,20 @@ class FakeEntry:
 class TestMatchExact:
     def test_single_occurrence(self):
         nbest = [FakeEntry([9, 1, 2, 7])]
-        assert match_exact(nbest, (1, 2)) == [(0, 1, 3)]
+        assert match_exact(nbest, (1, 2), WindowIndex(nbest)) == [(0, 1, 3)]
 
     def test_absent(self):
-        assert match_exact([FakeEntry([3, 4])], (1, 2)) == []
+        nbest = [FakeEntry([3, 4])]
+        assert match_exact(nbest, (1, 2), WindowIndex(nbest)) == []
 
     def test_multiple_ranks(self):
         nbest = [FakeEntry([1, 2]), FakeEntry([5]), FakeEntry([0, 1, 2])]
-        got = match_exact(nbest, (1, 2))
+        got = match_exact(nbest, (1, 2), WindowIndex(nbest))
         assert got == [(0, 0, 2), (2, 1, 3)]
 
     def test_max_rank_limits_search(self):
         nbest = [FakeEntry([5]), FakeEntry([1, 2])]
-        assert match_exact(nbest, (1, 2), max_rank=1) == []
+        assert match_exact(nbest, (1, 2), WindowIndex(nbest, max_rank=1)) == []
 
 
 class TestScoreCtc:
@@ -166,7 +173,8 @@ class TestDetect:
             cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR}),
                             nbest_matching=False, length_norm=length_norm)
             (h,) = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
-            ((rank, i, j),) = match_exact(nb_c, kw.char_units, max_rank=1)
+            ((rank, i, j),) = match_exact(nb_c, kw.char_units,
+                                           WindowIndex(nb_c, max_rank=1))
             spans = nb_c[rank].spans
             assert (h.start_frame, h.end_frame) == (spans[i].start_frame,
                                                     spans[j - 1].end_frame)
@@ -204,14 +212,14 @@ class TestDetect:
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[0] + chars[5])
-        got = match_fuzzy(nb_c, kw, fuzzy, 0.5)
+        got = match_fuzzy(nb_c, kw, fuzzy, 0.5, WindowIndex(nb_c))
         assert all(nb_c[r].tokens[i:j] != kw.char_units for r, i, j, _ in got)
 
     def test_fuzzy_threshold_zero_empty(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[1] + chars[5])
-        assert match_fuzzy(nb_c, kw, fuzzy, 0.0) == []
+        assert match_fuzzy(nb_c, kw, fuzzy, 0.0, WindowIndex(nb_c)) == []
 
     def test_decision_monotone_in_threshold(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
@@ -224,6 +232,103 @@ class TestDetect:
             hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
             counts.append(sum(h.decision for h in hits))
         assert counts == sorted(counts, reverse=True)
+
+
+TOY = make_language()
+# two cost tables: the defaults, and a cheap tone with a cheap indel
+TOY_FUZZY = [fuzzy_costs(TOY.char_set, TOY.lexicon, table)
+             for table in (CostTable(), CostTable(tone_cost=0.3,
+                                                  indel_cost=0.7))]
+
+
+# every subset of the stages, largest first
+STAGE_SETS = [frozenset(s) for n in range(3, -1, -1)
+              for s in itertools.combinations(Stage, n)]
+
+
+@st.composite
+def nbest_lists(draw, alphabet):
+    """1-4 hypotheses of 1-6 units from a small alphabet (so windows repeat
+    and match), each token on a span of 1-2 frames after a gap of 0-1
+    frames; repeated units on adjacent spans make windows too short for
+    them."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                               max_size=6))
+        spans, end = [], 0
+        for t in tokens:
+            start = end + draw(st.integers(0, 1))
+            end = start + draw(st.integers(1, 2))
+            spans.append(TokenSpan(t, start, end))
+        out.append(FakeEntry(tokens, spans))
+    return out
+
+
+@st.composite
+def detect_inputs(draw):
+    """Random N-best lists over char units 1, 2 and 4 (1 and 2 are tone
+    variants of each other) with random posteriorgrams under them, random keywords, either
+    cost table and any stage set, threshold and switch."""
+    char_alphabet, syll_alphabet = [1, 2, 4], [1, 2, 3]
+    nb_c = draw(nbest_lists(char_alphabet))
+    nb_s = draw(st.none() | nbest_lists(syll_alphabet))
+    ends = [e.spans[-1].end_frame for e in nb_c + (nb_s or []) if e.spans]
+    T = max(ends, default=0) + draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pgram(us):
+        return Posteriorgram("u", us.id, 0.04,
+                             random_pgram_logp(rng, T, len(us)))
+    pg_c = pgram(TOY.char_set)
+    pg_s = None if nb_s is None else pgram(TOY.syll_set)
+    keywords = [Keyword(id=f"k{n}", text="",
+                        char_units=tuple(draw(st.lists(
+                            st.sampled_from(char_alphabet), min_size=1,
+                            max_size=3))),
+                        syll_units=tuple(draw(st.lists(
+                            st.sampled_from(syll_alphabet), max_size=3))))
+                for n in range(draw(st.integers(1, 4)))]
+    cfg = KwsConfig(fuzzy_threshold=draw(st.floats(0.0, 1.0)),
+                    decision_threshold=draw(st.floats(-30.0, 0.0)),
+                    stages_enabled=draw(st.sampled_from(STAGE_SETS)),
+                    nbest_matching=draw(st.booleans()),
+                    length_norm=draw(st.booleans()))
+    return (pg_c, pg_s, nb_c, nb_s, keywords,
+            draw(st.sampled_from(TOY_FUZZY)), cfg)
+
+
+def outcome(fn, *args):
+    """fn's hits, or the type and message of the AlignmentInfeasible it
+    raised."""
+    try:
+        return fn(*args)
+    except AlignmentInfeasible as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(detect_inputs())
+def test_detect_equals_reference(args):
+    assert outcome(detect, *args) == outcome(oracles.detect, *args)
+
+
+def test_cached_fuzzy_skip_does_not_hide_an_exact_raise():
+    # one posteriorgram serves both stages, so a syllable candidate shares
+    # its score key with a char candidate of the same units and frames.
+    # Keyword fz matches char window (1, 2) over frames [0, 2) fuzzily, too
+    # short for its units (1, 1), which need a blank between them: a skip.
+    # Keyword ex then matches syllables (1, 1) exactly over the same frames.
+    pg = Posteriorgram("u", "char", 0.04, np.log(np.full((4, 3), 1 / 3)))
+    spans = [TokenSpan(1, 0, 1), TokenSpan(2, 1, 2)]
+    nb_c, nb_s = [FakeEntry([1, 2], spans)], [FakeEntry([1, 1], spans)]
+    fuzzy = FuzzyCosts(np.zeros((3, 3)), 1.0)
+    fz, ex = Keyword("fz", "", (1, 1), ()), Keyword("ex", "", (1, 1), (1, 1))
+    cfg = KwsConfig()
+    assert detect(pg, pg, nb_c, nb_s, [fz], fuzzy, cfg) == []
+    for fn in (oracles.detect, detect):
+        with pytest.raises(AlignmentInfeasible):
+            fn(pg, pg, nb_c, nb_s, [fz, ex], fuzzy, cfg)
 
 
 class TestHitIO:

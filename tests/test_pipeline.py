@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwspot import kws, pipeline
-from kwspot.corpus import make_corpus, make_language
+from kwspot.corpus import confusion_tables, make_corpus, make_language
 from kwspot.decoder import BeamConfig
 from kwspot.errors import BadFormat, BadSyllable, OutOfVocabulary
 from kwspot.kws import Hit, KwsConfig, Stage
@@ -17,6 +17,7 @@ from kwspot.metrics import EvalConfig
 from kwspot.pgram import SynthConfig, read_pgram, token_layout, write_pgram
 from kwspot.units import Lexicon, tokenize_chars
 
+import oracles
 from fuzzing import edit_lists, mutate
 
 
@@ -182,56 +183,91 @@ def decoded(lang, small_run):
     return nb_c, nb_s, keywords
 
 
-class TestFuzzyMemo:
-    """run_kws computes each distinct (window, keyword) distance once."""
+@pytest.fixture(scope="module")
+def noisy_decoded(lang, tmp_path_factory):
+    """A confusion-noise corpus and its 5-best lists, which share windows
+    across ranks."""
+    corpus = make_corpus(lang, num_utts=6, num_keywords=6, seed=4)
+    out = tmp_path_factory.mktemp("noisy_kws")
+    char_conf, syll_conf = confusion_tables(lang)
+    pipeline.synth_corpus(corpus.transcripts, corpus.keywords, lang.char_set,
+                          lang.syll_set, lang.lexicon, SynthConfig(noise=0.3),
+                          out, 0, 0.04, char_confusion=char_conf,
+                          syll_confusion=syll_conf)
+    lm = train(corpus.lm_lines, order=3, discount=0.75)
+    beam = BeamConfig(nbest=5)
+    nb_c = pipeline.decode_dir(out / "char", lang.char_set, lm, None, beam)
+    nb_s = pipeline.decode_dir(out / "syll", lang.syll_set, None, None, beam)
+    keywords = pipeline.build_keywords(corpus.keywords, lang.char_set,
+                                       lang.lexicon, lang.syll_set)
+    return out, nb_c, nb_s, keywords
+
+
+class TestComputeOnce:
+    """run_kws measures each distinct window once per keyword and utterance,
+    and scores each distinct frame window once per utterance."""
 
     @staticmethod
-    def _count(monkeypatch, name):
-        """Replace kws.<name> by a wrapper that records its first two
-        arguments."""
+    def _record(monkeypatch, owner, name):
+        """Replace owner.<name> by a wrapper that records its arguments."""
         seen = []
-        fn = getattr(kws, name)
+        fn = getattr(owner, name)
 
-        def counted(*args):
-            seen.append(args[:2])
+        def recorded(*args):
+            seen.append(args)
             return fn(*args)
-        monkeypatch.setattr(kws, name, counted)
+        monkeypatch.setattr(owner, name, recorded)
         return seen
 
     @staticmethod
-    def _run_kws(lang, small_run, decoded, cfg):
-        nb_c, nb_s, keywords = decoded
-        return pipeline.run_kws(small_run[1], nb_c, nb_s, keywords,
-                                lang.char_set, lang.syll_set, lang.lexicon,
-                                CostTable(), cfg)
+    def _run_kws(lang, noisy_decoded, cfg):
+        return pipeline.run_kws(*noisy_decoded, lang.char_set, lang.syll_set,
+                                lang.lexicon, CostTable(), cfg)
 
-    def test_one_distance_per_distinct_pair(self, lang, small_run, decoded,
-                                            monkeypatch):
-        calls = self._count(monkeypatch, "phrase_distance")
-        builds = self._count(monkeypatch, "substitution_matrix")
-        hits = self._run_kws(lang, small_run, decoded, KwsConfig())
+    def test_no_batch_repeats_a_window(self, lang, noisy_decoded,
+                                       monkeypatch):
+        utts = self._record(monkeypatch, pipeline, "detect")
+        builds = self._record(monkeypatch, kws, "substitution_matrix")
+        batches = []  # (utterance number, windows, keyword units)
+        distance = kws.phrase_distance
+
+        def batch(windows, kw_units, *args):
+            batches.append((len(utts), windows, kw_units))
+            return distance(windows, kw_units, *args)
+        monkeypatch.setattr(kws, "phrase_distance", batch)
+        assert self._run_kws(lang, noisy_decoded, KwsConfig())
         assert len(builds) == 1
-        assert len(calls) == len(set(calls))
-        memoised = calls[:]
-
-        class Forgetful(dict):
-            def __setitem__(self, key, value):
-                pass
-        fresh = kws.fuzzy_costs
-        monkeypatch.setattr(kws, "fuzzy_costs", lambda *args: replace(
-            fresh(*args), memo=Forgetful()))
-        calls.clear()
-        assert self._run_kws(lang, small_run, decoded, KwsConfig()) == hits
-        assert set(calls) == set(memoised)
-        assert len(calls) > len(memoised)
+        pairs = [(utt, w, kw) for utt, windows, kw in batches for w in windows]
+        assert pairs and len(pairs) == len(set(pairs))
+        assert all(w != kw for _, w, kw in pairs)
 
     def test_no_fuzzy_stage_no_distance_and_no_matrix(
-            self, lang, small_run, decoded, monkeypatch):
-        calls = self._count(monkeypatch, "phrase_distance")
-        builds = self._count(monkeypatch, "substitution_matrix")
+            self, lang, noisy_decoded, monkeypatch):
+        calls = self._record(monkeypatch, kws, "phrase_distance")
+        builds = self._record(monkeypatch, kws, "substitution_matrix")
         cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR, Stage.SYLLABLE}))
-        assert self._run_kws(lang, small_run, decoded, cfg)
+        assert self._run_kws(lang, noisy_decoded, cfg)
         assert calls == [] and builds == []
+
+    def test_one_score_per_distinct_window(self, lang, noisy_decoded,
+                                           monkeypatch):
+        utts = self._record(monkeypatch, pipeline, "detect")
+        scores = self._record(monkeypatch, kws, "score_ctc")
+        reference = self._record(monkeypatch, oracles, "score_ctc")
+        hits = self._run_kws(lang, noisy_decoded, KwsConfig())
+        want = []
+        for pg_c, pg_s, nb_c, nb_s, keywords, fuzzy, cfg in utts:
+            want.extend(oracles.detect(pg_c, pg_s, nb_c, nb_s, keywords,
+                                       fuzzy, cfg))
+        assert hits == want
+
+        def key(args):
+            pg, units, window = args
+            return id(pg), tuple(units), window
+        got = [key(a) for a in scores]
+        assert len(got) == len(set(got))
+        assert set(got) == {key(a) for a in reference}
+        assert len(got) < len(reference)
 
 
 class TestBrokenKwsInputs:
