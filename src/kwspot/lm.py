@@ -4,13 +4,22 @@ Training uses interpolated absolute discounting, which is hand-checkable at
 toy scale and degenerates to MLE at D=0.  All stored values are log10, the
 ARPA convention; the decoder converts to natural log once at the fusion
 boundary.
+
+The model is one table grouped by context, as in Pauls & Klein, "Faster and
+smaller n-gram language models" (ACL 2011), kept as plain dicts:
+``probs[context][token]`` is the n-gram ``context + (token,)``, so a
+context's successors are read without probing, and a context shares its
+tuple key with its backoff weight.  ``NGramLM.backoff_walk`` is the one
+place the backoff rule is written; ``score_token`` scores one token with it
+and ``ScoreRows`` a row of tokens.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,46 +37,53 @@ LOG10_ZERO = -99.0  # ARPA convention for zero-probability entries
 class NGramLM:
     order: int
     vocab: set[str]
-    # ngram tuple -> log10 prob; context tuple -> log10 backoff weight
-    probs: dict[tuple[str, ...], float] = field(default_factory=dict)
+    # context tuple -> token -> log10 prob of context + (token,), with the
+    # unigrams under (); context tuple -> log10 backoff weight
+    probs: dict[tuple[str, ...], dict[str, float]] = field(default_factory=dict)
     backoffs: dict[tuple[str, ...], float] = field(default_factory=dict)
 
     def _norm(self, token: str) -> str:
         return token if token in self.vocab or token == BOS else UNK
+
+    def backoff_walk(self, state: tuple[str, ...]):
+        """Yield (context, backoff weights of the longer contexts summed
+        left to right from 0.0), from the longest context of state to ()."""
+        context = state[-(self.order - 1):] if self.order > 1 else ()
+        backoff = 0.0
+        while context:
+            yield context, backoff
+            backoff += self.backoffs.get(context, 0.0)
+            context = context[1:]
+        yield context, backoff
 
     def score_token(self, state: tuple[str, ...], token: str) -> tuple[float, tuple[str, ...]]:
         """Backoff score of token given state; returns (log10 p, next state).
 
         ``state`` is ``()``, ``(BOS,)`` or a state this method returned, so it
         holds only vocabulary words, BOS and UNK; only ``token`` is mapped.
+        The score is the n-gram after the longest context that has one, or
+        LOG10_ZERO for a token without a unigram, after the backoffs above.
         """
         token = self._norm(token)
-        context = state[-(self.order - 1):] if self.order > 1 else ()
-        score = 0.0
-        while True:
-            ngram = context + (token,)
-            if ngram in self.probs:
-                score += self.probs[ngram]
+        for context, backoff in self.backoff_walk(state):
+            logp = self.probs.get(context, _NONE).get(token)
+            if logp is not None:
                 break
-            if not context:
-                # unigram fallback; vocab always contains <unk>
-                score += self.probs.get((token,), LOG10_ZERO)
-                break
-            score += self.backoffs.get(context, 0.0)
-            context = context[1:]
+        else:
+            logp = LOG10_ZERO
         next_state = (state + (token,))[-(self.order - 1):] if self.order > 1 else ()
-        return score, next_state
+        return backoff + logp, next_state
 
     def score_sequence(self, tokens: list[str], with_boundaries: bool = False) -> float:
         state: tuple[str, ...] = (BOS,) if with_boundaries else ()
         total = 0.0
-        for tok in tokens:
+        for tok in [*tokens, EOS] if with_boundaries else tokens:
             s, state = self.score_token(state, tok)
             total += s
-        if with_boundaries:
-            s, state = self.score_token(state, EOS)
-            total += s
         return total
+
+
+_NONE: dict[str, float] = {}  # no successors; never written to
 
 
 class ScoreRows:
@@ -76,40 +92,25 @@ class ScoreRows:
     ``id(state)`` is the state's row in ``table``, filled on first use, so
     after ``k = id(state)``, ``table[k][i] == lm.score_token(state,
     tokens[i])[0]`` bit for bit; ``states[k]`` is the state of row k.  A new
-    row may replace ``table`` by a larger array.  A token takes the log10
-    probability of its n-gram after the longest context that has one, plus
-    the backoff weights of the contexts longer than that one, summed left
-    to right from 0.0 as ``score_token`` sums them.  So a row starts as the
-    unigram level under every backoff, and each longer context then
-    overwrites the tokens it has an n-gram for.  The rows and the level
-    tables (which tokens have an n-gram after a context, and its log10
-    probability) are memoised, so an instance should live only as long as
-    its caller.
+    row may replace ``table`` by a larger array.  A row starts as the
+    unigram row under every backoff of ``lm.backoff_walk``; then each longer
+    context, shortest first, writes its successors into their columns under
+    the backoffs above it, so the longest context with an n-gram wins.  The
+    rows are memoised, so an instance should live only as long as its
+    caller.
     """
 
     def __init__(self, lm: NGramLM, tokens):
         self.lm = lm
-        self.ends = [(lm._norm(t),) for t in tokens]  # n-gram = context + end
-        self._levels: dict[tuple[str, ...], tuple] = {}
+        self.columns: dict[str, list[int]] = {}  # token -> its columns
+        for i, t in enumerate(tokens):
+            self.columns.setdefault(lm._norm(t), []).append(i)
+        unigrams = lm.probs.get((), _NONE)
+        self.unigrams = np.array([unigrams.get(lm._norm(t), LOG10_ZERO)
+                                  for t in tokens], dtype=np.float64)
         self._ids: dict[tuple[str, ...], int] = {}
         self.states: list[tuple[str, ...]] = []
-        self.table = np.empty((16, len(self.ends)))
-
-    def _level(self, context):
-        level = self._levels.get(context)
-        if level is None:
-            get = self.lm.probs.get
-            if context:
-                found = [(i, p) for i, end in enumerate(self.ends)
-                         if (p := get(context + end)) is not None]
-            else:  # the unigram fallback covers every token
-                found = [(i, get(end, LOG10_ZERO))
-                         for i, end in enumerate(self.ends)]
-            level = (np.array([i for i, _ in found], dtype=np.intp),
-                     np.array([p for _, p in found], dtype=np.float64),
-                     self.lm.backoffs.get(context, 0.0))
-            self._levels[context] = level
-        return level
+        self.table = np.empty((16, len(tokens)))
 
     def id(self, state: tuple[str, ...]) -> int:
         i = self._ids.get(state)
@@ -120,19 +121,13 @@ class ScoreRows:
         if i == len(self.table):
             self.table = np.concatenate(
                 [self.table, np.empty_like(self.table)])
-        order = self.lm.order
-        context = state[-(order - 1):] if order > 1 else ()
-        longer = []  # a level and the backoff summed over the ones above
-        backoff = 0.0
-        while context:
-            idx, logp, weight = self._level(context)
-            longer.append((idx, logp, backoff))
-            backoff += weight
-            context = context[1:]
-        row = self.table[i]
-        row[:] = backoff + self._level(())[1]
-        for idx, logp, above in reversed(longer):
-            row[idx] = above + logp
+        *longer, (_, backoff) = self.lm.backoff_walk(state)
+        row = (backoff + self.unigrams).tolist()
+        for context, above in reversed(longer):
+            for token, logp in self.lm.probs.get(context, _NONE).items():
+                for c in self.columns.get(token, ()):
+                    row[c] = above + logp
+        self.table[i] = row
         return i
 
 
@@ -161,7 +156,7 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
         raise EmptyCorpus("no usable sentences")
 
     lm = NGramLM(order=order, vocab=vocab | {EOS, UNK})
-    p: dict[tuple[str, ...], float] = {}  # the order below, as probabilities
+    p: dict[tuple[str, ...], dict[str, float]] = {}  # one order, as probs
     for k in range(1, order + 1):
         counts = Counter()
         for sent in sents:
@@ -171,19 +166,23 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
             n = sum(counts.values())
             lam = discount * len(counts) / n
             uniform = 1.0 / (len(vocab) + 2)  # vocab plus </s> and <unk>
-            p = {(w,): max(counts[(w,)] - discount, 0.0) / n + lam * uniform
-                 for w in sorted(lm.vocab | {BOS})}
+            p = {(): {w: max(counts[(w,)] - discount, 0.0) / n + lam * uniform
+                      for w in lm.vocab}}
         else:
-            total, types = Counter(), Counter()
+            grouped = defaultdict(dict)  # context -> token -> count
             for gram, c in counts.items():
-                total[gram[:-1]] += c
-                types[gram[:-1]] += 1
-            lams = {ctx: discount * types[ctx] / t for ctx, t in total.items()}
-            p = {gram: max(c - discount, 0.0) / total[gram[:-1]]
-                 + lams[gram[:-1]] * p[gram[1:]] for gram, c in counts.items()}
-            lm.backoffs.update((ctx, _log10(lam)) for ctx, lam in lams.items())
-        lm.probs.update((gram, _log10(prob)) for gram, prob in p.items())
-    lm.probs[(BOS,)] = LOG10_ZERO  # the conventional entry for <s>
+                grouped[gram[:-1]][gram[-1]] = c
+            below, p = p, {}
+            for ctx, successors in grouped.items():
+                total = sum(successors.values())
+                lam = discount * len(successors) / total
+                lower = below[ctx[1:]]
+                p[ctx] = {w: max(c - discount, 0.0) / total + lam * lower[w]
+                          for w, c in successors.items()}
+                lm.backoffs[ctx] = _log10(lam)
+        lm.probs.update((ctx, {w: _log10(x) for w, x in q.items()})
+                        for ctx, q in p.items())
+    lm.probs[()][BOS] = LOG10_ZERO  # the conventional entry for <s>
     return lm
 
 
@@ -199,23 +198,25 @@ _SECTION_LINE = re.compile(r"\\([0-9]+)-grams:")
 
 
 def write_arpa(lm: NGramLM, path) -> None:
+    """Each order's n-grams sorted, that is, by context, then by token."""
     by_order: dict[int, list] = {k: [] for k in range(1, lm.order + 1)}
-    for gram in lm.probs:
-        by_order[len(gram)].append(gram)
+    for context in lm.probs:
+        by_order[len(context) + 1].append(context)
+    out = ["\\data\\"]
+    out += [f"ngram {k}={sum(len(lm.probs[c]) for c in contexts)}"
+            for k, contexts in by_order.items()]
+    for k, contexts in by_order.items():
+        out.append(f"\n\\{k}-grams:")
+        backoffs = lm.backoffs if k < lm.order else {}
+        for context in sorted(contexts):
+            for token, logp in sorted(lm.probs[context].items()):
+                gram = context + (token,)
+                line = f"{logp:.17g}\t{' '.join(gram)}"
+                out.append(line if (b := backoffs.get(gram)) is None
+                           else f"{line}\t{b:.17g}")
+    out.append("\n\\end\\\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\\data\\\n")
-        for k in range(1, lm.order + 1):
-            fh.write(f"ngram {k}={len(by_order[k])}\n")
-        fh.write("\n")
-        for k in range(1, lm.order + 1):
-            fh.write(f"\\{k}-grams:\n")
-            for gram in sorted(by_order[k]):
-                line = f"{lm.probs[gram]:.17g}\t{' '.join(gram)}"
-                if k < lm.order and gram in lm.backoffs:
-                    line += f"\t{lm.backoffs[gram]:.17g}"
-                fh.write(line + "\n")
-            fh.write("\n")
-        fh.write("\\end\\\n")
+        fh.write("\n".join(out))
 
 
 def read_arpa(path) -> NGramLM:
@@ -249,6 +250,7 @@ def read_arpa(path) -> NGramLM:
                         f"{sorted(declared)}")
     lm = NGramLM(order=order, vocab=set())
     k = None
+    found = [0] * (order + 1)
     for s in it:
         if not s:
             continue
@@ -263,27 +265,32 @@ def read_arpa(path) -> NGramLM:
         if k is None:
             raise BadFormat(f"entry outside section: {s!r}")
         fields = s.split()
-        gram = tuple(fields[1:k + 1])
-        if len(fields) not in (k + 1, k + 2) or gram in lm.probs:
+        successors = lm.probs.get(context := tuple(fields[1:k]), _NONE)
+        if len(fields) not in (k + 1, k + 2) or fields[k] in successors:
             raise BadFormat(f"bad or repeated entry in \\{k}-grams: {s!r}")
+        if successors is _NONE:
+            successors = lm.probs[context] = {}
         try:
-            lm.probs[gram] = float(fields[0])
+            successors[fields[k]] = float(fields[0])
             if len(fields) == k + 2:
+                # one tuple keys the backoff and, below the top order,
+                # the successors
+                gram = context + (fields[k],)
                 lm.backoffs[gram] = float(fields[-1])
+                if k < order and gram not in lm.probs:
+                    lm.probs[gram] = {}
         except ValueError:
             raise BadFormat(f"bad number in {s!r}") from None
-        if k == 1:
-            lm.vocab.add(gram[0])
+        found[k] += 1
     else:
         raise BadFormat("missing \\end\\")
     if any(it):
         raise BadFormat("text after \\end\\")
-    if not all(map(math.isfinite, [*lm.probs.values(), *lm.backoffs.values()])):
+    if not all(map(math.isfinite, chain(lm.backoffs.values(), *map(
+            dict.values, lm.probs.values())))):
         raise BadFormat("non-finite probability or backoff weight")
-    found = Counter(map(len, lm.probs))
     for k, n in declared.items():
         if found[k] != n:
             raise BadFormat(f"declared {n} {k}-grams, found {found[k]}")
-    lm.vocab.discard(BOS)
-    lm.vocab |= {EOS, UNK}
+    lm.vocab = set(lm.probs.get((), ())) - {BOS} | {EOS, UNK}
     return lm

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NoScorableKeywords
@@ -27,10 +29,14 @@ class EvalConfig:
     min_overlap_fraction: float | None = None  # None: hit-midpoint rule
 
     def __post_init__(self):
-        if self.atwv_beta <= 0:
-            raise ValueError("atwv_beta must be > 0")
-        if self.total_speech_s <= 0:
-            raise ValueError("total_speech_s must be > 0")
+        for name in ("atwv_beta", "total_speech_s"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got "
+                                 f"{getattr(self, name)}")
+        frac = self.min_overlap_fraction
+        if frac is not None and not 0.0 < frac <= 1.0:
+            raise ValueError(f"min_overlap_fraction must be None or in "
+                             f"(0, 1], got {frac}")
 
 
 def _matches(hit, ref, cfg: EvalConfig) -> bool:
@@ -88,17 +94,11 @@ def atwv(tp_pairs, fp_hits, fn_refs, all_refs, cfg: EvalConfig):
     TWV(kw) = 1 - P_miss - beta * P_fa with P_fa trials = speech seconds
     minus the keyword's true count.  Returns (atwv, per-keyword TWV dict).
     """
-    n_true: dict[str, int] = {}
-    for r in all_refs:
-        n_true[r.kw_id] = n_true.get(r.kw_id, 0) + 1
+    n_true = Counter(r.kw_id for r in all_refs)
     if not n_true:
         raise NoScorableKeywords("no keyword has reference occurrences")
-    hits_tp: dict[str, int] = {}
-    for h, _ in tp_pairs:
-        hits_tp[h.kw_id] = hits_tp.get(h.kw_id, 0) + 1
-    fas: dict[str, int] = {}
-    for h in fp_hits:
-        fas[h.kw_id] = fas.get(h.kw_id, 0) + 1
+    hits_tp = Counter(h.kw_id for h, _ in tp_pairs)
+    fas = Counter(h.kw_id for h in fp_hits)
 
     per_kw = {}
     for kw, nt in sorted(n_true.items()):

@@ -16,6 +16,7 @@ columns of windows; every distance is bit-identical to a scalar DP's.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -80,7 +81,8 @@ def load_cost_table(path) -> CostTable:
 
     Group lines are space-separated members followed by ':cost'; cost lines
     are 'name = value' for tone_cost, substitution_cost, indel_cost.  A line
-    that fits none of these is a ValueError at ``path:line``.
+    that fits none of these, or a cost that is not finite and >= 0, is a
+    ValueError at ``path:line``.
     """
     sections = {"initial_groups": [], "final_groups": [], "costs": {}}
     section = None
@@ -99,11 +101,11 @@ def load_cost_table(path) -> CostTable:
                     if key not in ("tone_cost", "substitution_cost",
                                    "indel_cost"):
                         raise ValueError(f"unknown cost {key!r}")
-                    sections["costs"][key] = float(val)
+                    sections["costs"][key] = _cost(val)
                 elif section:
                     members, cost = line.rsplit(":", 1)
                     sections[section].append((frozenset(members.split()),
-                                              float(cost)))
+                                              _cost(cost)))
                 else:
                     raise ValueError("line before any section")
             except ValueError as exc:
@@ -111,6 +113,13 @@ def load_cost_table(path) -> CostTable:
     return CostTable(initial_groups=tuple(sections["initial_groups"]),
                      final_groups=tuple(sections["final_groups"]),
                      **sections["costs"])
+
+
+def _cost(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"cost {text.strip()!r} is not finite and >= 0")
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -202,6 +202,43 @@ class TestExitCodes:
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cost_table_value_out_of_range(self, demo, trained, char_nbest,
+                                           tmp_path, capsys):
+        costs = tmp_path / "costs.txt"
+        costs.write_text("[costs]\ntone_cost = 0.2\nindel_cost = -1\n",
+                         encoding="utf-8")
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       .replace("[paths]\n", f"[paths]\ncost_table = {costs}\n"),
+                       encoding="utf-8")
+        out = tmp_path / "hits.tsv"
+        rc = main(["--config", str(cfg), "kws", str(trained), str(out),
+                   "--nbest-char", str(char_nbest)])
+        assert rc == 2
+        assert f"{costs}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, config, flag", [
+        ("atwv_beta", "[eval]\natwv_beta = inf\n", "1.0"),
+        ("min_overlap_fraction", "[eval]\nmin_overlap_fraction = 2\n", "1.0"),
+        ("total_speech_s", "", "nan"),
+        ("total_speech_s", "", "inf"),
+    ])
+    def test_eval_setting_out_of_range(self, demo, trained, tmp_path, capsys,
+                                       field, config, flag):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       + config, encoding="utf-8")
+        hits = tmp_path / "hits.tsv"
+        hits.write_text("", encoding="utf-8")
+        out = tmp_path / "report.json"
+        rc = main(["--config", str(cfg), "eval", str(hits),
+                   str(trained / "refs.tsv"), "--total-speech-s", flag,
+                   "--out", str(out)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-0.04", "inf"])
     def test_frame_period_not_positive(self, demo, tmp_path, capsys, value):
         cfg = tmp_path / "config.ini"

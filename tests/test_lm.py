@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,19 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwspot.corpus import make_corpus, make_language
 from kwspot.errors import BadFormat, EmptyCorpus
 from kwspot.lm import (BOS, EOS, UNK, NGramLM, ScoreRows, read_arpa, train,
                        write_arpa)
+from kwspot.units import syllabify
 from fuzzing import edit_lists, mutate
 from oracles import train_reference
 
 
 def all_contexts(lm):
-    ctxs = {()}
-    for gram in lm.probs:
-        if len(gram) < lm.order:
-            ctxs.add(gram)
-    return ctxs
+    return {()} | {ctx + (w,) for ctx, successors in lm.probs.items()
+                   if len(ctx) < lm.order - 1 for w in successors}
+
+
+def flat(lm):
+    """probs as one dict from n-gram tuple to log10 probability."""
+    return {ctx + (w,): p for ctx, successors in lm.probs.items()
+            for w, p in successors.items()}
 
 
 def context_mass(lm, ctx):
@@ -101,7 +107,7 @@ def test_score_rows_equal_score_token_bit_for_bit(lines, order, discount,
                                                   texts, drop_unk):
     lm = train(lines, order=order, discount=discount)
     if drop_unk:  # an ARPA file may omit <unk>: its unigram is LOG10_ZERO
-        del lm.probs[(UNK,)]
+        del lm.probs[()][UNK]
     # units in and out of the vocabulary, and the LM's own symbols
     tokens = ["a", "b", "c", "d", "z", "zz", BOS, EOS, UNK]
     states = {(), (BOS,)}
@@ -138,8 +144,9 @@ token_corpora = st.lists(
 def test_train_equals_recursive_reference(lines, order, discount):
     lm = train(lines, order=order, discount=discount)
     probs, backoffs, vocab = train_reference(lines, order, discount)
-    assert lm.probs == probs
+    assert flat(lm) == probs
     assert lm.backoffs == backoffs
+    assert lm.probs.keys() == {()} | backoffs.keys()
     assert lm.vocab == vocab
 
 
@@ -156,7 +163,7 @@ class TestArpa:
         path.write_text(VALID_ARPA.replace("\t", "  "), encoding="utf-8")
         spaces = read_arpa(path)
         assert tabs.probs == spaces.probs == {
-            ("a",): -0.3, ("b",): -0.5, (UNK,): -99.0, ("a", "b"): -0.1}
+            (): {"a": -0.3, "b": -0.5, UNK: -99.0}, ("a",): {"b": -0.1}}
         assert tabs.backoffs == spaces.backoffs == {("a",): -0.2}
         assert tabs.order == 2
 
@@ -198,6 +205,26 @@ class TestArpa:
         except BadFormat:
             return
         assert lm.order >= 1 and UNK in lm.vocab
+        write_arpa(lm, path)  # whatever loads writes back
+
+    def test_backoff_without_successors_round_trips(self, tmp_path):
+        # b has a backoff but no bigram; a b is top order, so its backoff
+        # has no context to weigh and is dropped on writing
+        path = tmp_path / "m.arpa"
+        path.write_text(VALID_ARPA.replace("-0.5\tb", "-0.5\tb\t-0.4")
+                        .replace("-0.1\ta b", "-0.1\ta b\t-0.7"),
+                        encoding="utf-8")
+        lm = read_arpa(path)
+        assert lm.probs == {(): {"a": -0.3, "b": -0.5, UNK: -99.0},
+                            ("a",): {"b": -0.1}, ("b",): {}}
+        assert lm.score_token(("b",), "a")[0] == -0.4 + -0.3
+        write_arpa(lm, tmp_path / "back.arpa")
+        assert (tmp_path / "back.arpa").read_text(encoding="utf-8") == (
+            "\\data\\\nngram 1=3\nngram 2=1\n\n"
+            "\\1-grams:\n-99\t<unk>\n-0.29999999999999999\ta\t-0.20000000000000001\n"
+            "-0.5\tb\t-0.40000000000000002\n\n"
+            "\\2-grams:\n-0.10000000000000001\ta b\n\n\\end\\\n")
+        assert read_arpa(tmp_path / "back.arpa").probs == lm.probs
 
     def test_round_trip_scores(self, tmp_path):
         lm = train(["abc", "abd", "cab", "ddd"], order=3, discount=0.75)
@@ -232,3 +259,44 @@ class TestArpa:
         assert lm.order == 1
         assert 10 ** lm.score_sequence(["a"]) == pytest.approx(0.5)
         assert 10 ** lm.score_sequence(["b"]) == pytest.approx(0.2)
+
+
+# sha256 of write_arpa's output, pinned from the flat n-gram table that
+# preceded the layout grouped by context: the ARPA text must not change
+ARPA_SHA256 = {
+    ("char", 1): "a79507235b6f5c77aaa24d8d8fdc18aaa8020d7ae77f344210fd3268c6033d6a",
+    ("char", 2): "76af8ba294b9a509bab87701f696c5ffa89c8e5c7016e2a82206832997c9aecc",
+    ("char", 3): "f6ac44c612378cd179475b8b7a843738c78c2ca022c968245ae54a60a05a8606",
+    ("char", 4): "78c4f7c4a75a624a6b75a29c61d292a53bbbf2fb1bc934293afed8232db7cdf7",
+    ("syllable", 1): "f0df8260837dff0c6d1b776fdcccea8602acb402bcce34c3674aacdcb3e8f0f3",
+    ("syllable", 2): "0d5fa9ae9c2f2524af89f497e5129467f58b3542a8aca233a802e81332da82ce",
+    ("syllable", 3): "26e44d6ed9a02e815e806c63447ad96143012e855ea143fdb68fa9ac091a1094",
+    ("syllable", 4): "3ece82dfa04f4655cb0702d34b5c832f244668e985560bfcbcbadd5fcfc89754",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus():
+    lang = make_language()
+    lines = make_corpus(lang, num_utts=2, num_keywords=10, seed=3).lm_lines
+    return {"char": lines,
+            "syllable": [[lang.syll_set.units[i] for i in
+                          syllabify(ln, lang.lexicon, lang.syll_set)]
+                         for ln in lines]}
+
+
+@pytest.mark.parametrize("unit, order", sorted(ARPA_SHA256))
+def test_arpa_bytes_are_pinned(pinned_corpus, tmp_path, unit, order):
+    path = tmp_path / "m.arpa"
+    write_arpa(train(pinned_corpus[unit], order=order), path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == ARPA_SHA256[unit, order])
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_contexts_share_their_backoff_keys(tmp_path, order):
+    trained = train(["abcab", "bca", "cc"], order=order)
+    write_arpa(trained, tmp_path / "m.arpa")
+    for lm in (trained, read_arpa(tmp_path / "m.arpa")):
+        backoff_key = {ctx: ctx for ctx in lm.backoffs}
+        assert all(backoff_key[ctx] is ctx for ctx in lm.probs if ctx)

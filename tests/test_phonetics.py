@@ -168,6 +168,10 @@ tone_cost = 0.1
     ("[costs]\n[finals]\nan ang : 0.4\n", 2),             # unknown section
     ("[initial_groups]\nzh z 0.3\n", 2),                  # no ':cost'
     ("[final_groups]\nan ang : x\n", 2),                  # bad number
+    ("[initial_groups]\nzh z : inf\n", 2),                # infinite cost
+    ("[final_groups]\nan ang : -0.5\n", 2),               # negative cost
+    ("[costs]\ntone_cost = 0.1\nindel_cost = -1\n", 3),   # negative cost
+    ("[costs]\ntone_cost = nan\n", 2),                    # not a number
 ])
 def test_cost_table_errors_name_the_line(tmp_path, text, line):
     p = tmp_path / "costs.txt"
