@@ -14,7 +14,9 @@ keeps for one search; the other is the automaton's next-move table, built
 once by ``KeywordTrie.finalize``, so no trie row is built during a search.
 Only the extensions that land on a prefix already in the beam are summed
 in scalar code, and only the beam_size survivors get a prefix tuple and an
-LM state.
+LM state (``NGramLM.next_state``).  Without an LM or a trie the search runs
+the same path over neutral tables: an order-1 LM whose every increment is
+0.0, and the empty trie, whose one bonus is 0.0.
 The float operations are those of the plain per-(prefix, unit) loop, in the
 same order, so the N-best lists equal that loop's bit for bit.
 """
@@ -189,20 +191,17 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
     col_of = np.full(len(us), -1)
     col_of[cols] = np.arange(len(cols))
     lmw = cfg.lm_weight * LN10  # applied to log10 LM increments
-    # log10 LM increment of each column's unit, one row per LM state; without
-    # an LM one state () whose increments are 0.0
-    rows = ScoreRows(lm, [us.units[u] for u in cols]) if lm is not None \
-        else None
-    no_lm = np.zeros((1, len(cols)))
-    # next trie node on each column's unit, one row per node; without bias
-    # one node 0 whose bonus is 0.0
-    trie_next = np.zeros((1, len(cols)), dtype=np.intp)
-    node_bonus = np.zeros(1)
-    if trie is not None:
-        inside = cols < trie.next.shape[1]  # later units lead to the root
-        trie_next = np.zeros((len(trie.next), len(cols)), dtype=np.intp)
-        trie_next[:, inside] = trie.next[:, cols[inside]]
-        node_bonus = trie.node_bonus
+    # log10 LM increment of each column's unit, one row per LM state;
+    # without an LM, of an order-1 LM whose every unigram is log10 p = 0.0
+    names = [us.units[u] for u in cols]
+    rows = ScoreRows(lm or NGramLM(1, set(names),
+                                   {(): dict.fromkeys(names, 0.0)}), names)
+    # next trie node on each column's unit, one row per node; without a
+    # trie, of the empty one: a root row, bonus 0.0
+    trie = trie or build_bias_trie([], None, BiasConfig())
+    inside = cols < trie.next.shape[1]  # later units lead to the root
+    trie_next = np.zeros((len(trie.next), len(cols)), dtype=np.intp)
+    trie_next[:, inside] = trie.next[:, cols[inside]]
 
     # the beam, one entry per collapsed prefix: blank / non-blank log
     # masses, accumulated log10 LM score and bias, its LM state's row and
@@ -210,7 +209,7 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
     prefixes = [()]
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
     lm10, bias = np.zeros(1), np.zeros(1)
-    lm_id = np.array([rows.id(()) if rows is not None else 0])
+    lm_id = np.array([rows.id(())])
     node = np.zeros(1, dtype=np.intp)
 
     for t in range(pg.num_frames):
@@ -232,10 +231,9 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
         # only the blank-ended mass starts a new token
         ext = np.where(units == last[:, None], pb[:, None],
                        ptot[:, None]) + row[units]
-        lm_table = rows.table if rows is not None else no_lm
-        ext_lm = lm10[:, None] + lm_table[lm_id[:, None], at]
+        ext_lm = lm10[:, None] + rows.table[lm_id[:, None], at]
         ext_node = trie_next[node[:, None], at]
-        ext_bias = bias[:, None] + node_bonus[ext_node]
+        ext_bias = bias[:, None] + trie.node_bonus[ext_node]
         ext_score = ext + lmw * ext_lm + ext_bias
 
         # an extension that is already in the beam adds its mass there:
@@ -272,12 +270,8 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
                 new_lm_id.append(lm_id[c])
                 continue
             i, j = divmod(c - n, m)
-            state_id = lm_id[i]
-            if rows is not None:
-                state = lm.score_token(rows.states[state_id],
-                                       us.units[units[j]])[1]
-                state_id = rows.id(state)
-            new_lm_id.append(state_id)
+            new_lm_id.append(rows.id(rows.lm.next_state(
+                rows.states[lm_id[i]], names[at[j]])))
         prefixes = new_prefixes
         lm_id = np.array(new_lm_id, dtype=np.intp)
         node = np.concatenate([node, ext_node.ravel()])[keep]
@@ -299,7 +293,7 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
                            score_am=am[k], score_lm=lm10[k],
                            score_bias=bias[k], score_total=total[k])
         if prefix:
-            entry.spans = align_viterbi(pg, list(prefix), blank)
+            entry.spans = align_viterbi(pg, list(prefix))
         out.append(entry)
     return out
 

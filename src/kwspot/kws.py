@@ -9,7 +9,9 @@ once, in one batched ``phrase_distance`` per keyword.  Every candidate is
 then scored by the CTC forward algorithm over the frame window its matched
 tokens align to (once per distinct posteriorgram, units and window),
 length-normalized in the log domain, and overlapping hits for the same
-keyword are merged keeping the higher score.
+keyword are merged keeping the higher score.  A fuzzy window with fewer
+frames than its keyword needs (``ctc_min_frames``) is skipped unscored;
+every other window is one ``score_ctc`` can score, or it raises.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentInfeasible, BadSyllable
-from .pgram import Posteriorgram, ctc_trellis
+from .pgram import Posteriorgram, ctc_min_frames, ctc_trellis
 from .phonetics import (CostTable, Syllable, parse_syllable, phrase_distance,
                         substitution_matrix)
 from .units import Lexicon, UnitSet, read_tsv
@@ -147,8 +149,7 @@ def match_fuzzy(nbest, kw: Keyword, fuzzy: FuzzyCosts, threshold: float,
                   if d < threshold for rank, i in index[w])
 
 
-def score_ctc(pg: Posteriorgram, units, window: tuple[int, int],
-              blank: int = 0) -> float:
+def score_ctc(pg: Posteriorgram, units, window: tuple[int, int]) -> float:
     """Natural log of the total mass of window paths collapsing to units.
 
     CTC forward recursion over the window; both final states are summed.
@@ -156,7 +157,7 @@ def score_ctc(pg: Posteriorgram, units, window: tuple[int, int],
     ws, we = window
     if not 0 <= ws < we <= pg.num_frames:
         raise AlignmentInfeasible(f"bad window [{ws}, {we})")
-    alpha = ctc_trellis(pg.logp[ws:we], list(units), blank)
+    alpha = ctc_trellis(pg.logp[ws:we], list(units))
     return float(np.logaddexp.reduce(alpha[-1, -2:]))
 
 
@@ -192,8 +193,7 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
     syll_windows = (WindowIndex(nbest_syll, max_rank)
                     if Stage.SYLLABLE in stages and nbest_syll is not None
                     and pg_syll is not None else None)
-    # (id(pg), units, ws, we) -> raw score, or the AlignmentInfeasible
-    scores: dict[tuple, float | AlignmentInfeasible] = {}
+    scores: dict[tuple, float] = {}  # (id(pg), units, ws, we) -> raw score
     for kw in keywords:
         cands = []  # (stage, nbest, pg, units, rank, ti, tj)
         if Stage.CHAR in stages:
@@ -213,20 +213,14 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
         for stage, nbest, pg, units, rank, ti, tj in cands:
             spans = nbest[rank].spans
             ws, we = spans[ti].start_frame, spans[tj - 1].end_frame
+            if stage is Stage.FUZZY and we - ws < ctc_min_frames(units):
+                # a fuzzy window fits the decoded variant; the true keyword
+                # may need more frames (repeated units need separating blanks)
+                continue
             key = (id(pg), units, ws, we)
             raw = scores.get(key)
             if raw is None:
-                try:
-                    raw = score_ctc(pg, units, (ws, we))
-                except AlignmentInfeasible as exc:
-                    raw = exc
-                scores[key] = raw
-            if isinstance(raw, AlignmentInfeasible):
-                # a fuzzy window fits the decoded variant; the true keyword
-                # may need more frames (repeated units need separating blanks)
-                if stage is not Stage.FUZZY:
-                    raise raw
-                continue
+                raw = scores[key] = score_ctc(pg, units, (ws, we))
             score = raw / len(units) if cfg.length_norm else raw
             hits.append(Hit(utt_id=pg.utt_id, kw_id=kw.id, stage=stage,
                             start_frame=ws, end_frame=we,
@@ -249,7 +243,8 @@ def write_hits(hits: list[Hit], path) -> None:
 
 def read_hits(path) -> list[Hit]:
     """Hits as write_hits writes them: utt, keyword, start and end seconds,
-    score, decision (0 or 1), stage, start and end frame (end exclusive)."""
+    score, decision (0 or 1), stage, start and end frame (end exclusive);
+    scores and times are finite, and each span has start < end."""
     def hit(f):
         utt, kw, start_s, end_s, score, dec, stage, start_f, end_f = f
         if dec not in ("0", "1"):
@@ -258,8 +253,12 @@ def read_hits(path) -> list[Hit]:
         if not 0 <= start_frame < end_frame:
             raise ValueError(f"frames [{start_frame}, {end_frame}) are not "
                              f"0 <= start < end")
+        start, end, norm = float(start_s), float(end_s), float(score)
+        if not (math.isfinite(norm) and -math.inf < start < end < math.inf):
+            raise ValueError(f"score {norm} or times [{start}, {end}] are "
+                             f"not finite with start < end")
         return Hit(utt_id=utt, kw_id=kw, stage=Stage(stage),
                    start_frame=start_frame, end_frame=end_frame,
-                   start_s=float(start_s), end_s=float(end_s),
-                   norm_score=float(score), decision=dec == "1")
+                   start_s=start, end_s=end, norm_score=norm,
+                   decision=dec == "1")
     return list(read_tsv(path, 9, hit))

@@ -11,7 +11,8 @@ smaller n-gram language models" (ACL 2011), kept as plain dicts:
 context's successors are read without probing, and a context shares its
 tuple key with its backoff weight.  ``NGramLM.backoff_walk`` is the one
 place the backoff rule is written; ``score_token`` scores one token with it
-and ``ScoreRows`` a row of tokens.
+and ``ScoreRows`` a row of tokens.  ``next_state`` is the one place the
+state after a token is written.
 """
 
 from __future__ import annotations
@@ -71,8 +72,12 @@ class NGramLM:
                 break
         else:
             logp = LOG10_ZERO
-        next_state = (state + (token,))[-(self.order - 1):] if self.order > 1 else ()
-        return backoff + logp, next_state
+        return backoff + logp, self.next_state(state, token)
+
+    def next_state(self, state: tuple[str, ...], token: str) -> tuple[str, ...]:
+        """The state after token, as ``score_token`` returns it."""
+        return ((state + (self._norm(token),))[-(self.order - 1):]
+                if self.order > 1 else ())
 
     def score_sequence(self, tokens: list[str], with_boundaries: bool = False) -> float:
         state: tuple[str, ...] = (BOS,) if with_boundaries else ()

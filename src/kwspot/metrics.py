@@ -18,8 +18,9 @@ class RefOccurrence:
     end_s: float
 
     def __post_init__(self):
-        if not self.start_s < self.end_s:
-            raise ValueError("reference span must have start < end")
+        if not -math.inf < self.start_s < self.end_s < math.inf:  # NaN too
+            raise ValueError(f"reference span [{self.start_s}, {self.end_s}]"
+                             f" is not finite with start < end")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, score
 
 
-def atwv(tp_pairs, fp_hits, fn_refs, all_refs, cfg: EvalConfig):
+def atwv(tp_pairs, fp_hits, all_refs, cfg: EvalConfig):
     """Mean TWV over keywords with at least one reference occurrence.
 
     TWV(kw) = 1 - P_miss - beta * P_fa with P_fa trials = speech seconds

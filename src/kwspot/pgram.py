@@ -152,27 +152,28 @@ def ctc_min_frames(tokens: list[int]) -> int:
     return len(tokens) + rep
 
 
-def ctc_trellis(lp: np.ndarray, tokens: list[int], blank: int = 0,
+def ctc_trellis(lp: np.ndarray, tokens: list[int],
                 plus=np.logaddexp) -> np.ndarray:
     """CTC recursion of tokens over the T x V log posteriors lp.
 
     Returns the (T, 2L+1) matrix over the blank-interleaved states
-    (blank, tok_1, blank, ..., tok_L, blank).  A state is entered from itself,
-    from the state before it, or by skipping the blank two states back when
-    it holds a token differing from the previous one.  ``plus=np.logaddexp``
-    gives forward masses, ``np.maximum`` best-path (Viterbi) scores.
+    (blank, tok_1, blank, ..., tok_L, blank), the blank being unit 0.  A
+    state is entered from itself, from the state before it, or by skipping
+    the blank two states back when it holds a token differing from the
+    previous one.  ``plus=np.logaddexp`` gives forward masses,
+    ``np.maximum`` best-path (Viterbi) scores.
     """
     T = lp.shape[0]
     if T < max(ctc_min_frames(tokens), 1):
         raise AlignmentInfeasible(f"{len(tokens)} tokens do not fit in {T} frames")
-    states = np.full(2 * len(tokens) + 1, blank)
+    states = np.zeros(2 * len(tokens) + 1, dtype=np.intp)
     states[1::2] = tokens
     S = len(states)
     emit = lp[:, states].astype(np.float64)
     alpha = np.full((T, S), -np.inf)
     alpha[0, :2] = emit[0, :2]
     skip = np.zeros(S, dtype=bool)
-    skip[2:] = (states[2:] != blank) & (states[2:] != states[:-2])
+    skip[2:] = (states[2:] != 0) & (states[2:] != states[:-2])
     step = np.full(S, -np.inf)
     jump = np.full(S, -np.inf)  # stays -inf wherever skip is False
     for t in range(1, T):
@@ -183,8 +184,7 @@ def ctc_trellis(lp: np.ndarray, tokens: list[int], blank: int = 0,
     return alpha
 
 
-def align_viterbi(pg: Posteriorgram, tokens: list[int],
-                  blank: int = 0) -> list[TokenSpan]:
+def align_viterbi(pg: Posteriorgram, tokens: list[int]) -> list[TokenSpan]:
     """Best CTC alignment (max over paths) of tokens against pg.
 
     Each token's span is the set of frames its non-blank state occupies.
@@ -193,7 +193,7 @@ def align_viterbi(pg: Posteriorgram, tokens: list[int],
     """
     if not tokens:
         return []
-    delta = ctc_trellis(pg.logp, tokens, blank, plus=np.maximum)
+    delta = ctc_trellis(pg.logp, tokens, plus=np.maximum)
     T, S = delta.shape
     # best path must end in the last blank or the last token state
     end = S - 1 if delta[T - 1, S - 1] >= delta[T - 1, S - 2] else S - 2
@@ -207,7 +207,7 @@ def align_viterbi(pg: Posteriorgram, tokens: list[int],
         best, arg = prev[s], s
         if s >= 1 and prev[s - 1] > best:
             best, arg = prev[s - 1], s - 1
-        if (s % 2 and s >= 3 and tokens[s // 2] not in (blank, tokens[s // 2 - 1])
+        if (s % 2 and s >= 3 and tokens[s // 2] not in (0, tokens[s // 2 - 1])
                 and prev[s - 2] > best):
             arg = s - 2
         s = arg

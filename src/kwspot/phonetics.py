@@ -153,11 +153,20 @@ def substitution_matrix(sylls: Sequence[Syllable | None],
                         table: CostTable) -> np.ndarray:
     """``sub[x, y]``: the syllable distance of units x and y capped at one
     indel, for ``sylls`` indexed by unit id; the row and column of a unit
-    without a syllable (the blank, ``None``) are 0."""
+    without a syllable (the blank, ``None``) are 0.  The matrix is built
+    once per equal (sylls, table) and shared, so it is read-only."""
+    return _substitution_matrix(tuple(sylls), table)
+
+
+@lru_cache(maxsize=16)
+def _substitution_matrix(sylls: tuple[Syllable | None, ...],
+                         table: CostTable) -> np.ndarray:
     indel = table.indel_cost
-    return np.array([[0.0 if a is None or b is None
-                      else min(syllable_distance(a, b, table), indel)
-                      for b in sylls] for a in sylls], dtype=np.float64)
+    sub = np.array([[0.0 if a is None or b is None
+                     else min(syllable_distance(a, b, table), indel)
+                     for b in sylls] for a in sylls], dtype=np.float64)
+    sub.flags.writeable = False
+    return sub
 
 
 def phrase_distance(windows: Sequence[Sequence[int]], b: Sequence[int],

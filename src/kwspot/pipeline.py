@@ -186,6 +186,12 @@ def _nbest_entry(h: dict) -> NBestEntry:
                        **{k: h[k] for k in _SCORES})
     entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e)
                    for t, (s, e) in zip(tokens, spans, strict=True)]
+    end = 0  # spans are [start, end) frames in order, none overlapping
+    for span in entry.spans:
+        if not end <= span.start_frame < span.end_frame:
+            raise ValueError(f"span [{span.start_frame}, {span.end_frame}) "
+                             f"is not {end} <= start < end")
+        end = span.end_frame
     return entry
 
 
@@ -196,13 +202,11 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
         odd = sorted(set(nbest_syll) ^ set(nbest_char))
         raise BadFormat(f"utterance(s) {odd} are not in both the char and "
                         f"the syllable N-best")
-    for nbest, us in ((nbest_char, char_set), (nbest_syll or {}, syll_set)):
-        for utt_id, entries in nbest.items():
-            if any(not 0 < t < len(us) for e in entries for t in e.tokens):
-                raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
-                                f"the {us.id!r} units 1..{len(us) - 1}")
     pgrams = {}
-    for stage in ("char", "syll") if nbest_syll is not None else ("char",):
+    inputs = {"char": (nbest_char, char_set)}
+    if nbest_syll is not None:
+        inputs["syll"] = (nbest_syll, syll_set)
+    for stage, (nbest, us) in inputs.items():
         stage_dir = Path(pgram_dir) / stage
         pgrams[stage] = load_pgrams(stage_dir)
         extra = sorted(pgrams[stage].keys() - nbest_char.keys())
@@ -213,6 +217,16 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
         if missing:
             raise FileNotFoundError(f"{stage_dir}: no .pgram file for "
                                     f"utterance(s) {missing}")
+        for utt_id, entries in nbest.items():
+            if any(not 0 < t < len(us) for e in entries for t in e.tokens):
+                raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
+                                f"the {us.id!r} units 1..{len(us) - 1}")
+            frames = pgrams[stage][utt_id].num_frames
+            # spans lie in order (read_nbest checks), so the last ends last
+            if any(e.spans and e.spans[-1].end_frame > frames
+                   for e in entries):
+                raise BadFormat(f"{stage_dir}: utterance {utt_id!r}: an "
+                                f"N-best span ends past its {frames} frames")
     fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
              if Stage.FUZZY in cfg.stages_enabled else None)
     syll_pgrams, syll_nbest = pgrams.get("syll", {}), nbest_syll or {}
@@ -238,7 +252,7 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
     tp, fp, fn = align_hits(decided, refs, cfg)
     precision, recall, f1_score = f1(len(tp), len(fp), len(fn))
     try:
-        atwv_score, per_kw = atwv(tp, fp, fn, refs, cfg)
+        atwv_score, per_kw = atwv(tp, fp, refs, cfg)
     except NoScorableKeywords:
         atwv_score, per_kw = 0.0, {}
 
@@ -256,7 +270,7 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
         s_tp, s_fp, s_fn = align_hits(sel, refs, cfg)
         _, _, s_f1 = f1(len(s_tp), len(s_fp), len(s_fn))
         try:
-            s_atwv, _ = atwv(s_tp, s_fp, s_fn, refs, cfg)
+            s_atwv, _ = atwv(s_tp, s_fp, refs, cfg)
         except NoScorableKeywords:
             s_atwv = 0.0
         sweep.append({"threshold": theta, "f1": s_f1, "atwv": s_atwv})

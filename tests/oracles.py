@@ -361,6 +361,6 @@ def prefix_beam_search(pg, us, lm=None, trie=None, cfg=BeamConfig()):
                            score_bias=i.bias_bonus,
                            score_total=am + lmw * i.lm_log10 + i.bias_bonus)
         if prefix:
-            entry.spans = align_viterbi(pg, list(prefix), blank)
+            entry.spans = align_viterbi(pg, list(prefix))
         out.append(entry)
     return out

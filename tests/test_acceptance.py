@@ -269,7 +269,7 @@ class TestCriterion7MetricGoldenCases:
                 self._hit("u", "k2", 10.0, 11.0),  # tp for k2
                 self._hit("u", "k2", 50.0, 51.0)]  # fa for k2
         tp, fp, fn = align_hits(hits, refs, cfg)
-        val, per_kw = atwv(tp, fp, fn, refs, cfg)
+        val, per_kw = atwv(tp, fp, refs, cfg)
         # k1: 1 - 1/2 = 0.5
         # k2: 1 - 0 - 999.9 * (1 / (100 - 1)) = 1 - 10.1 = -9.1 exactly
         assert per_kw["k1"] == pytest.approx(0.5, abs=1e-4)
@@ -279,9 +279,9 @@ class TestCriterion7MetricGoldenCases:
         tp, fp, fn = align_hits([self._hit("u", "k1", 0.0, 1.0),
                                  self._hit("u", "k1", 5.0, 6.0),
                                  self._hit("u", "k2", 10.0, 11.0)], refs, cfg)
-        assert atwv(tp, fp, fn, refs, cfg)[0] == 1.0
+        assert atwv(tp, fp, refs, cfg)[0] == 1.0
         tp, fp, fn = align_hits([], refs, cfg)
-        assert atwv(tp, fp, fn, refs, cfg)[0] == 0.0
+        assert atwv(tp, fp, refs, cfg)[0] == 0.0
 
 
 class TestCriterion8FuzzyMatching:

@@ -74,6 +74,29 @@ class TestExitCodes:
                    str(tmp_path / "refs.tsv"), "--total-speech-s", "10"])
         assert rc == 1
 
+    @pytest.mark.parametrize("broken, line", [
+        ("hits", "u1\tk1\t0.5\t1.0\tnan\t1\tchar\t12\t25\n"),
+        ("hits", "u1\tk1\t0.5\tinf\t-1.0\t1\tchar\t12\t25\n"),
+        ("hits", "u1\tk1\t-inf\t1.0\t-1.0\t1\tchar\t12\t25\n"),
+        ("hits", "u1\tk1\t1.0\t0.5\t-1.0\t1\tchar\t12\t25\n"),
+        ("hits", "u1\tk1\t0.5\t0.5\t-1.0\t1\tchar\t12\t25\n"),
+        ("refs", "u1\tk1\t0.5\tinf\n"),
+        ("refs", "u1\tk1\t-inf\t1.0\n")],
+        ids=["nan-score", "inf-end", "inf-start", "reversed", "empty",
+             "ref-inf-end", "ref-inf-start"])
+    def test_non_finite_or_reversed_times_are_domain_errors(
+            self, tmp_path, capsys, broken, line):
+        files = {"hits": "u1\tk1\t0.5\t1.0\t-1.0\t1\tchar\t12\t25\n",
+                 "refs": "u1\tk1\t0.5\t1.0\n", broken: line}
+        for name, text in files.items():
+            (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+        rc = main(["eval", str(tmp_path / "hits.tsv"),
+                   str(tmp_path / "refs.tsv"), "--total-speech-s", "10",
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        assert f"{broken}.tsv:1:" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_char_unit_without_lexicon_entry(self, demo, tmp_path, capsys):
         cfg = demo / "config.ini"
         pg = tmp_path / "pg"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kwspot.decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                             build_bias_trie, logaddexp, prefix_beam_search)
 from kwspot.errors import InvalidKeyword, UnitSetMismatch
-from kwspot.lm import train
+from kwspot.lm import NGramLM, train
 from kwspot.pgram import Posteriorgram, SynthConfig, synth_generate
 from kwspot.units import BLANK, UnitKind, UnitSet
 
@@ -340,3 +340,25 @@ def test_search_equals_scalar_oracle(inputs):
         return (e.tokens, e.text, e.score_am, e.score_lm, e.score_bias,
                 e.score_total, e.spans)
     assert [fields(e) for e in got] == [fields(e) for e in want]
+
+
+def test_search_never_calls_score_token(monkeypatch):
+    # the LM states of the survivors come from NGramLM.next_state and their
+    # increments from ScoreRows, so score_token is not needed.  Unit d is
+    # not in the LM, and <unk> has contexts, so a state must map d to <unk>
+    targets = [1, 4, 0, 1, 4, 3, 4, 1, 0]
+    p = np.full((len(targets), 5), 0.125)
+    p[np.arange(len(targets)), targets] = 0.5
+    pg = pg_from_probs(p, US5.id)
+    lm = train([list("abca"), ["b", "<unk>", "a"], list("cab"),
+                ["a", "<unk>", "c", "a"]], order=3)
+    trie = build_bias_trie([[1, 2], [3, 1, 4]], lm, BiasConfig(),
+                           unit_names=US5.units)
+    cfg = BeamConfig(beam_size=4, nbest=4, token_min_logp=-math.inf)
+    want = oracles.prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
+
+    def refuse(*_):
+        raise AssertionError("the search called NGramLM.score_token")
+    monkeypatch.setattr(NGramLM, "score_token", refuse)
+    got = prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
+    assert got == want and len(got) == 4

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwspot import kws
 from kwspot.decoder import BeamConfig, prefix_beam_search
 from kwspot.errors import AlignmentInfeasible, BadFormat, BadSyllable
 from kwspot.kws import (FuzzyCosts, Hit, Keyword, KwsConfig, Stage, WindowIndex,
                         char_syllables, detect, fuzzy_costs, match_exact,
                         match_fuzzy, merge_stages, read_hits, score_ctc,
                         write_hits)
-from kwspot.pgram import (Posteriorgram, SynthConfig, TokenSpan, synth_generate,
-                          token_layout)
+from kwspot.pgram import (Posteriorgram, SynthConfig, TokenSpan, ctc_min_frames,
+                          synth_generate, token_layout)
 from kwspot.phonetics import CostTable
 from kwspot.corpus import make_language
 from kwspot.units import Lexicon, syllabify, tokenize_chars
@@ -329,6 +330,29 @@ def test_cached_fuzzy_skip_does_not_hide_an_exact_raise():
     for fn in (oracles.detect, detect):
         with pytest.raises(AlignmentInfeasible):
             fn(pg, pg, nb_c, nb_s, [fz, ex], fuzzy, cfg)
+
+
+@pytest.mark.parametrize("extra", [-1, 0])
+def test_fuzzy_window_needs_the_keywords_frames(monkeypatch, extra):
+    # keyword (1, 1) needs a blank between its units; its fuzzy window
+    # over char window (1, 2) is skipped unscored when one frame short
+    units = (1, 1)
+    frames = ctc_min_frames(units) + extra
+    pg = Posteriorgram("u", "char", 0.04, np.log(np.full((4, 3), 1 / 3)))
+    nb_c = [FakeEntry([1, 2], [TokenSpan(1, 0, 1), TokenSpan(2, 1, frames)])]
+    scored = []
+
+    def record(*args):
+        scored.append(args)
+        return score_ctc(*args)
+    monkeypatch.setattr(kws, "score_ctc", record)
+    hits = detect(pg, None, nb_c, None, [Keyword("fz", "", units, ())],
+                  FuzzyCosts(np.zeros((3, 3)), 1.0), KwsConfig())
+    got = [(h.stage, h.start_frame, h.end_frame) for h in hits]
+    if extra < 0:
+        assert got == [] and scored == []
+    else:
+        assert got == [(Stage.FUZZY, 0, frames)] and len(scored) == 1
 
 
 class TestHitIO:

@@ -64,12 +64,12 @@ class TestAtwv:
     def test_perfect(self):
         refs = [RefOccurrence("u", "k", 0.0, 1.0)]
         tp = [(hit("u", "k", 0.0, 1.0), refs[0])]
-        val, per_kw = atwv(tp, [], [], refs, CFG)
+        val, per_kw = atwv(tp, [], refs, CFG)
         assert val == pytest.approx(1.0)
 
     def test_all_misses(self):
         refs = [RefOccurrence("u", "k", 0.0, 1.0)]
-        val, _ = atwv([], [], refs, refs, CFG)
+        val, _ = atwv([], [], refs, CFG)
         assert val == pytest.approx(0.0)
 
     def test_hand_computed(self):
@@ -77,8 +77,7 @@ class TestAtwv:
                 RefOccurrence("u", "k2", 4.0, 5.0)]
         tp = [(hit("u", "k1", 0.0, 1.0), refs[0]), (hit("u", "k2", 4.0, 5.0), refs[2])]
         fp = [hit("u", "k2", 50.0, 51.0)]
-        fn = [refs[1]]
-        val, per_kw = atwv(tp, fp, fn, refs, CFG)
+        val, per_kw = atwv(tp, fp, refs, CFG)
         assert per_kw["k1"] == pytest.approx(0.5, abs=1e-6)
         # 999.9/99 is exactly 10.1, so TWV(k2) = -9.1 and the mean is -4.3
         assert per_kw["k2"] == pytest.approx(-9.1, abs=1e-4)
@@ -86,21 +85,21 @@ class TestAtwv:
 
     def test_no_refs(self):
         with pytest.raises(NoScorableKeywords):
-            atwv([], [hit("u", "k", 0.0, 1.0)], [], [], CFG)
+            atwv([], [hit("u", "k", 0.0, 1.0)], [], CFG)
 
     def test_keyword_without_refs_excluded(self):
         refs = [RefOccurrence("u", "k1", 0.0, 1.0)]
         tp = [(hit("u", "k1", 0.0, 1.0), refs[0])]
         fp = [hit("u", "k9", 10.0, 11.0)]  # k9 has no references
-        val, per_kw = atwv(tp, fp, [], refs, CFG)
+        val, per_kw = atwv(tp, fp, refs, CFG)
         assert "k9" not in per_kw
         assert val == pytest.approx(1.0)
 
     def test_fp_never_helps(self):
         refs = [RefOccurrence("u", "k", 0.0, 1.0)]
         tp = [(hit("u", "k", 0.0, 1.0), refs[0])]
-        base, _ = atwv(tp, [], [], refs, CFG)
-        worse, _ = atwv(tp, [hit("u", "k", 50.0, 51.0)], [], refs, CFG)
+        base, _ = atwv(tp, [], refs, CFG)
+        worse, _ = atwv(tp, [hit("u", "k", 50.0, 51.0)], refs, CFG)
         assert worse < base
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwspot import kws, pipeline
+from kwspot import kws, phonetics, pipeline
 from kwspot.corpus import confusion_tables, make_corpus, make_language
 from kwspot.decoder import BeamConfig
 from kwspot.errors import BadFormat, BadSyllable, OutOfVocabulary
@@ -269,6 +270,22 @@ class TestComputeOnce:
         assert set(got) == {key(a) for a in reference}
         assert len(got) < len(reference)
 
+    def test_one_matrix_per_equal_cost_table(self, lang, noisy_decoded,
+                                             monkeypatch):
+        # a table no other test builds with, so the first call is a build
+        tables = [CostTable(tone_cost=0.125, indel_cost=0.875)
+                  for _ in range(2)]
+        assert tables[0] == tables[1] and tables[0] is not tables[1]
+        pairs = self._record(monkeypatch, phonetics, "syllable_distance")
+        priced = []
+        for table in tables:
+            pipeline.run_kws(*noisy_decoded, lang.char_set, lang.syll_set,
+                             lang.lexicon, table, KwsConfig())
+            priced.append(len(pairs))
+        assert priced[0] > 0 and priced[1] == priced[0]
+        sub = kws.fuzzy_costs(lang.char_set, lang.lexicon, tables[1]).sub
+        assert not sub.flags.writeable
+
 
 class TestBrokenKwsInputs:
     def _run_kws(self, lang, pgram_dir, nb_c, nb_s, keywords):
@@ -321,6 +338,37 @@ class TestBrokenKwsInputs:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(BadFormat, match=":1:"):
             pipeline.read_nbest(path)
+
+    @pytest.mark.parametrize("spans", [
+        [[-1, 3], [3, 5]], [[3, 3], [3, 5]], [[1, 3], [5, 4]],
+        [[1, 4], [3, 5]], [[3, 5], [1, 3]]],
+        ids=["negative", "empty", "reversed", "overlapping", "out-of-order"])
+    def test_span_not_in_order_is_bad_format(self, tmp_path, spans):
+        obj = json.loads(VALID_NBEST.splitlines()[0])
+        obj["hyps"][0]["spans"] = spans
+        path = tmp_path / "nbest.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(BadFormat, match="nbest.jsonl:1: .*span"):
+            pipeline.read_nbest(path)
+
+    @pytest.mark.parametrize("stage", ["char", "syll"])
+    def test_span_past_posteriorgram_is_bad_format(self, lang, small_run,
+                                                   decoded, stage):
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        nbest = nb_c if stage == "char" else nb_s
+        utt = max(nb_c)
+        frames = read_pgram(out / stage / f"{utt}.pgram").num_frames
+        k, entry = next((k, e) for k, e in enumerate(nbest[utt]) if e.spans)
+        spans = [*entry.spans[:-1],
+                 replace(entry.spans[-1], end_frame=frames + 1)]
+        hyps = list(nbest[utt])
+        hyps[k] = replace(entry, spans=spans)
+        bad = {**nbest, utt: hyps}
+        nb_c, nb_s = (bad, nb_s) if stage == "char" else (nb_c, bad)
+        with pytest.raises(BadFormat,
+                           match=re.escape(f"{stage}: utterance {utt!r}")):
+            self._run_kws(lang, out, nb_c, nb_s, keywords)
 
     @pytest.mark.parametrize("side, token", [
         ("char", -1), ("char", 0), ("char", 999), ("syll", -1),
