@@ -90,7 +90,7 @@ def cmd_decode(args) -> int:
         us, lm_path = syll_set, cfg.paths.syll_lm
     lm = read_arpa(lm_path) if lm_path else None
     trie = None
-    if cfg.beam.bias_enabled and cfg.paths.keywords:
+    if cfg.paths.keywords:
         entries = pipeline.load_id_text(cfg.paths.keywords)
         kws = pipeline.build_keywords(entries, char_set, lexicon, syll_set)
         seqs = [list(k.char_units if args.stage == "char" else k.syll_units)

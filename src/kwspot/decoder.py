@@ -16,7 +16,9 @@ Only the extensions that land on a prefix already in the beam are summed
 in scalar code, and only the beam_size survivors get a prefix tuple and an
 LM state (``NGramLM.next_state``).  Without an LM or a trie the search runs
 the same path over neutral tables: an order-1 LM whose every increment is
-0.0, and the empty trie, whose one bonus is 0.0.
+0.0, and the empty trie, whose one bonus is 0.0.  So the search biases
+exactly when it is given a trie, and a trie built with alpha = beta = 0
+gives the N-best lists of no trie.
 The float operations are those of the plain per-(prefix, unit) loop, in the
 same order, so the N-best lists equal that loop's bit for bit.
 """
@@ -45,9 +47,6 @@ class BeamConfig:
     nbest: int = 10
     lm_weight: float = 0.3
     token_min_logp: float = -12.0
-    # whether ``kwspot decode`` builds a keyword trie; the search itself
-    # biases exactly when it is given a trie
-    bias_enabled: bool = True
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -139,8 +138,7 @@ def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
         for start in range(0, len(kw), cfg.chunk_len):
             chunk = kw[start:start + cfg.chunk_len]
             if lm is not None and cfg.alpha != 0.0:
-                lm_score = lm.score_sequence([unit_names[u] for u in chunk],
-                                             with_boundaries=False)
+                lm_score = lm.score_sequence([unit_names[u] for u in chunk])
             else:
                 lm_score = 0.0
             weight = -cfg.alpha * lm_score + cfg.beta

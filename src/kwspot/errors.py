@@ -49,7 +49,3 @@ class InvalidKeyword(KwspotError):
 
 class UnitSetMismatch(KwspotError):
     pass
-
-
-class NoScorableKeywords(KwspotError):
-    pass

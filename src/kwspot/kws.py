@@ -12,6 +12,10 @@ length-normalized in the log domain, and overlapping hits for the same
 keyword are merged keeping the higher score.  A fuzzy window with fewer
 frames than its keyword needs (``ctc_min_frames``) is skipped unscored;
 every other window is one ``score_ctc`` can score, or it raises.
+
+Every stage searches every hypothesis it is given; matching over the top
+hypothesis only is matching over 1-entry N-best lists (``[beam] nbest = 1``
+at decode).
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ class KwsConfig:
     fuzzy_threshold: float = 0.5
     decision_threshold: float = -5.0  # natural log per unit
     stages_enabled: frozenset = frozenset({Stage.CHAR, Stage.SYLLABLE, Stage.FUZZY})
-    nbest_matching: bool = True       # False: search only the top hypothesis
     length_norm: bool = True
 
     def __post_init__(self):
@@ -109,13 +112,13 @@ def fuzzy_costs(char_set: UnitSet, lexicon: Lexicon,
 
 
 class WindowIndex(dict):
-    """The token windows of nbest[:max_rank], indexed per width on first
-    use: ``index[k]`` maps every k-token window to its [(rank, start)], in
-    rank, then start order."""
+    """The token windows of nbest, indexed per width on first use:
+    ``index[k]`` maps every k-token window to its [(rank, start)], in rank,
+    then start order."""
 
-    def __init__(self, nbest, max_rank: int | None = None):
+    def __init__(self, nbest):
         super().__init__()
-        self.hyps = [tuple(entry.tokens) for entry in nbest[:max_rank]]
+        self.hyps = [tuple(entry.tokens) for entry in nbest]
 
     def __missing__(self, k: int) -> dict[tuple[int, ...], list]:
         index: dict[tuple[int, ...], list] = {}
@@ -127,18 +130,17 @@ class WindowIndex(dict):
 
 
 def match_exact(nbest, kw_units: tuple[int, ...], windows: WindowIndex):
-    """All contiguous occurrences of kw_units in the hypotheses of nbest
-    that ``windows`` indexes."""
+    """All contiguous occurrences of kw_units in nbest, whose windows
+    ``windows`` indexes."""
     kw = tuple(kw_units)
     return [(rank, i, i + len(kw)) for rank, i in windows[len(kw)].get(kw, ())]
 
 
 def match_fuzzy(nbest, kw: Keyword, fuzzy: FuzzyCosts, threshold: float,
                 windows: WindowIndex):
-    """Windows of width |kw| (of the hypotheses of nbest that ``windows``
-    indexes) whose pronunciation is close to the keyword's; exact character
-    matches are excluded.  One phrase_distance batch covers the distinct
-    windows."""
+    """Windows of width |kw| of nbest (which ``windows`` indexes) whose
+    pronunciation is close to the keyword's; exact character matches are
+    excluded.  One phrase_distance batch covers the distinct windows."""
     kw_units = kw.char_units
     k = len(kw_units)
     index = windows[k]
@@ -187,10 +189,9 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
     """Full matching + scoring pipeline for one utterance; ``fuzzy`` (from
     fuzzy_costs) is read only when Stage.FUZZY is enabled."""
     hits: list[Hit] = []
-    max_rank = None if cfg.nbest_matching else 1
     stages = cfg.stages_enabled
-    char_windows = WindowIndex(nbest_char, max_rank)
-    syll_windows = (WindowIndex(nbest_syll, max_rank)
+    char_windows = WindowIndex(nbest_char)
+    syll_windows = (WindowIndex(nbest_syll)
                     if Stage.SYLLABLE in stages and nbest_syll is not None
                     and pg_syll is not None else None)
     scores: dict[tuple, float] = {}  # (id(pg), units, ws, we) -> raw score

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter, defaultdict
 from itertools import chain
 from dataclasses import dataclass, field
@@ -79,10 +80,12 @@ class NGramLM:
         return ((state + (self._norm(token),))[-(self.order - 1):]
                 if self.order > 1 else ())
 
-    def score_sequence(self, tokens: list[str], with_boundaries: bool = False) -> float:
-        state: tuple[str, ...] = (BOS,) if with_boundaries else ()
+    def score_sequence(self, tokens: list[str]) -> float:
+        """Summed log10 score of tokens from the empty state, without
+        sentence boundaries."""
+        state: tuple[str, ...] = ()
         total = 0.0
-        for tok in [*tokens, EOS] if with_boundaries else tokens:
+        for tok in tokens:
             s, state = self.score_token(state, tok)
             total += s
         return total
@@ -270,17 +273,18 @@ def read_arpa(path) -> NGramLM:
         if k is None:
             raise BadFormat(f"entry outside section: {s!r}")
         fields = s.split()
-        successors = lm.probs.get(context := tuple(fields[1:k]), _NONE)
-        if len(fields) not in (k + 1, k + 2) or fields[k] in successors:
+        # one string object per distinct word, shared by every n-gram
+        gram = tuple(map(sys.intern, fields[1:k + 1]))
+        successors = lm.probs.get(context := gram[:-1], _NONE)
+        if len(fields) not in (k + 1, k + 2) or gram[-1] in successors:
             raise BadFormat(f"bad or repeated entry in \\{k}-grams: {s!r}")
         if successors is _NONE:
             successors = lm.probs[context] = {}
         try:
-            successors[fields[k]] = float(fields[0])
+            successors[gram[-1]] = float(fields[0])
             if len(fields) == k + 2:
                 # one tuple keys the backoff and, below the top order,
                 # the successors
-                gram = context + (fields[k],)
                 lm.backoffs[gram] = float(fields[-1])
                 if k < order and gram not in lm.probs:
                     lm.probs[gram] = {}

@@ -6,7 +6,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NoScorableKeywords
 from .units import read_tsv
 
 
@@ -93,11 +92,12 @@ def atwv(tp_pairs, fp_hits, all_refs, cfg: EvalConfig):
     """Mean TWV over keywords with at least one reference occurrence.
 
     TWV(kw) = 1 - P_miss - beta * P_fa with P_fa trials = speech seconds
-    minus the keyword's true count.  Returns (atwv, per-keyword TWV dict).
+    minus the keyword's true count.  Returns (atwv, per-keyword TWV dict),
+    which is (0.0, {}) when no keyword has a reference occurrence.
     """
     n_true = Counter(r.kw_id for r in all_refs)
     if not n_true:
-        raise NoScorableKeywords("no keyword has reference occurrences")
+        return 0.0, {}
     hits_tp = Counter(h.kw_id for h, _ in tp_pairs)
     fas = Counter(h.kw_id for h in fp_hits)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import kws as kws_mod
 from .decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                       build_bias_trie, prefix_beam_search)
-from .errors import BadFormat, NoScorableKeywords, OutOfVocabulary
+from .errors import BadFormat, OutOfVocabulary
 from .kws import Hit, Keyword, KwsConfig, Stage, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
@@ -251,10 +251,7 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
     decided = [h for h in hits if h.decision]
     tp, fp, fn = align_hits(decided, refs, cfg)
     precision, recall, f1_score = f1(len(tp), len(fp), len(fn))
-    try:
-        atwv_score, per_kw = atwv(tp, fp, refs, cfg)
-    except NoScorableKeywords:
-        atwv_score, per_kw = 0.0, {}
+    atwv_score, per_kw = atwv(tp, fp, refs, cfg)
 
     scores = sorted(h.norm_score for h in hits)
     if scores:
@@ -269,10 +266,7 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
         sel = [h for h in hits if h.norm_score >= theta]
         s_tp, s_fp, s_fn = align_hits(sel, refs, cfg)
         _, _, s_f1 = f1(len(s_tp), len(s_fp), len(s_fn))
-        try:
-            s_atwv, _ = atwv(s_tp, s_fp, refs, cfg)
-        except NoScorableKeywords:
-            s_atwv = 0.0
+        s_atwv, _ = atwv(s_tp, s_fp, refs, cfg)
         sweep.append({"threshold": theta, "f1": s_f1, "atwv": s_atwv})
 
     return {
@@ -299,16 +293,18 @@ LADDER_DECODES = {
     "syll_bias": ("syll", None, True, True),
 }
 # Each row adds one method to the row before it.  Method -> (char decode,
-# syllable decode, kws stages, N-best matching, length normalisation).
+# kws stages, N-best matching, length normalisation).  A row without N-best
+# matching searches each utterance's top hypothesis only; the syllable
+# stage reads the syll_bias decode.
 LADDER_ROWS = {
-    "greedy": ("greedy", None, (Stage.CHAR,), False, False),
-    "+lm": ("lm", None, (Stage.CHAR,), False, False),
-    "+length_norm": ("lm", None, (Stage.CHAR,), False, True),
-    "+nbest": ("lm", None, (Stage.CHAR,), True, True),
-    "+bias": ("bias", None, (Stage.CHAR,), True, True),
-    "+fuzzy": ("bias", None, (Stage.CHAR, Stage.FUZZY), True, True),
-    "+syllable": ("bias", "syll_bias",
-                  (Stage.CHAR, Stage.FUZZY, Stage.SYLLABLE), True, True),
+    "greedy": ("greedy", (Stage.CHAR,), False, False),
+    "+lm": ("lm", (Stage.CHAR,), False, False),
+    "+length_norm": ("lm", (Stage.CHAR,), False, True),
+    "+nbest": ("lm", (Stage.CHAR,), True, True),
+    "+bias": ("bias", (Stage.CHAR,), True, True),
+    "+fuzzy": ("bias", (Stage.CHAR, Stage.FUZZY), True, True),
+    "+syllable": ("bias", (Stage.CHAR, Stage.FUZZY, Stage.SYLLABLE),
+                  True, True),
 }
 LADDER = list(LADDER_ROWS)
 
@@ -341,13 +337,19 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
             replace(beam_cfg, beam_size=beam_size or beam_cfg.beam_size),
             jobs=jobs)
 
+    # each utterance's top hypothesis, sliced once per decode that a row
+    # without N-best matching reads
+    top = {char: {utt: entries[:1] for utt, entries in nbest[char].items()}
+           for char, _, matching, _ in LADDER_ROWS.values() if not matching}
     rows = []
-    for method, (char, syll, stages, nbest_matching, length_norm) \
+    for method, (char, stages, nbest_matching, length_norm) \
             in LADDER_ROWS.items():
         kcfg = replace(kws_cfg, stages_enabled=frozenset(stages),
-                       nbest_matching=nbest_matching, length_norm=length_norm)
-        hits = run_kws(pgram_dir, nbest[char], nbest[syll] if syll else None,
-                       keywords, char_set, syll_set, lexicon, costs, kcfg)
+                       length_norm=length_norm)
+        syll = nbest["syll_bias"] if Stage.SYLLABLE in stages else None
+        hits = run_kws(pgram_dir, (nbest if nbest_matching else top)[char],
+                       syll, keywords, char_set, syll_set, lexicon, costs,
+                       kcfg)
         report = evaluate(hits, refs, eval_cfg, sweep_points=0)
         # recall over all matches, before the decision threshold
         a_tp, _, a_fn = align_hits(hits, refs, eval_cfg)

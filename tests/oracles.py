@@ -181,9 +181,9 @@ def unit_phrase_distance(a, b, sub, indel_cost):
     return prev[-1] / max(len(a), len(b))
 
 
-def _windows(nbest, k, max_rank):
-    """(rank, start, window) for every k-token window of nbest[:max_rank]."""
-    for rank, entry in enumerate(nbest[:max_rank]):
+def _windows(nbest, k):
+    """(rank, start, window) for every k-token window of nbest."""
+    for rank, entry in enumerate(nbest):
         toks = tuple(entry.tokens)
         for i in range(len(toks) - k + 1):
             yield rank, i, toks[i:i + k]
@@ -196,11 +196,10 @@ def detect(pg_char, pg_syll, nbest_char, nbest_syll, keywords, fuzzy, cfg):
     by its own ``score_ctc`` call."""
     sub = fuzzy.sub.tolist() if fuzzy is not None else None
     memo = {}
-    max_rank = None if cfg.nbest_matching else 1
 
     def exact(nbest, kw):
         return [(rank, i, i + len(kw))
-                for rank, i, window in _windows(nbest, len(kw), max_rank)
+                for rank, i, window in _windows(nbest, len(kw))
                 if window == kw]
 
     hits = []
@@ -217,7 +216,7 @@ def detect(pg_char, pg_syll, nbest_char, nbest_syll, keywords, fuzzy, cfg):
                               kw.syll_units, rank, i, j))
         if Stage.FUZZY in cfg.stages_enabled:
             k = len(kw.char_units)
-            for rank, i, window in _windows(nbest_char, k, max_rank):
+            for rank, i, window in _windows(nbest_char, k):
                 if window == kw.char_units:
                     continue
                 key = (window, kw.char_units)

@@ -8,7 +8,6 @@ frozen seeds and act as regression bounds.
 import itertools
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ US3 = UnitSet(id="uab", kind=UnitKind.CHARACTER, units=(BLANK, "a", "b"))
 US4 = UnitSet(id="uabc", kind=UnitKind.CHARACTER, units=(BLANK, "a", "b", "c"))
 SETS = {2: US2, 3: US3, 4: US4}
 NO_PRUNE = BeamConfig(beam_size=10 ** 6, nbest=10 ** 6, lm_weight=0.0,
-                      token_min_logp=-math.inf, bias_enabled=False)
+                      token_min_logp=-math.inf)
 
 
 def pg_of(logp, set_id):
@@ -247,7 +246,7 @@ class TestCriterion6BiasMonotonicity:
             base = prefix_beam_search(pg, US3, cfg=NO_PRUNE)
             biased = prefix_beam_search(
                 pg, US3, trie=trie,
-                cfg=replace(NO_PRUNE, bias_enabled=True))
+                cfg=NO_PRUNE)
             for e in biased:
                 if contains(e.tokens, chunk):
                     assert plain_above(biased, e.tokens, chunk) <= \
@@ -323,8 +322,7 @@ class TestCriterion8FuzzyMatching:
             ids = tokenize_chars(utt, lang.char_set)
             pg = synth_generate(ids, lang.char_set, SynthConfig(seed=i))
             nbest = prefix_beam_search(pg, lang.char_set,
-                                       cfg=BeamConfig(lm_weight=0.0,
-                                                      bias_enabled=False))
+                                       cfg=BeamConfig(lm_weight=0.0))
             for thr, want in ((0.5, True), (0.1, False)):
                 cfg = KwsConfig(fuzzy_threshold=thr,
                                 stages_enabled=frozenset({Stage.CHAR,

@@ -210,6 +210,23 @@ class TestExitCodes:
         assert line.split("\n")[1].split(" =")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["[beam]\nbias_enabled = false",
+                                      "[kws]\nnbest_matching = false"],
+                             ids=["bias_enabled", "nbest_matching"])
+    def test_removed_switch_is_unknown_key(self, demo, trained, tmp_path,
+                                           capsys, line):
+        # unbiased decoding is alpha = beta = 0 or no keyword list, and
+        # matching the top hypothesis only is decoding with nbest = 1
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       + line + "\n", encoding="utf-8")
+        out = tmp_path / "nbest.jsonl"
+        rc = main(["--config", str(cfg), "decode", str(trained / "char"),
+                   str(out)])
+        assert rc == 2
+        assert line.split("\n")[1].split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["fuzzy_threshold = inf",
                                       "fuzzy_threshold = -1",
                                       "decision_threshold = inf"])
@@ -334,6 +351,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert (f"{rare}:3: keyword id 'kw999' is not in the keyword list"
                 in err)
+
+
+class TestUnbiasedDecode:
+    @pytest.mark.parametrize("stage", ["char", "syll"])
+    def test_zero_weights_equal_no_keyword_list(self, demo, trained, tmp_path,
+                                                stage):
+        text = (demo / "config.ini").read_text(encoding="utf-8")
+        keywords_line = f"keywords = {demo / 'keywords.tsv'}\n"
+        assert keywords_line in text
+        configs = {"biased": text,
+                   "zero_weights": text + "[bias]\nalpha = 0\nbeta = 0\n",
+                   "no_keywords": text.replace(keywords_line, "")}
+        nbest = {}
+        for name, config in configs.items():
+            (tmp_path / f"{name}.ini").write_text(config, encoding="utf-8")
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["--config", str(tmp_path / f"{name}.ini"), "decode",
+                         str(trained / stage), str(out),
+                         "--stage", stage]) == 0
+            nbest[name] = out.read_bytes()
+        assert nbest["zero_weights"] == nbest["no_keywords"]
+        assert nbest["biased"] != nbest["no_keywords"]
 
 
 class TestFullChain:

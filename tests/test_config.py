@@ -37,7 +37,6 @@ lexicon = lex.tsv
 [beam]
 beam_size = 20
 lm_weight = 1.5
-bias_enabled = false
 
 [bias]
 beta = 2.5
@@ -46,6 +45,7 @@ chunk_len = 3
 [kws]
 fuzzy_threshold = 0.4
 stages_enabled = char fuzzy
+length_norm = false
 
 [synth]
 noise = 0.3
@@ -60,10 +60,10 @@ frame_period_s = 0.02
         assert cfg.paths.lexicon == "lex.tsv"
         assert cfg.beam.beam_size == 20
         assert cfg.beam.lm_weight == 1.5
-        assert cfg.beam.bias_enabled is False
         assert cfg.bias.beta == 2.5 and cfg.bias.chunk_len == 3
         assert cfg.kws.fuzzy_threshold == 0.4
         assert cfg.kws.stages_enabled == frozenset({Stage.CHAR, Stage.FUZZY})
+        assert cfg.kws.length_norm is False
         assert cfg.synth.noise == 0.3
         assert cfg.synth.frames_per_token == 5
         assert cfg.seed == 7 and cfg.jobs == 3
@@ -92,11 +92,11 @@ frame_period_s = 0.02
                           ("On", True), ("false", False), ("0", False),
                           ("no", False), ("off", False)):
             cfg = load_config(write(tmp_path,
-                                    f"[beam]\nbias_enabled = {raw}\n"))
-            assert cfg.beam.bias_enabled is want
+                                    f"[kws]\nlength_norm = {raw}\n"))
+            assert cfg.kws.length_norm is want
         for raw in ("flase", "2", ""):
             with pytest.raises(ValueError, match="not a boolean"):
-                load_config(write(tmp_path, f"[beam]\nbias_enabled = {raw}\n"))
+                load_config(write(tmp_path, f"[kws]\nlength_norm = {raw}\n"))
 
     @pytest.mark.parametrize("nbest", ["0", "-1"])
     def test_nbest_below_one_rejected(self, tmp_path, nbest):
@@ -161,10 +161,10 @@ lexicon = lex.tsv
 
 [beam]
 beam_size = 20
-bias_enabled = false
 
 [kws]
 stages_enabled = char fuzzy
+length_norm = false
 
 [synth]
 noise = 0.3

@@ -43,9 +43,9 @@ class TestMatchExact:
         got = match_exact(nbest, (1, 2), WindowIndex(nbest))
         assert got == [(0, 0, 2), (2, 1, 3)]
 
-    def test_max_rank_limits_search(self):
-        nbest = [FakeEntry([5]), FakeEntry([1, 2])]
-        assert match_exact(nbest, (1, 2), WindowIndex(nbest, max_rank=1)) == []
+    def test_top_entry_slice_limits_search(self):
+        top = [FakeEntry([5]), FakeEntry([1, 2])][:1]
+        assert match_exact(top, (1, 2), WindowIndex(top)) == []
 
 
 class TestScoreCtc:
@@ -170,13 +170,14 @@ class TestDetect:
         # top hypothesis only: the window runs from the first matched token's
         # span start to the last one's span end, and the score is the CTC
         # mass of the window per keyword unit (raw without length_norm)
+        top_c, top_s = nb_c[:1], nb_s[:1]
         for length_norm in (True, False):
             cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR}),
-                            nbest_matching=False, length_norm=length_norm)
-            (h,) = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
-            ((rank, i, j),) = match_exact(nb_c, kw.char_units,
-                                           WindowIndex(nb_c, max_rank=1))
-            spans = nb_c[rank].spans
+                            length_norm=length_norm)
+            (h,) = detect(pg_c, pg_s, top_c, top_s, [kw], fuzzy, cfg)
+            ((rank, i, j),) = match_exact(top_c, kw.char_units,
+                                           WindowIndex(top_c))
+            spans = top_c[rank].spans
             assert (h.start_frame, h.end_frame) == (spans[i].start_frame,
                                                     spans[j - 1].end_frame)
             raw = score_ctc(pg_c, kw.char_units, (h.start_frame, h.end_frame))
@@ -270,7 +271,9 @@ def nbest_lists(draw, alphabet):
 def detect_inputs(draw):
     """Random N-best lists over char units 1, 2 and 4 (1 and 2 are tone
     variants of each other) with random posteriorgrams under them, random keywords, either
-    cost table and any stage set, threshold and switch."""
+    cost table, any stage set and threshold, and either length rule; the
+    lists are cut to their first 1-4 entries, as a top-hypothesis-only
+    match cuts them to one."""
     char_alphabet, syll_alphabet = [1, 2, 4], [1, 2, 3]
     nb_c = draw(nbest_lists(char_alphabet))
     nb_s = draw(st.none() | nbest_lists(syll_alphabet))
@@ -283,6 +286,8 @@ def detect_inputs(draw):
                              random_pgram_logp(rng, T, len(us)))
     pg_c = pgram(TOY.char_set)
     pg_s = None if nb_s is None else pgram(TOY.syll_set)
+    keep = draw(st.integers(1, 4))
+    nb_c, nb_s = nb_c[:keep], None if nb_s is None else nb_s[:keep]
     keywords = [Keyword(id=f"k{n}", text="",
                         char_units=tuple(draw(st.lists(
                             st.sampled_from(char_alphabet), min_size=1,
@@ -293,7 +298,6 @@ def detect_inputs(draw):
     cfg = KwsConfig(fuzzy_threshold=draw(st.floats(0.0, 1.0)),
                     decision_threshold=draw(st.floats(-30.0, 0.0)),
                     stages_enabled=draw(st.sampled_from(STAGE_SETS)),
-                    nbest_matching=draw(st.booleans()),
                     length_norm=draw(st.booleans()))
     return (pg_c, pg_s, nb_c, nb_s, keywords,
             draw(st.sampled_from(TOY_FUZZY)), cfg)

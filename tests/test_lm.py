@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,14 +84,6 @@ class TestScore:
         per_unk = lm.score_token((), UNK)[0]
         follow = lm.score_token((UNK,), UNK)[0]
         assert total == pytest.approx(per_unk + (n - 1) * follow)
-
-    def test_with_boundaries(self):
-        lm = train(["a b", "a c"], order=2, discount=0.0)
-        got = lm.score_sequence(["a", "b"], with_boundaries=True)
-        expected = (lm.score_token((BOS,), "a")[0]
-                    + lm.score_token(("a",), "b")[0]
-                    + lm.score_token(("b",), EOS)[0])
-        assert got == pytest.approx(expected)
 
 
 corpora = st.lists(
@@ -300,3 +293,14 @@ def test_contexts_share_their_backoff_keys(tmp_path, order):
     for lm in (trained, read_arpa(tmp_path / "m.arpa")):
         backoff_key = {ctx: ctx for ctx in lm.backoffs}
         assert all(backoff_key[ctx] is ctx for ctx in lm.probs if ctx)
+
+
+def test_read_arpa_shares_one_string_per_word(tmp_path):
+    sents = [["zhong1", "guo2", "ren2"], ["guo2", "ren2", "zhong1", "guo2"]]
+    write_arpa(train(sents, order=3), tmp_path / "m.arpa")
+    lm = read_arpa(tmp_path / "m.arpa")
+    words = [w for ctx, successors in lm.probs.items()
+             for w in (*ctx, *successors)]
+    words += [w for gram in lm.backoffs for w in gram]
+    assert len(words) > len(set(words))
+    assert all(sys.intern(w) is w for w in words)

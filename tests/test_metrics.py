@@ -1,6 +1,5 @@
 import pytest
 
-from kwspot.errors import NoScorableKeywords
 from kwspot.kws import Hit, Stage
 from kwspot.metrics import (EvalConfig, RefOccurrence, align_hits, atwv, f1,
                             load_refs, write_refs)
@@ -84,8 +83,7 @@ class TestAtwv:
         assert val == pytest.approx(-4.3, abs=1e-4)
 
     def test_no_refs(self):
-        with pytest.raises(NoScorableKeywords):
-            atwv([], [hit("u", "k", 0.0, 1.0)], [], CFG)
+        assert atwv([], [hit("u", "k", 0.0, 1.0)], [], CFG) == (0.0, {})
 
     def test_keyword_without_refs_excluded(self):
         refs = [RefOccurrence("u", "k1", 0.0, 1.0)]

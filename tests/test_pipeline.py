@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 
 from kwspot import kws, phonetics, pipeline
 from kwspot.corpus import confusion_tables, make_corpus, make_language
-from kwspot.decoder import BeamConfig
+from kwspot.decoder import BeamConfig, BiasConfig
 from kwspot.errors import BadFormat, BadSyllable, OutOfVocabulary
 from kwspot.kws import Hit, KwsConfig, Stage
 from kwspot.phonetics import CostTable
 from kwspot.lm import train
 from kwspot.metrics import EvalConfig
 from kwspot.pgram import SynthConfig, read_pgram, token_layout, write_pgram
-from kwspot.units import Lexicon, tokenize_chars
+from kwspot.units import Lexicon, syllabify, tokenize_chars
 
 import oracles
 from fuzzing import edit_lists, mutate
@@ -518,7 +519,7 @@ class TestLadderTable:
     @staticmethod
     def methods(row):
         """The methods a ladder row has on, named as the row that adds each."""
-        char, syll, stages, nbest_matching, length_norm = row
+        char, stages, nbest_matching, length_norm = row
         _, _, with_lm, with_trie = pipeline.LADDER_DECODES[char]
         on = {"lm": with_lm, "length_norm": length_norm,
               "nbest": nbest_matching, "bias": with_trie,
@@ -534,8 +535,8 @@ class TestLadderTable:
             added = self.methods(rows[after]) - self.methods(rows[before])
             assert self.methods(rows[before]) <= self.methods(rows[after])
             assert added == {after.removeprefix("+")}
-            assert set(rows[before][2]) <= set(rows[after][2])
-        assert all(Stage.CHAR in row[2] for row in rows.values())
+            assert set(rows[before][1]) <= set(rows[after][1])
+        assert all(Stage.CHAR in row[1] for row in rows.values())
 
     def test_decodes_go_greedy_lm_bias(self):
         decodes = pipeline.LADDER_DECODES
@@ -545,8 +546,41 @@ class TestLadderTable:
         assert char == sorted(char)
         assert [pipeline.LADDER_ROWS[m][0] for m in ("greedy", "+lm", "+bias")] \
             == ["greedy", "lm", "bias"]
-        assert [m for m, row in pipeline.LADDER_ROWS.items()
-                if row[1] is not None] == ["+syllable"]
-        assert decodes[pipeline.LADDER_ROWS["+syllable"][1]][0] == "syll"
+        assert decodes["syll_bias"] == ("syll", None, True, True)
         assert all(decodes[row[0]][0] == "char"
                    for row in pipeline.LADDER_ROWS.values())
+
+
+# sha256 of the report test_ablation_report_is_pinned makes, pinned from the
+# ladder whose rows without N-best matching searched only the top hypothesis
+# of their full N-best lists: the report must not change
+ABLATION_SHA256 = \
+    "760b62cc0f8c912f29b6f792cb9df682914c9e131d640880568c823c7dcc513d"
+
+
+def test_ablation_report_is_pinned(lang, tmp_path):
+    """A confusion-noise corpus on which every ladder row up to +fuzzy
+    differs from the one before, with false alarms from +bias on."""
+    corpus = make_corpus(lang, num_utts=16, num_keywords=10, seed=2)
+    char_conf, syll_conf = confusion_tables(lang)
+    refs, skipped = pipeline.synth_corpus(
+        corpus.transcripts, corpus.keywords, lang.char_set, lang.syll_set,
+        lang.lexicon, SynthConfig(noise=0.45), tmp_path, 2, 0.04,
+        char_confusion=char_conf, syll_confusion=syll_conf)
+    assert not skipped
+    syll_lines = [[lang.syll_set.units[i]
+                   for i in syllabify(ln, lang.lexicon, lang.syll_set)]
+                  for ln in corpus.lm_lines]
+    keywords = pipeline.build_keywords(corpus.keywords, lang.char_set,
+                                       lang.lexicon, lang.syll_set)
+    rare = {k.id for k in keywords[::2]}
+    report = pipeline.run_ablation(
+        tmp_path, refs, keywords, lang.char_set, lang.syll_set, lang.lexicon,
+        train(corpus.lm_lines, order=3, discount=0.75),
+        train(syll_lines, order=3, discount=0.75), CostTable(),
+        BeamConfig(lm_weight=1.5, nbest=5), BiasConfig(), KwsConfig(),
+        EvalConfig(total_speech_s=pipeline.total_speech_seconds(
+            tmp_path / "char")),
+        jobs=1, ref_subsets={"rare": [r for r in refs if r.kw_id in rare]})
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ABLATION_SHA256
