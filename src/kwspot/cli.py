@@ -30,6 +30,8 @@ def _load_cfg(args) -> PipelineConfig:
         cfg.seed = args.seed
     if getattr(args, "jobs", None) is not None:
         cfg.jobs = args.jobs
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     return cfg
 
 
@@ -51,7 +53,13 @@ def cmd_synth(args) -> int:
     transcripts = pipeline.load_id_text(args.transcripts)
     char_conf = syll_conf = None
     if args.confusion:
+        # the built-in tables are keyed by the toy language's unit ids
         lang = make_language()
+        for ours, toy in ((char_set, lang.char_set), (syll_set, lang.syll_set)):
+            if ours.units != toy.units:
+                raise ValueError(f"synth --confusion: the {ours.id} unit "
+                                 f"list differs from the {toy.id} units "
+                                 f"the confusion tables are keyed by")
         char_conf, syll_conf = confusion_tables(lang)
     refs, skipped = pipeline.synth_corpus(
         transcripts, keywords, char_set, syll_set, lexicon, cfg.synth,

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKeyword, UnitSetMismatch
+from .errors import AlignmentInfeasible, InvalidKeyword, UnitSetMismatch
 from .lm import NGramLM, ScoreRows
 from .pgram import Posteriorgram, align_viterbi
 from .units import UnitSet
@@ -155,7 +155,7 @@ class NBestEntry:
     score_lm: float     # log10
     score_bias: float
     score_total: float  # natural log; am + lm_weight*ln10*lm + bias
-    spans: list = field(default_factory=list)
+    spans: list[tuple[int, int]]  # [start, end) frames of each token
 
 
 def logaddexp(x: float, y: float) -> float:
@@ -251,6 +251,9 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
         # unit (c-n) % m; a candidate with no path mass scores -inf
         score = np.concatenate([stay_score, ext_score.ravel()])
         keep = np.flatnonzero(score > NEG_INF)
+        if not len(keep):
+            raise AlignmentInfeasible(f"utterance {pg.utt_id!r}: no unit "
+                                      f"above token_min_logp at frame {t}")
         if len(keep) > cfg.beam_size:
             # the beam_size best by (-score, prefix): those at or above the
             # beam_size-th score, ties there broken by the prefix
@@ -286,13 +289,11 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
     out = []
     for k in ranked[:cfg.nbest]:
         prefix = prefixes[k]
-        entry = NBestEntry(tokens=prefix,
-                           text="".join(us.units[u] for u in prefix),
-                           score_am=am[k], score_lm=lm10[k],
-                           score_bias=bias[k], score_total=total[k])
-        if prefix:
-            entry.spans = align_viterbi(pg, list(prefix))
-        out.append(entry)
+        out.append(NBestEntry(
+            tokens=prefix, text="".join(us.units[u] for u in prefix),
+            score_am=am[k], score_lm=lm10[k], score_bias=bias[k],
+            score_total=total[k],
+            spans=align_viterbi(pg, list(prefix)) if prefix else []))
     return out
 
 

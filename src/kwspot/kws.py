@@ -213,7 +213,7 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
                 cands.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units, rank, i, j))
         for stage, nbest, pg, units, rank, ti, tj in cands:
             spans = nbest[rank].spans
-            ws, we = spans[ti].start_frame, spans[tj - 1].end_frame
+            ws, we = spans[ti][0], spans[tj - 1][1]
             if stage is Stage.FUZZY and we - ws < ctc_min_frames(units):
                 # a fuzzy window fits the decoded variant; the true keyword
                 # may need more frames (repeated units need separating blanks)

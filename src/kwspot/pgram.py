@@ -76,13 +76,6 @@ class SynthConfig:
             raise ValueError("noise must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class TokenSpan:
-    token: int
-    start_frame: int
-    end_frame: int  # exclusive
-
-
 def _row(v: int, target: int, noise: float, partners, rng) -> np.ndarray:
     p = np.zeros(v, dtype=np.float64)
     if noise == 0.0:
@@ -184,12 +177,12 @@ def ctc_trellis(lp: np.ndarray, tokens: list[int],
     return alpha
 
 
-def align_viterbi(pg: Posteriorgram, tokens: list[int]) -> list[TokenSpan]:
+def align_viterbi(pg: Posteriorgram, tokens: list[int]) -> list[tuple[int, int]]:
     """Best CTC alignment (max over paths) of tokens against pg.
 
-    Each token's span is the set of frames its non-blank state occupies.
-    Ties go to staying in a state, then to stepping one state, then to
-    skipping a blank.
+    Returns one [start, end) frame pair per token: the frames its non-blank
+    state occupies.  Ties go to staying in a state, then to stepping one
+    state, then to skipping a blank.
     """
     if not tokens:
         return []
@@ -212,12 +205,10 @@ def align_viterbi(pg: Posteriorgram, tokens: list[int]) -> list[TokenSpan]:
             arg = s - 2
         s = arg
     path[0] = s
-    spans = []
-    for i, tok in enumerate(tokens):
-        frames = np.nonzero(path == 2 * i + 1)[0]
-        spans.append(TokenSpan(token=tok, start_frame=int(frames[0]),
-                               end_frame=int(frames[-1]) + 1))
-    return spans
+    # the path never moves back, so each token state holds one run of frames
+    odd = np.arange(1, S, 2)
+    return list(zip(np.searchsorted(path, odd, "left").tolist(),
+                    np.searchsorted(path, odd, "right").tolist()))
 
 
 # ---------------------------------------------------------------------------

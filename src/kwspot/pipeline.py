@@ -20,8 +20,8 @@ from .errors import BadFormat, OutOfVocabulary
 from .kws import Hit, Keyword, KwsConfig, Stage, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
-from .pgram import (Posteriorgram, SynthConfig, TokenSpan, read_pgram,
-                    synth_generate, token_layout, write_pgram)
+from .pgram import (Posteriorgram, SynthConfig, read_pgram, synth_generate,
+                    token_layout, write_pgram)
 from .phonetics import CostTable
 from .units import (Lexicon, UnitSet, find_all, read_tsv, syllabify,
                     tokenize_chars)
@@ -146,7 +146,7 @@ def write_nbest(nbest_by_utt: dict[str, list[NBestEntry]], path) -> None:
                     "score_lm": e.score_lm,
                     "score_bias": e.score_bias,
                     "score_total": e.score_total,
-                    "spans": [[s.start_frame, s.end_frame] for s in e.spans],
+                    "spans": [list(s) for s in e.spans],
                 })
             fh.write(json.dumps({"utt_id": utt_id, "hyps": hyps},
                                 ensure_ascii=False) + "\n")
@@ -182,17 +182,15 @@ def _nbest_entry(h: dict) -> NBestEntry:
         raise ValueError("tokens and span frames must be integers")
     if any(type(h[k]) not in (int, float) for k in _SCORES):
         raise ValueError("scores must be numbers")
-    entry = NBestEntry(tokens=tuple(tokens), text=h["text"],
-                       **{k: h[k] for k in _SCORES})
-    entry.spans = [TokenSpan(token=t, start_frame=s, end_frame=e)
-                   for t, (s, e) in zip(tokens, spans, strict=True)]
-    end = 0  # spans are [start, end) frames in order, none overlapping
-    for span in entry.spans:
-        if not end <= span.start_frame < span.end_frame:
-            raise ValueError(f"span [{span.start_frame}, {span.end_frame}) "
-                             f"is not {end} <= start < end")
-        end = span.end_frame
-    return entry
+    # one [start, end) pair per token, in order and none overlapping
+    spans = [(s, e) for _, (s, e) in zip(tokens, spans, strict=True)]
+    end = 0
+    for s, e in spans:
+        if not end <= s < e:
+            raise ValueError(f"span [{s}, {e}) is not {end} <= start < end")
+        end = e
+    return NBestEntry(tokens=tuple(tokens), text=h["text"],
+                      **{k: h[k] for k in _SCORES}, spans=spans)
 
 
 def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
@@ -223,8 +221,7 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
                                 f"the {us.id!r} units 1..{len(us) - 1}")
             frames = pgrams[stage][utt_id].num_frames
             # spans lie in order (read_nbest checks), so the last ends last
-            if any(e.spans and e.spans[-1].end_frame > frames
-                   for e in entries):
+            if any(e.spans and e.spans[-1][1] > frames for e in entries):
                 raise BadFormat(f"{stage_dir}: utterance {utt_id!r}: an "
                                 f"N-best span ends past its {frames} frames")
     fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
@@ -253,19 +250,20 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
     precision, recall, f1_score = f1(len(tp), len(fp), len(fn))
     atwv_score, per_kw = atwv(tp, fp, refs, cfg)
 
-    scores = sorted(h.norm_score for h in hits)
-    if scores:
-        lo, hi = scores[0], scores[-1]
-    else:
-        lo, hi = -1.0, 0.0
+    scores = [h.norm_score for h in hits]
+    lo, hi = (min(scores), max(scores)) if scores else (-1.0, 0.0)
     if hi <= lo:
         hi = lo + 1.0
     sweep = []
+    if sweep_points:
+        # align_hits takes each (utt, kw) group's hits highest score first,
+        # so the hits at or above a threshold align as among all hits
+        all_tp, all_fp, _ = align_hits(hits, refs, cfg)
     for i in range(sweep_points):
         theta = lo + (hi - lo) * i / (sweep_points - 1)
-        sel = [h for h in hits if h.norm_score >= theta]
-        s_tp, s_fp, s_fn = align_hits(sel, refs, cfg)
-        _, _, s_f1 = f1(len(s_tp), len(s_fp), len(s_fn))
+        s_tp = [(h, r) for h, r in all_tp if h.norm_score >= theta]
+        s_fp = [h for h in all_fp if h.norm_score >= theta]
+        _, _, s_f1 = f1(len(s_tp), len(s_fp), len(refs) - len(s_tp))
         s_atwv, _ = atwv(s_tp, s_fp, refs, cfg)
         sweep.append({"threshold": theta, "f1": s_f1, "atwv": s_atwv})
 

@@ -8,7 +8,8 @@ matrix is built from, and the reference prefix beam search scores with
 ``NGramLM.score_token`` and aligns its N-best with ``align_viterbi``.
 The reference keyword detector walks every window of every hypothesis and
 scores every candidate with ``kwspot.kws.score_ctc``, merging with
-``kwspot.kws.merge_stages``.
+``kwspot.kws.merge_stages``.  The reference threshold sweep realigns the
+hits at or above each threshold with ``kwspot.metrics.align_hits``.
 """
 
 import itertools
@@ -19,6 +20,7 @@ import numpy as np
 from kwspot.decoder import BeamConfig, NBestEntry
 from kwspot.errors import AlignmentInfeasible, UnitSetMismatch
 from kwspot.kws import Hit, Stage, merge_stages, score_ctc
+from kwspot.metrics import align_hits, atwv, f1
 from kwspot.pgram import align_viterbi
 from kwspot.phonetics import syllable_distance
 
@@ -228,7 +230,7 @@ def detect(pg_char, pg_syll, nbest_char, nbest_syll, keywords, fuzzy, cfg):
                                   kw.char_units, rank, i, i + k))
         for stage, nbest, pg, units, rank, ti, tj in cands:
             spans = nbest[rank].spans
-            ws, we = spans[ti].start_frame, spans[tj - 1].end_frame
+            ws, we = spans[ti][0], spans[tj - 1][1]
             try:
                 raw = score_ctc(pg, units, (ws, we))
             except AlignmentInfeasible:
@@ -354,12 +356,27 @@ def prefix_beam_search(pg, us, lm=None, trie=None, cfg=BeamConfig()):
     for prefix, (pb, pnb) in ranked[:cfg.nbest]:
         i = info[prefix]
         am = float(np.logaddexp(pb, pnb))
-        entry = NBestEntry(tokens=prefix,
-                           text="".join(us.units[u] for u in prefix),
-                           score_am=am, score_lm=i.lm_log10,
-                           score_bias=i.bias_bonus,
-                           score_total=am + lmw * i.lm_log10 + i.bias_bonus)
-        if prefix:
-            entry.spans = align_viterbi(pg, list(prefix))
-        out.append(entry)
+        out.append(NBestEntry(
+            tokens=prefix, text="".join(us.units[u] for u in prefix),
+            score_am=am, score_lm=i.lm_log10, score_bias=i.bias_bonus,
+            score_total=am + lmw * i.lm_log10 + i.bias_bonus,
+            spans=align_viterbi(pg, list(prefix)) if prefix else []))
     return out
+
+
+def threshold_sweep(hits, refs, cfg, sweep_points=50):
+    """``pipeline.evaluate``'s threshold sweep with one alignment per
+    threshold: the hits scoring at or above it, aligned afresh."""
+    scores = sorted(h.norm_score for h in hits)
+    lo, hi = (scores[0], scores[-1]) if scores else (-1.0, 0.0)
+    if hi <= lo:
+        hi = lo + 1.0
+    sweep = []
+    for i in range(sweep_points):
+        theta = lo + (hi - lo) * i / (sweep_points - 1)
+        tp, fp, fn = align_hits([h for h in hits if h.norm_score >= theta],
+                                refs, cfg)
+        _, _, s_f1 = f1(len(tp), len(fp), len(fn))
+        s_atwv, _ = atwv(tp, fp, refs, cfg)
+        sweep.append({"threshold": theta, "f1": s_f1, "atwv": s_atwv})
+    return sweep

@@ -307,6 +307,60 @@ class TestExitCodes:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "lm-train", "kws", "eval"])
+    def test_jobs_below_one_in_every_subcommand(self, demo, trained,
+                                                char_nbest, tmp_path, capsys,
+                                                command):
+        (tmp_path / "hits.tsv").write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        args = {"synth": [demo / "transcripts.tsv", out],
+                "lm-train": [demo / "lm_corpus.txt", out],
+                "kws": [trained, out, "--nbest-char", char_nbest],
+                "eval": [tmp_path / "hits.tsv", trained / "refs.tsv",
+                         "--total-speech-s", "10", "--out", out]}[command]
+        rc = main(["--config", str(demo / "config.ini"), "--jobs", "0",
+                   command, *map(str, args)])
+        assert rc == 2
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_emptied_beam_names_utterance(self, demo, trained, tmp_path,
+                                          capsys):
+        # no unit is above a threshold of 0, so the beam empties at frame 0
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       + "[beam]\ntoken_min_logp = 0\n", encoding="utf-8")
+        out = tmp_path / "nbest.jsonl"
+        rc = main(["--config", str(cfg), "decode", str(trained / "char"),
+                   str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        first = min(p.stem for p in (trained / "char").glob("*.pgram"))
+        assert f"utterance {first!r}" in err and "at frame 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("units", ["char", "syll"])
+    def test_confusion_needs_toy_units(self, demo, tmp_path, capsys, units):
+        # the same units in another order get other ids
+        lines = (demo / f"{units}_units.txt").read_text(
+            encoding="utf-8").splitlines()
+        shuffled = tmp_path / f"{units}_units.txt"
+        shuffled.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n",
+                            encoding="utf-8")
+        cfg = tmp_path / "config.ini"
+        cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
+                       .replace(str(demo / f"{units}_units.txt"),
+                                str(shuffled)), encoding="utf-8")
+        pg = tmp_path / "pg"
+        rc = main(["--config", str(cfg), "synth",
+                   str(demo / "transcripts.tsv"), str(pg), "--confusion"])
+        assert rc == 2
+        assert f"the {units} unit list differs" in capsys.readouterr().err
+        assert not pg.exists()
+        # without the tables the same units are fine
+        assert main(["--config", str(cfg), "synth",
+                     str(demo / "transcripts.tsv"), str(pg)]) == 0
+
     def test_eval_needs_speech_duration(self, demo, tmp_path):
         hits = tmp_path / "hits.tsv"
         hits.write_text("", encoding="utf-8")

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kwspot.corpus import make_language
 from kwspot.decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                             build_bias_trie, logaddexp, prefix_beam_search)
-from kwspot.errors import InvalidKeyword, UnitSetMismatch
+from kwspot.errors import AlignmentInfeasible, InvalidKeyword, UnitSetMismatch
 from kwspot.lm import NGramLM, train
-from kwspot.pgram import Posteriorgram, SynthConfig, synth_generate
+from kwspot.pgram import (Posteriorgram, SynthConfig, synth_generate,
+                          token_layout)
 from kwspot.units import BLANK, UnitKind, UnitSet
 
 import oracles
@@ -67,11 +69,11 @@ class TestBruteForceEquivalence:
 class TestOneHot:
     @pytest.mark.parametrize("tr", [[1], [1, 2], [2, 1, 2], [1, 1], []])
     def test_top1_recovers_transcript(self, tr):
-        pg = synth_generate(tr, US3, SynthConfig(frames_per_token=2, blank_gap=1))
+        synth = SynthConfig(frames_per_token=2, blank_gap=1)
+        pg = synth_generate(tr, US3, synth)
         out = prefix_beam_search(pg, US3, cfg=BeamConfig(lm_weight=0.0))
         assert list(out[0].tokens) == tr
-        if tr:
-            assert [s.token for s in out[0].spans] == tr
+        assert out[0].spans == token_layout(tr, synth)
 
 
 class TestShallowFusion:
@@ -245,6 +247,19 @@ class TestGuards:
         with pytest.raises(ValueError, match="finite"):
             make(x)
 
+    def test_emptied_beam_names_utterance_and_frame(self):
+        # noise spreads every row, so at some frame no unit, blank
+        # included, is above the threshold and no prefix survives
+        lang = make_language()
+        pg = synth_generate([1, 2, 3, 4], lang.char_set,
+                            SynthConfig(noise=0.6), utt_id="utt7")
+        cfg = BeamConfig(token_min_logp=-0.5)
+        dead = np.flatnonzero(~(pg.logp > cfg.token_min_logp).any(axis=1))
+        assert len(dead)
+        with pytest.raises(AlignmentInfeasible,
+                           match=f"'utt7'.* frame {dead[0]}\\b"):
+            prefix_beam_search(pg, lang.char_set, cfg=cfg)
+
     def test_unit_set_mismatch(self):
         pg = pg_from_probs([[0.5, 0.5]], "other")
         with pytest.raises(UnitSetMismatch):
@@ -329,8 +344,13 @@ def search_inputs(draw):
           None, None, BeamConfig()))
 def test_search_equals_scalar_oracle(inputs):
     pg, lm, trie, cfg = inputs
-    got = prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
     want = oracles.prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
+    if not want:
+        # a frame with no live unit emptied the oracle's beam
+        with pytest.raises(AlignmentInfeasible, match="no unit above"):
+            prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
+        return
+    got = prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
 
     def fields(e):
         return (e.tokens, e.text, e.score_am, e.score_lm, e.score_bias,

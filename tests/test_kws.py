@@ -13,7 +13,7 @@ from kwspot.kws import (FuzzyCosts, Hit, Keyword, KwsConfig, Stage, WindowIndex,
                         char_syllables, detect, fuzzy_costs, match_exact,
                         match_fuzzy, merge_stages, read_hits, score_ctc,
                         write_hits)
-from kwspot.pgram import (Posteriorgram, SynthConfig, TokenSpan, ctc_min_frames,
+from kwspot.pgram import (Posteriorgram, SynthConfig, ctc_min_frames,
                           synth_generate, token_layout)
 from kwspot.phonetics import CostTable
 from kwspot.corpus import make_language
@@ -178,8 +178,8 @@ class TestDetect:
             ((rank, i, j),) = match_exact(top_c, kw.char_units,
                                            WindowIndex(top_c))
             spans = top_c[rank].spans
-            assert (h.start_frame, h.end_frame) == (spans[i].start_frame,
-                                                    spans[j - 1].end_frame)
+            assert (h.start_frame, h.end_frame) == (spans[i][0],
+                                                    spans[j - 1][1])
             raw = score_ctc(pg_c, kw.char_units, (h.start_frame, h.end_frame))
             assert h.norm_score == (raw / len(kw.char_units) if length_norm
                                     else raw)
@@ -259,10 +259,10 @@ def nbest_lists(draw, alphabet):
         tokens = draw(st.lists(st.sampled_from(alphabet), min_size=1,
                                max_size=6))
         spans, end = [], 0
-        for t in tokens:
+        for _ in tokens:
             start = end + draw(st.integers(0, 1))
             end = start + draw(st.integers(1, 2))
-            spans.append(TokenSpan(t, start, end))
+            spans.append((start, end))
         out.append(FakeEntry(tokens, spans))
     return out
 
@@ -277,7 +277,7 @@ def detect_inputs(draw):
     char_alphabet, syll_alphabet = [1, 2, 4], [1, 2, 3]
     nb_c = draw(nbest_lists(char_alphabet))
     nb_s = draw(st.none() | nbest_lists(syll_alphabet))
-    ends = [e.spans[-1].end_frame for e in nb_c + (nb_s or []) if e.spans]
+    ends = [e.spans[-1][1] for e in nb_c + (nb_s or []) if e.spans]
     T = max(ends, default=0) + draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -325,7 +325,7 @@ def test_cached_fuzzy_skip_does_not_hide_an_exact_raise():
     # short for its units (1, 1), which need a blank between them: a skip.
     # Keyword ex then matches syllables (1, 1) exactly over the same frames.
     pg = Posteriorgram("u", "char", 0.04, np.log(np.full((4, 3), 1 / 3)))
-    spans = [TokenSpan(1, 0, 1), TokenSpan(2, 1, 2)]
+    spans = [(0, 1), (1, 2)]
     nb_c, nb_s = [FakeEntry([1, 2], spans)], [FakeEntry([1, 1], spans)]
     fuzzy = FuzzyCosts(np.zeros((3, 3)), 1.0)
     fz, ex = Keyword("fz", "", (1, 1), ()), Keyword("ex", "", (1, 1), (1, 1))
@@ -343,7 +343,7 @@ def test_fuzzy_window_needs_the_keywords_frames(monkeypatch, extra):
     units = (1, 1)
     frames = ctc_min_frames(units) + extra
     pg = Posteriorgram("u", "char", 0.04, np.log(np.full((4, 3), 1 / 3)))
-    nb_c = [FakeEntry([1, 2], [TokenSpan(1, 0, 1), TokenSpan(2, 1, frames)])]
+    nb_c = [FakeEntry([1, 2], [(0, 1), (1, frames)])]
     scored = []
 
     def record(*args):

@@ -15,7 +15,7 @@ from kwspot.errors import BadFormat, BadSyllable, OutOfVocabulary
 from kwspot.kws import Hit, KwsConfig, Stage
 from kwspot.phonetics import CostTable
 from kwspot.lm import train
-from kwspot.metrics import EvalConfig
+from kwspot.metrics import EvalConfig, RefOccurrence, align_hits
 from kwspot.pgram import SynthConfig, read_pgram, token_layout, write_pgram
 from kwspot.units import Lexicon, syllabify, tokenize_chars
 
@@ -361,8 +361,7 @@ class TestBrokenKwsInputs:
         utt = max(nb_c)
         frames = read_pgram(out / stage / f"{utt}.pgram").num_frames
         k, entry = next((k, e) for k, e in enumerate(nbest[utt]) if e.spans)
-        spans = [*entry.spans[:-1],
-                 replace(entry.spans[-1], end_frame=frames + 1)]
+        spans = [*entry.spans[:-1], (entry.spans[-1][0], frames + 1)]
         hyps = list(nbest[utt])
         hyps[k] = replace(entry, spans=spans)
         bad = {**nbest, utt: hyps}
@@ -503,6 +502,40 @@ class TestEvaluate:
         assert len(report["threshold_sweep"]) <= 50
         thresholds = [p["threshold"] for p in report["threshold_sweep"]]
         assert thresholds == sorted(thresholds)
+
+    def test_sweep_aligns_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return align_hits(*args)
+        monkeypatch.setattr(pipeline, "align_hits", counted)
+        hits = [self._hit("u", "k", 0.0, 1.0, -float(i)) for i in range(3)]
+        refs = [RefOccurrence("u", "k", 0.0, 1.0)]
+        for points, want in ((50, [3, 3]), (0, [3])):
+            calls.clear()
+            pipeline.evaluate(hits, refs, EvalConfig(), sweep_points=points)
+            assert calls == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from("kl"),
+                              st.integers(0, 4), st.integers(1, 2),
+                              st.sampled_from([-3.0, -1.5, -1.0, 0.0]),
+                              st.booleans()), max_size=12),
+           st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from("kl"),
+                              st.integers(0, 4), st.integers(1, 2)),
+                    max_size=8),
+           st.sampled_from([None, 0.5]), st.sampled_from([2, 7, 50]))
+    def test_sweep_equals_realigning_each_threshold(self, hits, refs, overlap,
+                                                    points):
+        # few distinct scores and times, so hits tie on score and on start
+        hits = [self._hit(u, k, s, s + n, score, decision)
+                for u, k, s, n, score, decision in hits]
+        refs = [RefOccurrence(u, k, s, s + n) for u, k, s, n in refs]
+        cfg = EvalConfig(total_speech_s=20.0, min_overlap_fraction=overlap)
+        got = pipeline.evaluate(hits, refs, cfg, sweep_points=points)
+        assert got["threshold_sweep"] == oracles.threshold_sweep(
+            hits, refs, cfg, points)
 
     def test_undetected_hits_excluded(self, small_run):
         _, out, refs, _ = small_run
