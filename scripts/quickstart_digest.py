@@ -6,8 +6,9 @@ sha256 of every file the chain writes, one ``<digest>  <path>`` line each.
 
 The demo corpus has 30 utterances, 50 keywords and noise 0.3.  The chain
 is ``synth --confusion`` (or uniform noise with ``--uniform``), ``lm-train``
-for both unit inventories, ``decode`` for both, ``kws``, ``eval``, and
-``ablate --rare-keywords`` at ``--jobs 1`` and ``--jobs 2``.
+for both unit inventories, ``decode`` for both, ``kws`` with and without
+the syllable N-best, ``eval``, and ``ablate --rare-keywords`` at
+``--jobs 1`` and ``--jobs 2``.
 Two source trees that give the same lines give byte-identical outputs, so
 running this once per tree, with that tree's ``src`` on PYTHONPATH, and
 diffing the two listings checks that a change kept every output.
@@ -34,6 +35,8 @@ def run_chain(out: Path, confusion: bool) -> None:
         ["decode", pg / "syll", out / "syll.jsonl", "--stage", "syll"],
         ["kws", pg, out / "hits.tsv", "--nbest-char", out / "char.jsonl",
          "--nbest-syll", out / "syll.jsonl"],
+        ["kws", pg, out / "hits_char_fuzzy.tsv", "--nbest-char",
+         out / "char.jsonl"],
         ["eval", out / "hits.tsv", pg / "refs.tsv", "--pgram-dir", pg,
          "--out", out / "eval.json"],
     ]

@@ -128,11 +128,8 @@ def cmd_eval(args) -> int:
     hits = read_hits(args.hits)
     refs = load_refs(args.refs)
     total_s = args.total_speech_s
-    if total_s is None and args.pgram_dir:
-        total_s = pipeline.total_speech_seconds(Path(args.pgram_dir) / "char")
     if total_s is None:
-        print("need --total-speech-s or --pgram-dir", file=sys.stderr)
-        return 2
+        total_s = pipeline.total_speech_seconds(Path(args.pgram_dir) / "char")
     report = pipeline.evaluate(hits, refs,
                                replace(cfg.eval, total_speech_s=total_s))
     _dump_json(report, args.out)
@@ -210,15 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("pgram_dir")
     s.add_argument("out")
     s.add_argument("--nbest-char", required=True)
-    s.add_argument("--nbest-syll")
+    s.add_argument("--nbest-syll", help="the syllable stage runs only on it")
     s.set_defaults(func=cmd_kws)
 
     s = sub.add_parser("eval", help="score a hit list against references")
     s.add_argument("hits")
     s.add_argument("refs")
     s.add_argument("--out")
-    s.add_argument("--total-speech-s", type=float)
-    s.add_argument("--pgram-dir")
+    speech = s.add_mutually_exclusive_group(required=True)
+    speech.add_argument("--total-speech-s", type=float)
+    speech.add_argument("--pgram-dir")
     s.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("ablate", help="run the method ladder and report")

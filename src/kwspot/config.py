@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .decoder import BeamConfig, BiasConfig
-from .kws import KwsConfig, Stage
+from .kws import KwsConfig
 from .metrics import EvalConfig
 from .pgram import DEFAULT_FRAME_PERIOD_S, SynthConfig
 
@@ -88,11 +88,8 @@ def load_config(path) -> PipelineConfig:
             if key not in by_name:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             default = by_name[key].default
-            if key == "stages_enabled":
-                kwargs[key] = frozenset(Stage(s) for s in raw.split())
-            else:
-                target = float if default is None else type(default)
-                kwargs[key] = _coerce(raw, target, f"[{section}] {key}")
+            target = float if default is None else type(default)
+            kwargs[key] = _coerce(raw, target, f"[{section}] {key}")
         setattr(cfg, section, cls(**kwargs))
     for key, raw in sections.get("run", []):
         if key not in ("seed", "jobs", "frame_period_s"):

@@ -13,9 +13,11 @@ keyword are merged keeping the higher score.  A fuzzy window with fewer
 frames than its keyword needs (``ctc_min_frames``) is skipped unscored;
 every other window is one ``score_ctc`` can score, or it raises.
 
-Every stage searches every hypothesis it is given; matching over the top
-hypothesis only is matching over 1-entry N-best lists (``[beam] nbest = 1``
-at decode).
+Each stage runs from its input: the character stage always, the syllable
+stage when ``detect`` is given a syllable N-best, fuzzy matching when it is
+given fuzzy costs.  Every stage searches every hypothesis it is given;
+matching over the top hypothesis only is matching over 1-entry N-best lists
+(``[beam] nbest = 1`` at decode).
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class Hit:
 class KwsConfig:
     fuzzy_threshold: float = 0.5
     decision_threshold: float = -5.0  # natural log per unit
-    stages_enabled: frozenset = frozenset({Stage.CHAR, Stage.SYLLABLE, Stage.FUZZY})
     length_norm: bool = True
 
     def __post_init__(self):
@@ -186,26 +187,23 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
            nbest_char, nbest_syll,
            keywords: list[Keyword], fuzzy: FuzzyCosts | None,
            cfg: KwsConfig) -> list[Hit]:
-    """Full matching + scoring pipeline for one utterance; ``fuzzy`` (from
-    fuzzy_costs) is read only when Stage.FUZZY is enabled."""
+    """Full matching + scoring pipeline for one utterance.  The character
+    stage always runs; the syllable stage runs when ``nbest_syll`` (over
+    ``pg_syll``) is given, fuzzy matching when ``fuzzy`` (from fuzzy_costs)
+    is."""
     hits: list[Hit] = []
-    stages = cfg.stages_enabled
     char_windows = WindowIndex(nbest_char)
-    syll_windows = (WindowIndex(nbest_syll)
-                    if Stage.SYLLABLE in stages and nbest_syll is not None
-                    and pg_syll is not None else None)
+    syll_windows = WindowIndex(nbest_syll) if nbest_syll is not None else None
     scores: dict[tuple, float] = {}  # (id(pg), units, ws, we) -> raw score
     for kw in keywords:
         cands = []  # (stage, nbest, pg, units, rank, ti, tj)
-        if Stage.CHAR in stages:
-            for rank, i, j in match_exact(nbest_char, kw.char_units,
-                                          char_windows):
-                cands.append((Stage.CHAR, nbest_char, pg_char, kw.char_units, rank, i, j))
+        for rank, i, j in match_exact(nbest_char, kw.char_units, char_windows):
+            cands.append((Stage.CHAR, nbest_char, pg_char, kw.char_units, rank, i, j))
         if syll_windows is not None and kw.syll_units:
             for rank, i, j in match_exact(nbest_syll, kw.syll_units,
                                           syll_windows):
                 cands.append((Stage.SYLLABLE, nbest_syll, pg_syll, kw.syll_units, rank, i, j))
-        if Stage.FUZZY in stages:
+        if fuzzy is not None:
             for rank, i, j, _d in match_fuzzy(nbest_char, kw, fuzzy,
                                               cfg.fuzzy_threshold,
                                               char_windows):

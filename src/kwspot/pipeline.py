@@ -182,6 +182,8 @@ def _nbest_entry(h: dict) -> NBestEntry:
         raise ValueError("tokens and span frames must be integers")
     if any(type(h[k]) not in (int, float) for k in _SCORES):
         raise ValueError("scores must be numbers")
+    if type(h["text"]) is not str:
+        raise ValueError("text must be a string")
     # one [start, end) pair per token, in order and none overlapping
     spans = [(s, e) for _, (s, e) in zip(tokens, spans, strict=True)]
     end = 0
@@ -219,13 +221,19 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             if any(not 0 < t < len(us) for e in entries for t in e.tokens):
                 raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
                                 f"the {us.id!r} units 1..{len(us) - 1}")
+            if any(e.text != "".join(us.units[t] for t in e.tokens)
+                   for e in entries):
+                raise BadFormat(f"{stage_dir}: utterance {utt_id!r}: an "
+                                f"N-best text is not its tokens' unit names "
+                                f"joined")
             frames = pgrams[stage][utt_id].num_frames
             # spans lie in order (read_nbest checks), so the last ends last
             if any(e.spans and e.spans[-1][1] > frames for e in entries):
                 raise BadFormat(f"{stage_dir}: utterance {utt_id!r}: an "
                                 f"N-best span ends past its {frames} frames")
+    # distances are >= 0, so a zero threshold matches no window
     fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
-             if Stage.FUZZY in cfg.stages_enabled else None)
+             if cfg.fuzzy_threshold > 0 else None)
     syll_pgrams, syll_nbest = pgrams.get("syll", {}), nbest_syll or {}
     hits: list[Hit] = []
     for utt_id in sorted(nbest_char):
@@ -244,7 +252,11 @@ def total_speech_seconds(pgram_dir) -> float:
 
 def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
              sweep_points: int = 50) -> dict:
-    """Global P/R/F1 + ATWV at the recorded decisions, plus a threshold sweep."""
+    """Global P/R/F1 + ATWV at the recorded decisions, plus a threshold sweep
+    over ``sweep_points`` thresholds evenly spaced from the lowest hit score
+    to the highest (one point: the lowest)."""
+    if sweep_points < 0:
+        raise ValueError(f"sweep_points must be >= 0, got {sweep_points}")
     decided = [h for h in hits if h.decision]
     tp, fp, fn = align_hits(decided, refs, cfg)
     precision, recall, f1_score = f1(len(tp), len(fp), len(fn))
@@ -260,7 +272,7 @@ def evaluate(hits: list[Hit], refs: list[RefOccurrence], cfg: EvalConfig,
         # so the hits at or above a threshold align as among all hits
         all_tp, all_fp, _ = align_hits(hits, refs, cfg)
     for i in range(sweep_points):
-        theta = lo + (hi - lo) * i / (sweep_points - 1)
+        theta = lo + (hi - lo) * i / max(sweep_points - 1, 1)
         s_tp = [(h, r) for h, r in all_tp if h.norm_score >= theta]
         s_fp = [h for h in all_fp if h.norm_score >= theta]
         _, _, s_f1 = f1(len(s_tp), len(s_fp), len(refs) - len(s_tp))
@@ -293,7 +305,8 @@ LADDER_DECODES = {
 # Each row adds one method to the row before it.  Method -> (char decode,
 # kws stages, N-best matching, length normalisation).  A row without N-best
 # matching searches each utterance's top hypothesis only; the syllable
-# stage reads the syll_bias decode.
+# stage reads the syll_bias decode, and a row without the fuzzy stage
+# matches at fuzzy threshold 0.
 LADDER_ROWS = {
     "greedy": ("greedy", (Stage.CHAR,), False, False),
     "+lm": ("lm", (Stage.CHAR,), False, False),
@@ -342,8 +355,9 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
     rows = []
     for method, (char, stages, nbest_matching, length_norm) \
             in LADDER_ROWS.items():
-        kcfg = replace(kws_cfg, stages_enabled=frozenset(stages),
-                       length_norm=length_norm)
+        kcfg = replace(kws_cfg, length_norm=length_norm,
+                       fuzzy_threshold=kws_cfg.fuzzy_threshold
+                       if Stage.FUZZY in stages else 0.0)
         syll = nbest["syll_bias"] if Stage.SYLLABLE in stages else None
         hits = run_kws(pgram_dir, (nbest if nbest_matching else top)[char],
                        syll, keywords, char_set, syll_set, lexicon, costs,

@@ -207,16 +207,14 @@ def detect(pg_char, pg_syll, nbest_char, nbest_syll, keywords, fuzzy, cfg):
     hits = []
     for kw in keywords:
         cands = []
-        if Stage.CHAR in cfg.stages_enabled:
-            for rank, i, j in exact(nbest_char, kw.char_units):
-                cands.append((Stage.CHAR, nbest_char, pg_char, kw.char_units,
-                              rank, i, j))
-        if (Stage.SYLLABLE in cfg.stages_enabled and nbest_syll is not None
-                and pg_syll is not None and kw.syll_units):
+        for rank, i, j in exact(nbest_char, kw.char_units):
+            cands.append((Stage.CHAR, nbest_char, pg_char, kw.char_units,
+                          rank, i, j))
+        if nbest_syll is not None and kw.syll_units:
             for rank, i, j in exact(nbest_syll, kw.syll_units):
                 cands.append((Stage.SYLLABLE, nbest_syll, pg_syll,
                               kw.syll_units, rank, i, j))
-        if Stage.FUZZY in cfg.stages_enabled:
+        if fuzzy is not None:
             k = len(kw.char_units)
             for rank, i, window in _windows(nbest_char, k):
                 if window == kw.char_units:
@@ -373,7 +371,7 @@ def threshold_sweep(hits, refs, cfg, sweep_points=50):
         hi = lo + 1.0
     sweep = []
     for i in range(sweep_points):
-        theta = lo + (hi - lo) * i / (sweep_points - 1)
+        theta = lo + (hi - lo) * i / max(sweep_points - 1, 1)
         tp, fp, fn = align_hits([h for h in hits if h.norm_score >= theta],
                                 refs, cfg)
         _, _, s_f1 = f1(len(tp), len(fp), len(fn))

@@ -324,9 +324,7 @@ class TestCriterion8FuzzyMatching:
             nbest = prefix_beam_search(pg, lang.char_set,
                                        cfg=BeamConfig(lm_weight=0.0))
             for thr, want in ((0.5, True), (0.1, False)):
-                cfg = KwsConfig(fuzzy_threshold=thr,
-                                stages_enabled=frozenset({Stage.CHAR,
-                                                          Stage.FUZZY}))
+                cfg = KwsConfig(fuzzy_threshold=thr)
                 hits = detect(pg, None, nbest, None, [kw], fuzzy, cfg)
                 if want:
                     recovered += bool(hits)

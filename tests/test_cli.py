@@ -211,12 +211,15 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["[beam]\nbias_enabled = false",
-                                      "[kws]\nnbest_matching = false"],
-                             ids=["bias_enabled", "nbest_matching"])
+                                      "[kws]\nnbest_matching = false",
+                                      "[kws]\nstages_enabled = char fuzzy"],
+                             ids=["bias_enabled", "nbest_matching",
+                                  "stages_enabled"])
     def test_removed_switch_is_unknown_key(self, demo, trained, tmp_path,
                                            capsys, line):
-        # unbiased decoding is alpha = beta = 0 or no keyword list, and
-        # matching the top hypothesis only is decoding with nbest = 1
+        # unbiased decoding is alpha = beta = 0 or no keyword list, matching
+        # the top hypothesis only is decoding with nbest = 1, and each kws
+        # stage runs from its input (a syllable N-best, a fuzzy threshold > 0)
         cfg = tmp_path / "config.ini"
         cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
                        + line + "\n", encoding="utf-8")
@@ -366,8 +369,23 @@ class TestExitCodes:
         hits.write_text("", encoding="utf-8")
         refs = tmp_path / "refs.tsv"
         refs.write_text("", encoding="utf-8")
-        rc = main(["eval", str(hits), str(refs)])
-        assert rc == 2
+        # a usage error: argparse exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(hits), str(refs)])
+        assert exc.value.code == 2
+
+    def test_eval_speech_duration_given_twice(self, trained, tmp_path,
+                                              capsys):
+        hits = tmp_path / "hits.tsv"
+        hits.write_text("", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(hits), str(trained / "refs.tsv"),
+                  "--total-speech-s", "10", "--pgram-dir", str(trained),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("make_dir", [False, True])

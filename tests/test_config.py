@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwspot.config import PipelineConfig, load_config
-from kwspot.kws import Stage
 from fuzzing import edit_lists, mutate
 
 
@@ -44,7 +43,6 @@ chunk_len = 3
 
 [kws]
 fuzzy_threshold = 0.4
-stages_enabled = char fuzzy
 length_norm = false
 
 [synth]
@@ -62,7 +60,6 @@ frame_period_s = 0.02
         assert cfg.beam.lm_weight == 1.5
         assert cfg.bias.beta == 2.5 and cfg.bias.chunk_len == 3
         assert cfg.kws.fuzzy_threshold == 0.4
-        assert cfg.kws.stages_enabled == frozenset({Stage.CHAR, Stage.FUZZY})
         assert cfg.kws.length_norm is False
         assert cfg.synth.noise == 0.3
         assert cfg.synth.frames_per_token == 5
@@ -163,7 +160,6 @@ lexicon = lex.tsv
 beam_size = 20
 
 [kws]
-stages_enabled = char fuzzy
 length_norm = false
 
 [synth]

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -170,11 +169,10 @@ class TestDetect:
         # top hypothesis only: the window runs from the first matched token's
         # span start to the last one's span end, and the score is the CTC
         # mass of the window per keyword unit (raw without length_norm)
-        top_c, top_s = nb_c[:1], nb_s[:1]
+        top_c = nb_c[:1]
         for length_norm in (True, False):
-            cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR}),
-                            length_norm=length_norm)
-            (h,) = detect(pg_c, pg_s, top_c, top_s, [kw], fuzzy, cfg)
+            cfg = KwsConfig(length_norm=length_norm)
+            (h,) = detect(pg_c, None, top_c, None, [kw], None, cfg)
             ((rank, i, j),) = match_exact(top_c, kw.char_units,
                                            WindowIndex(top_c))
             spans = top_c[rank].spans
@@ -200,15 +198,13 @@ class TestDetect:
         kw = make_keyword(lang, kw_char + other)
         text = variant + other
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
-        cfg = KwsConfig(decision_threshold=-1e9,
-                        stages_enabled=frozenset({Stage.FUZZY}))
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
+        cfg = KwsConfig(decision_threshold=-1e9)
+        hits = detect(pg_c, None, nb_c, None, [kw], fuzzy, cfg)
         assert len(hits) == 1
         assert hits[0].stage is Stage.FUZZY
         # strict threshold rejects the same variant
-        tight = KwsConfig(decision_threshold=-1e9, fuzzy_threshold=0.05,
-                          stages_enabled=frozenset({Stage.FUZZY}))
-        assert detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, tight) == []
+        tight = KwsConfig(decision_threshold=-1e9, fuzzy_threshold=0.05)
+        assert detect(pg_c, None, nb_c, None, [kw], fuzzy, tight) == []
 
     def test_fuzzy_excludes_exact(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
@@ -243,11 +239,6 @@ TOY_FUZZY = [fuzzy_costs(TOY.char_set, TOY.lexicon, table)
                                                   indel_cost=0.7))]
 
 
-# every subset of the stages, largest first
-STAGE_SETS = [frozenset(s) for n in range(3, -1, -1)
-              for s in itertools.combinations(Stage, n)]
-
-
 @st.composite
 def nbest_lists(draw, alphabet):
     """1-4 hypotheses of 1-6 units from a small alphabet (so windows repeat
@@ -271,9 +262,9 @@ def nbest_lists(draw, alphabet):
 def detect_inputs(draw):
     """Random N-best lists over char units 1, 2 and 4 (1 and 2 are tone
     variants of each other) with random posteriorgrams under them, random keywords, either
-    cost table, any stage set and threshold, and either length rule; the
-    lists are cut to their first 1-4 entries, as a top-hypothesis-only
-    match cuts them to one."""
+    cost table or none, any threshold (0 included), and either length rule;
+    a syllable N-best or none; the lists are cut to their first 1-4 entries,
+    as a top-hypothesis-only match cuts them to one."""
     char_alphabet, syll_alphabet = [1, 2, 4], [1, 2, 3]
     nb_c = draw(nbest_lists(char_alphabet))
     nb_s = draw(st.none() | nbest_lists(syll_alphabet))
@@ -295,12 +286,11 @@ def detect_inputs(draw):
                         syll_units=tuple(draw(st.lists(
                             st.sampled_from(syll_alphabet), max_size=3))))
                 for n in range(draw(st.integers(1, 4)))]
-    cfg = KwsConfig(fuzzy_threshold=draw(st.floats(0.0, 1.0)),
+    cfg = KwsConfig(fuzzy_threshold=draw(st.just(0.0) | st.floats(0.0, 1.0)),
                     decision_threshold=draw(st.floats(-30.0, 0.0)),
-                    stages_enabled=draw(st.sampled_from(STAGE_SETS)),
                     length_norm=draw(st.booleans()))
     return (pg_c, pg_s, nb_c, nb_s, keywords,
-            draw(st.sampled_from(TOY_FUZZY)), cfg)
+            draw(st.none() | st.sampled_from(TOY_FUZZY)), cfg)
 
 
 def outcome(fn, *args):

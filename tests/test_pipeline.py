@@ -247,7 +247,7 @@ class TestComputeOnce:
             self, lang, noisy_decoded, monkeypatch):
         calls = self._record(monkeypatch, kws, "phrase_distance")
         builds = self._record(monkeypatch, kws, "substitution_matrix")
-        cfg = KwsConfig(stages_enabled=frozenset({Stage.CHAR, Stage.SYLLABLE}))
+        cfg = KwsConfig(fuzzy_threshold=0)
         assert self._run_kws(lang, noisy_decoded, cfg)
         assert calls == [] and builds == []
 
@@ -321,7 +321,7 @@ class TestBrokenKwsInputs:
         ("tokens", "x"), ("tokens", 1.5), ("tokens", True), ("tokens", None),
         ("spans", "3"), ("spans", 2.0), ("spans", False),
         ("score_am", "high"), ("score_lm", None), ("score_bias", True),
-        ("score_total", [1.0])])
+        ("score_total", [1.0]), ("text", 5), ("text", ["x"]), ("text", None)])
     def test_non_integer_token_or_frame_is_bad_format(self, decoded, tmp_path,
                                                       field, value):
         path = tmp_path / "nbest.jsonl"
@@ -389,6 +389,20 @@ class TestBrokenKwsInputs:
         else:
             nb_s = nbest
         with pytest.raises(BadFormat, match=utt):
+            self._run_kws(lang, out, nb_c, nb_s, keywords)
+
+    @pytest.mark.parametrize("stage", ["char", "syll"])
+    def test_text_not_token_names_is_bad_format(self, lang, small_run,
+                                                decoded, stage):
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        nbest = nb_c if stage == "char" else nb_s
+        utt = max(nb_c)
+        hyps = [replace(nbest[utt][0], text="wrong"), *nbest[utt][1:]]
+        bad = {**nbest, utt: hyps}
+        nb_c, nb_s = (bad, nb_s) if stage == "char" else (nb_c, bad)
+        with pytest.raises(BadFormat, match=re.escape(
+                f"{stage}: utterance {utt!r}: an N-best text")):
             self._run_kws(lang, out, nb_c, nb_s, keywords)
 
     def test_utterance_only_in_syllable_nbest(self, lang, small_run, decoded):
@@ -517,6 +531,17 @@ class TestEvaluate:
             pipeline.evaluate(hits, refs, EvalConfig(), sweep_points=points)
             assert calls == want
 
+    def test_one_point_sweeps_lowest_score_negative_count_raises(self):
+        hits = [self._hit("u", "k", 0.0, 1.0, -float(i)) for i in range(3)]
+        refs = [RefOccurrence("u", "k", 0.0, 1.0)]
+        for some in ([], hits[:1], hits):
+            report = pipeline.evaluate(some, refs, EvalConfig(),
+                                       sweep_points=1)
+            lo = min((h.norm_score for h in some), default=-1.0)
+            assert [p["threshold"] for p in report["threshold_sweep"]] == [lo]
+        with pytest.raises(ValueError, match="sweep_points"):
+            pipeline.evaluate(hits, refs, EvalConfig(), sweep_points=-1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from("kl"),
                               st.integers(0, 4), st.integers(1, 2),
@@ -525,7 +550,7 @@ class TestEvaluate:
            st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from("kl"),
                               st.integers(0, 4), st.integers(1, 2)),
                     max_size=8),
-           st.sampled_from([None, 0.5]), st.sampled_from([2, 7, 50]))
+           st.sampled_from([None, 0.5]), st.sampled_from([1, 2, 7, 50]))
     def test_sweep_equals_realigning_each_threshold(self, hits, refs, overlap,
                                                     points):
         # few distinct scores and times, so hits tie on score and on start
