@@ -7,8 +7,9 @@ sha256 of every file the chain writes, one ``<digest>  <path>`` line each.
 The demo corpus has 30 utterances, 50 keywords and noise 0.3.  The chain
 is ``synth --confusion`` (or uniform noise with ``--uniform``), ``lm-train``
 for both unit inventories, ``decode`` for both, ``kws`` with and without
-the syllable N-best, ``eval``, and ``ablate --rare-keywords`` at
-``--jobs 1`` and ``--jobs 2``.
+the syllable N-best, ``eval``, ``ablate --rare-keywords`` at ``--jobs 1``
+and ``--jobs 2``, and ``decode`` for both again at ``--jobs 2``, each into
+its own ``*_jobs2.jsonl`` file, whose digest must equal the first decode's.
 Two source trees that give the same lines give byte-identical outputs, so
 running this once per tree, with that tree's ``src`` on PYTHONPATH, and
 diffing the two listings checks that a change kept every output.
@@ -44,6 +45,9 @@ def run_chain(out: Path, confusion: bool) -> None:
         steps.append(["--jobs", jobs, "ablate", pg, pg / "refs.tsv",
                       "--rare-keywords", out / "rare_keywords.txt",
                       "--out", out / f"ablate_jobs{jobs}.json"])
+    steps += [["--jobs", 2, "decode", pg / "char", out / "char_jobs2.jsonl"],
+              ["--jobs", 2, "decode", pg / "syll", out / "syll_jobs2.jsonl",
+               "--stage", "syll"]]
     for step in steps:
         argv = cfg + [str(a) for a in step]
         if kwspot(argv) != 0:
@@ -62,10 +66,15 @@ def main() -> None:
     write_demo(out, num_utts=30, noise=0.3)
     inputs = set(out.rglob("*"))
     run_chain(out, confusion=not args.uniform)
+    digests = {}
     for path in sorted(p for p in out.rglob("*")
                        if p.is_file() and p not in inputs):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = digests[path.name] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out)}")
+    for stage in ("char", "syll"):
+        if digests[f"{stage}.jsonl"] != digests[f"{stage}_jobs2.jsonl"]:
+            raise SystemExit(f"{stage}: the --jobs 2 N-best differs")
 
 
 if __name__ == "__main__":

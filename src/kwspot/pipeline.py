@@ -3,6 +3,11 @@
 Each step is deterministic given config + inputs: synthesis derives a
 per-utterance seed from the run seed, decoding is seed-free, and all outputs
 are ordered by utterance id so parallel runs produce identical files.
+
+A run reads each posteriorgram directory once (``load_pgrams``) and decodes
+through one call of ``_decode_all``, which at ``jobs > 1`` opens one Pool
+for all of its decodes; ``run_ablation`` passes its four ladder decodes and
+its seven kws rows the same loaded posteriorgrams.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 from . import kws as kws_mod
@@ -112,26 +116,53 @@ def load_pgrams(pgram_dir) -> dict[str, Posteriorgram]:
     return pgrams
 
 
-def _search(us, lm, trie, beam_cfg, pg):
-    # module-level, so that a Pool can pickle it
-    return prefix_beam_search(pg, us, lm=lm, trie=trie, cfg=beam_cfg)
+# The decodes a Pool worker runs, keyed by name; set once per worker by
+# _init_worker, so a task carries only its (name, utterance id) pair
+_worker_decodes: dict = {}
+
+
+def _init_worker(decodes) -> None:
+    _worker_decodes.update(decodes)
+
+
+def _decode_one(task, decodes=_worker_decodes) -> list[NBestEntry]:
+    """Decode one (name, utterance id) task; a Pool worker, which passes no
+    decodes, reads those its initializer received."""
+    name, utt_id = task
+    pgrams, us, lm, trie, beam_cfg = decodes[name]
+    return prefix_beam_search(pgrams[utt_id], us, lm=lm, trie=trie,
+                              cfg=beam_cfg)
+
+
+def _decode_all(decodes: dict, jobs: int) -> dict[str, dict]:
+    """Decode ``name -> (pgrams, us, lm, trie, beam_cfg)``; returns ``name ->
+    utterance id -> N-best``, each map in utterance id order.
+
+    At ``jobs > 1`` one Pool runs every decode: its workers receive the
+    decodes once, from the initializer (under the fork start method,
+    without pickling them).  Results are taken in task order, so an error
+    is that of the first failing utterance in sorted order at every
+    ``jobs``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(name, utt_id) for name, (pgrams, *_) in decodes.items()
+             for utt_id in sorted(pgrams)]
+    if jobs > 1:
+        with multiprocessing.Pool(jobs, _init_worker, (decodes,)) as pool:
+            nbests = list(pool.imap(_decode_one, tasks))
+    else:
+        nbests = [_decode_one(task, decodes) for task in tasks]
+    out = {name: {} for name in decodes}
+    for (name, utt_id), nbest in zip(tasks, nbests):
+        out[name][utt_id] = nbest
+    return out
 
 
 def decode_dir(pgram_dir, us: UnitSet, lm: NGramLM | None,
                trie: KeywordTrie | None, beam_cfg: BeamConfig,
                jobs: int = 1) -> dict[str, list[NBestEntry]]:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    pgrams = load_pgrams(pgram_dir)
-    search = partial(_search, us, lm, trie, beam_cfg)
-    if jobs > 1:
-        # one chunk per worker: the decoder is pickled with each chunk
-        with multiprocessing.Pool(jobs) as pool:
-            nbests = pool.map(search, pgrams.values(),
-                              -(-len(pgrams) // jobs))
-    else:
-        nbests = map(search, pgrams.values())
-    return dict(sorted(zip(pgrams, nbests)))
+    decodes = {"": (load_pgrams(pgram_dir), us, lm, trie, beam_cfg)}
+    return _decode_all(decodes, jobs)[""]
 
 
 def write_nbest(nbest_by_utt: dict[str, list[NBestEntry]], path) -> None:
@@ -198,17 +229,27 @@ def _nbest_entry(h: dict) -> NBestEntry:
 def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             char_set: UnitSet, syll_set: UnitSet | None, lexicon: Lexicon,
             costs: CostTable, cfg: KwsConfig) -> list[Hit]:
+    stages = ("char",) if nbest_syll is None else ("char", "syll")
+    pgrams = {stage: load_pgrams(Path(pgram_dir) / stage) for stage in stages}
+    return _run_kws(pgram_dir, pgrams, nbest_char, nbest_syll, keywords,
+                    char_set, syll_set, lexicon, costs, cfg)
+
+
+def _run_kws(pgram_dir, pgrams: dict[str, dict[str, Posteriorgram]],
+             nbest_char, nbest_syll, keywords: list[Keyword],
+             char_set: UnitSet, syll_set: UnitSet | None, lexicon: Lexicon,
+             costs: CostTable, cfg: KwsConfig) -> list[Hit]:
+    """run_kws on posteriorgrams already loaded, ``stage -> utterance id ->
+    posteriorgram``; ``pgram_dir`` names the stage directories in errors."""
     if nbest_syll is not None and set(nbest_syll) != set(nbest_char):
         odd = sorted(set(nbest_syll) ^ set(nbest_char))
         raise BadFormat(f"utterance(s) {odd} are not in both the char and "
                         f"the syllable N-best")
-    pgrams = {}
     inputs = {"char": (nbest_char, char_set)}
     if nbest_syll is not None:
         inputs["syll"] = (nbest_syll, syll_set)
     for stage, (nbest, us) in inputs.items():
         stage_dir = Path(pgram_dir) / stage
-        pgrams[stage] = load_pgrams(stage_dir)
         extra = sorted(pgrams[stage].keys() - nbest_char.keys())
         if extra:
             raise BadFormat(f"{stage_dir}: no N-best entry covers "
@@ -339,14 +380,15 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
                                 syll_lm, bias_cfg, unit_names=syll_set.units)
     models = {"char": (char_set, char_lm, char_trie),
               "syll": (syll_set, syll_lm, syll_trie)}
-    nbest = {}
+    pgrams = {stage: load_pgrams(Path(pgram_dir) / stage) for stage in models}
+    decodes = {}
     for name, (stage, beam_size, with_lm, with_trie) in LADDER_DECODES.items():
         us, lm, trie = models[stage]
-        nbest[name] = decode_dir(
-            Path(pgram_dir) / stage, us, lm if with_lm else None,
+        decodes[name] = (
+            pgrams[stage], us, lm if with_lm else None,
             trie if with_trie else None,
-            replace(beam_cfg, beam_size=beam_size or beam_cfg.beam_size),
-            jobs=jobs)
+            replace(beam_cfg, beam_size=beam_size or beam_cfg.beam_size))
+    nbest = _decode_all(decodes, jobs)
 
     # each utterance's top hypothesis, sliced once per decode that a row
     # without N-best matching reads
@@ -359,9 +401,9 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
                        fuzzy_threshold=kws_cfg.fuzzy_threshold
                        if Stage.FUZZY in stages else 0.0)
         syll = nbest["syll_bias"] if Stage.SYLLABLE in stages else None
-        hits = run_kws(pgram_dir, (nbest if nbest_matching else top)[char],
-                       syll, keywords, char_set, syll_set, lexicon, costs,
-                       kcfg)
+        hits = _run_kws(pgram_dir, pgrams,
+                        (nbest if nbest_matching else top)[char], syll,
+                        keywords, char_set, syll_set, lexicon, costs, kcfg)
         report = evaluate(hits, refs, eval_cfg, sweep_points=0)
         # recall over all matches, before the decision threshold
         a_tp, _, a_fn = align_hits(hits, refs, eval_cfg)

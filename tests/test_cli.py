@@ -327,15 +327,20 @@ class TestExitCodes:
         assert "jobs must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, jobs",
+                             [("decode", 1), ("decode", 2), ("ablate", 2)])
     def test_emptied_beam_names_utterance(self, demo, trained, tmp_path,
-                                          capsys):
-        # no unit is above a threshold of 0, so the beam empties at frame 0
+                                          capsys, command, jobs):
+        # no unit is above a threshold of 0, so every beam empties at frame
+        # 0, and the error is the first utterance's at every --jobs
         cfg = tmp_path / "config.ini"
         cfg.write_text((demo / "config.ini").read_text(encoding="utf-8")
                        + "[beam]\ntoken_min_logp = 0\n", encoding="utf-8")
-        out = tmp_path / "nbest.jsonl"
-        rc = main(["--config", str(cfg), "decode", str(trained / "char"),
-                   str(out)])
+        out = tmp_path / "out"
+        args = {"decode": [trained / "char", out],
+                "ablate": [trained, trained / "refs.tsv", "--out", out]}
+        rc = main(["--config", str(cfg), "--jobs", str(jobs), command,
+                   *map(str, args[command])])
         assert rc == 1
         err = capsys.readouterr().err
         first = min(p.stem for p in (trained / "char").glob("*.pgram"))

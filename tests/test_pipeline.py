@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shutil
+import time
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from kwspot import kws, phonetics, pipeline
 from kwspot.corpus import confusion_tables, make_corpus, make_language
 from kwspot.decoder import BeamConfig, BiasConfig
-from kwspot.errors import BadFormat, BadSyllable, OutOfVocabulary
+from kwspot.errors import (AlignmentInfeasible, BadFormat, BadSyllable,
+                           OutOfVocabulary)
 from kwspot.kws import Hit, KwsConfig, Stage
 from kwspot.phonetics import CostTable
 from kwspot.lm import train
@@ -125,10 +127,26 @@ class TestDecodeDir:
                                   jobs=2)
         assert list(one) == sorted(one)
         assert list(one) == list(two)
-        for utt in one:
-            assert [e.tokens for e in one[utt]] == [e.tokens for e in two[utt]]
-            assert [e.score_total for e in one[utt]] == \
-                [e.score_total for e in two[utt]]
+        # whole entries: tokens, text, every score and the spans
+        assert one == two
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_names_first_failing_utterance(self, lang, small_run,
+                                                 monkeypatch, jobs):
+        # every search fails and the first utterance's fails last, so a
+        # worker reports a later utterance's failure before it
+        _, out, _, _ = small_run
+        first = min(p.stem for p in (out / "char").glob("*.pgram"))
+
+        def failing_search(pg, *args, **kwargs):
+            if pg.utt_id == first:
+                time.sleep(0.3)
+            raise AlignmentInfeasible(f"utterance {pg.utt_id!r}")
+        monkeypatch.setattr(pipeline, "prefix_beam_search", failing_search)
+        with pytest.raises(AlignmentInfeasible,
+                           match=re.escape(f"utterance {first!r}")):
+            pipeline.decode_dir(out / "char", lang.char_set, None, None,
+                                BeamConfig(), jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [0, -5])
     def test_jobs_below_one_rejected(self, lang, small_run, jobs):
@@ -616,14 +634,17 @@ ABLATION_SHA256 = \
     "760b62cc0f8c912f29b6f792cb9df682914c9e131d640880568c823c7dcc513d"
 
 
-def test_ablation_report_is_pinned(lang, tmp_path):
-    """A confusion-noise corpus on which every ladder row up to +fuzzy
-    differs from the one before, with false alarms from +bias on."""
+@pytest.fixture(scope="module")
+def pinned_ladder(lang, tmp_path_factory):
+    """run_ablation's arguments but jobs, over a confusion-noise corpus on
+    which every ladder row up to +fuzzy differs from the one before, with
+    false alarms from +bias on."""
+    out = tmp_path_factory.mktemp("ladder")
     corpus = make_corpus(lang, num_utts=16, num_keywords=10, seed=2)
     char_conf, syll_conf = confusion_tables(lang)
     refs, skipped = pipeline.synth_corpus(
         corpus.transcripts, corpus.keywords, lang.char_set, lang.syll_set,
-        lang.lexicon, SynthConfig(noise=0.45), tmp_path, 2, 0.04,
+        lang.lexicon, SynthConfig(noise=0.45), out, 2, 0.04,
         char_confusion=char_conf, syll_confusion=syll_conf)
     assert not skipped
     syll_lines = [[lang.syll_set.units[i]
@@ -632,13 +653,44 @@ def test_ablation_report_is_pinned(lang, tmp_path):
     keywords = pipeline.build_keywords(corpus.keywords, lang.char_set,
                                        lang.lexicon, lang.syll_set)
     rare = {k.id for k in keywords[::2]}
-    report = pipeline.run_ablation(
-        tmp_path, refs, keywords, lang.char_set, lang.syll_set, lang.lexicon,
-        train(corpus.lm_lines, order=3, discount=0.75),
-        train(syll_lines, order=3, discount=0.75), CostTable(),
-        BeamConfig(lm_weight=1.5, nbest=5), BiasConfig(), KwsConfig(),
-        EvalConfig(total_speech_s=pipeline.total_speech_seconds(
-            tmp_path / "char")),
-        jobs=1, ref_subsets={"rare": [r for r in refs if r.kw_id in rare]})
-    text = json.dumps(report, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == ABLATION_SHA256
+    args = (out, refs, keywords, lang.char_set, lang.syll_set, lang.lexicon,
+            train(corpus.lm_lines, order=3, discount=0.75),
+            train(syll_lines, order=3, discount=0.75), CostTable(),
+            BeamConfig(lm_weight=1.5, nbest=5), BiasConfig(), KwsConfig(),
+            EvalConfig(total_speech_s=pipeline.total_speech_seconds(
+                out / "char")))
+    return args, {"rare": [r for r in refs if r.kw_id in rare]}
+
+
+def report_sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()) \
+        .hexdigest()
+
+
+def test_ablation_report_is_pinned(pinned_ladder):
+    args, subsets = pinned_ladder
+    report = pipeline.run_ablation(*args, jobs=1, ref_subsets=subsets)
+    assert report_sha256(report) == ABLATION_SHA256
+
+
+def test_ablation_forks_once_and_reads_each_pgram_once(pinned_ladder,
+                                                      monkeypatch):
+    """At jobs 2 the four decodes share one Pool, and the decodes and the
+    kws rows share one read of each posteriorgram."""
+    args, subsets = pinned_ladder
+    pools, reads = [], []
+    pool, read = pipeline.multiprocessing.Pool, pipeline.read_pgram
+
+    def counted_pool(*a, **kw):
+        pools.append(a)
+        return pool(*a, **kw)
+
+    def counted_read(path):
+        reads.append(path)
+        return read(path)
+    monkeypatch.setattr(pipeline.multiprocessing, "Pool", counted_pool)
+    monkeypatch.setattr(pipeline, "read_pgram", counted_read)
+    report = pipeline.run_ablation(*args, jobs=2, ref_subsets=subsets)
+    assert len(pools) == 1
+    assert sorted(reads) == sorted(args[0].glob("*/*.pgram"))
+    assert report_sha256(report) == ABLATION_SHA256
