@@ -13,6 +13,8 @@ its own ``*_jobs2.jsonl`` file, whose digest must equal the first decode's.
 Two source trees that give the same lines give byte-identical outputs, so
 running this once per tree, with that tree's ``src`` on PYTHONPATH, and
 diffing the two listings checks that a change kept every output.
+``tests/quickstart_digest.txt`` is the listing without ``--uniform``, which
+``tests/test_quickstart_pin.py`` holds every change to.
 """
 
 import argparse
@@ -54,6 +56,25 @@ def run_chain(out: Path, confusion: bool) -> None:
             raise SystemExit(f"failed: kwspot {' '.join(argv)}")
 
 
+def digest_listing(out: Path, confusion: bool = True) -> list[str]:
+    """Write the demo corpus into the new or empty directory ``out``, run
+    the chain there and return one ``<digest>  <path>`` line per file the
+    chain wrote, in path order."""
+    write_demo(out, num_utts=30, noise=0.3)
+    inputs = set(out.rglob("*"))
+    run_chain(out, confusion)
+    digests, lines = {}, []
+    for path in sorted(p for p in out.rglob("*")
+                       if p.is_file() and p not in inputs):
+        digest = digests[path.name] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {path.relative_to(out)}")
+    for stage in ("char", "syll"):
+        if digests[f"{stage}.jsonl"] != digests[f"{stage}_jobs2.jsonl"]:
+            raise SystemExit(f"{stage}: the --jobs 2 N-best differs")
+    return lines
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out_dir", type=Path, help="a new or empty directory")
@@ -63,18 +84,7 @@ def main() -> None:
     out = args.out_dir.resolve()
     if out.exists() and any(out.iterdir()):
         raise SystemExit(f"{out} is not empty")
-    write_demo(out, num_utts=30, noise=0.3)
-    inputs = set(out.rglob("*"))
-    run_chain(out, confusion=not args.uniform)
-    digests = {}
-    for path in sorted(p for p in out.rglob("*")
-                       if p.is_file() and p not in inputs):
-        digest = digests[path.name] = hashlib.sha256(
-            path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out)}")
-    for stage in ("char", "syll"):
-        if digests[f"{stage}.jsonl"] != digests[f"{stage}_jobs2.jsonl"]:
-            raise SystemExit(f"{stage}: the --jobs 2 N-best differs")
+    print("\n".join(digest_listing(out, confusion=not args.uniform)))
 
 
 if __name__ == "__main__":

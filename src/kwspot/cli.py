@@ -15,7 +15,7 @@ from . import pipeline
 from .config import PipelineConfig, load_config
 from .corpus import confusion_tables, make_language
 from .decoder import build_bias_trie
-from .errors import KwspotError
+from .errors import KwspotError, read_text
 from .kws import write_hits, read_hits
 from .lm import read_arpa, train, write_arpa
 from .metrics import load_refs, write_refs
@@ -76,8 +76,8 @@ def cmd_synth(args) -> int:
 
 def cmd_lm_train(args) -> int:
     cfg = _load_cfg(args)
-    with open(args.corpus, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in read_text(args.corpus, ValueError).split("\n")
+             if ln.strip()]
     if args.unit == "syllable":
         _, syll_set, lexicon, _ = _load_resources(cfg)
         tokenized = [[syll_set.units[i] for i in

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .decoder import BeamConfig, BiasConfig
+from .errors import read_text
 from .kws import KwsConfig
 from .metrics import EvalConfig
 from .pgram import DEFAULT_FRAME_PERIOD_S, SynthConfig
@@ -70,8 +71,7 @@ def load_config(path) -> PipelineConfig:
     ValueError, never skipped."""
     parser = configparser.ConfigParser()
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(read_text(path, ValueError), source=str(path))
         sections = {name: parser.items(name) for name in parser.sections()}
     except configparser.Error as exc:
         raise ValueError(f"{path}: {exc}") from None

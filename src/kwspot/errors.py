@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the text-file read
+that names a file which is not UTF-8."""
 
 
 class KwspotError(Exception):
@@ -49,3 +50,13 @@ class InvalidKeyword(KwspotError):
 
 class UnitSetMismatch(KwspotError):
     pass
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The text of the UTF-8 file ``path``; any other bytes raise ``error``
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason})") from None

@@ -7,11 +7,13 @@ width, a map from window to its (rank, start) positions), so exact matching
 is one lookup per keyword and fuzzy matching measures each distinct window
 once, in one batched ``phrase_distance`` per keyword.  Every candidate is
 then scored by the CTC forward algorithm over the frame window its matched
-tokens align to (once per distinct posteriorgram, units and window),
-length-normalized in the log domain, and overlapping hits for the same
-keyword are merged keeping the higher score.  A fuzzy window with fewer
-frames than its keyword needs (``ctc_min_frames``) is skipped unscored;
-every other window is one ``score_ctc`` can score, or it raises.
+tokens align to (once per distinct posteriorgram, units and window) and
+length-normalized in the log domain.  A fuzzy window with fewer frames
+than its keyword needs (``ctc_min_frames``) is skipped unscored; every
+other window is one ``score_ctc`` can score, or it raises.  ``detect``
+merges each keyword's candidates as it scores them, keeping the higher
+score of two that overlap, and builds a ``Hit``, decision included, for
+each candidate it keeps.
 
 Each stage runs from its input: the character stage always, the syllable
 stage when ``detect`` is given a syllable N-best, fuzzy matching when it is
@@ -164,25 +166,6 @@ def score_ctc(pg: Posteriorgram, units, window: tuple[int, int]) -> float:
     return float(np.logaddexp.reduce(alpha[-1, -2:]))
 
 
-def merge_stages(hits: list[Hit]) -> list[Hit]:
-    """Within each (utt, kw), merge overlapping hits keeping the higher score."""
-    by_key: dict[tuple[str, str], list[Hit]] = {}
-    for h in hits:
-        by_key.setdefault((h.utt_id, h.kw_id), []).append(h)
-    out = []
-    for key in sorted(by_key):
-        group = sorted(by_key[key], key=lambda h: (-h.norm_score, h.start_frame,
-                                                   h.end_frame, h.stage.value))
-        kept: list[Hit] = []
-        for h in group:
-            if any(h.start_frame < k.end_frame and k.start_frame < h.end_frame
-                   for k in kept):
-                continue
-            kept.append(h)
-        out.extend(sorted(kept, key=lambda h: h.start_frame))
-    return out
-
-
 def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
            nbest_char, nbest_syll,
            keywords: list[Keyword], fuzzy: FuzzyCosts | None,
@@ -190,46 +173,59 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
     """Full matching + scoring pipeline for one utterance.  The character
     stage always runs; the syllable stage runs when ``nbest_syll`` (over
     ``pg_syll``) is given, fuzzy matching when ``fuzzy`` (from fuzzy_costs)
-    is."""
-    hits: list[Hit] = []
+    is.
+
+    Each keyword's scored candidates are merged where they are found:
+    taken best first, by (-score, start frame, end frame, stage name), a
+    candidate is kept unless its frames overlap one kept before.  Returns
+    the kept hits by keyword id (ids are unique, as load_id_text
+    enforces), each keyword's by start frame."""
     char_windows = WindowIndex(nbest_char)
     syll_windows = WindowIndex(nbest_syll) if nbest_syll is not None else None
     scores: dict[tuple, float] = {}  # (id(pg), units, ws, we) -> raw score
-    for kw in keywords:
-        cands = []  # (stage, nbest, pg, units, rank, ti, tj)
-        for rank, i, j in match_exact(nbest_char, kw.char_units, char_windows):
-            cands.append((Stage.CHAR, nbest_char, pg_char, kw.char_units, rank, i, j))
+    hits: list[Hit] = []
+    for kw in sorted(keywords, key=lambda k: k.id):
+        found = [(Stage.CHAR, nbest_char, pg_char, kw.char_units,
+                  match_exact(nbest_char, kw.char_units, char_windows))]
         if syll_windows is not None and kw.syll_units:
-            for rank, i, j in match_exact(nbest_syll, kw.syll_units,
-                                          syll_windows):
-                cands.append((Stage.SYLLABLE, nbest_syll, pg_syll, kw.syll_units, rank, i, j))
+            found.append((Stage.SYLLABLE, nbest_syll, pg_syll, kw.syll_units,
+                          match_exact(nbest_syll, kw.syll_units,
+                                      syll_windows)))
         if fuzzy is not None:
-            for rank, i, j, _d in match_fuzzy(nbest_char, kw, fuzzy,
-                                              cfg.fuzzy_threshold,
-                                              char_windows):
-                # scored with the true keyword's units, not the decoded variant
-                cands.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units, rank, i, j))
-        for stage, nbest, pg, units, rank, ti, tj in cands:
-            spans = nbest[rank].spans
-            ws, we = spans[ti][0], spans[tj - 1][1]
-            if stage is Stage.FUZZY and we - ws < ctc_min_frames(units):
-                # a fuzzy window fits the decoded variant; the true keyword
-                # may need more frames (repeated units need separating blanks)
-                continue
-            key = (id(pg), units, ws, we)
-            raw = scores.get(key)
-            if raw is None:
-                raw = scores[key] = score_ctc(pg, units, (ws, we))
-            score = raw / len(units) if cfg.length_norm else raw
+            # scored with the true keyword's units, not the decoded variant
+            found.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units,
+                          match_fuzzy(nbest_char, kw, fuzzy,
+                                      cfg.fuzzy_threshold, char_windows)))
+        cands = []  # (score, start frame, end frame, stage, posteriorgram)
+        for stage, nbest, pg, units, matches in found:
+            for rank, ti, tj, *_ in matches:
+                spans = nbest[rank].spans
+                ws, we = spans[ti][0], spans[tj - 1][1]
+                if stage is Stage.FUZZY and we - ws < ctc_min_frames(units):
+                    # a fuzzy window fits the decoded variant; the true
+                    # keyword may need more frames (repeated units need
+                    # separating blanks)
+                    continue
+                key = (id(pg), units, ws, we)
+                raw = scores.get(key)
+                if raw is None:
+                    raw = scores[key] = score_ctc(pg, units, (ws, we))
+                cands.append((raw / len(units) if cfg.length_norm else raw,
+                              ws, we, stage, pg))
+        if not cands:  # most keywords match nowhere in an utterance
+            continue
+        kept: list[tuple] = []
+        for cand in sorted(cands, key=lambda c: (-c[0], c[1], c[2],
+                                                 c[3].value)):
+            if all(cand[2] <= k[1] or k[2] <= cand[1] for k in kept):
+                kept.append(cand)
+        for score, ws, we, stage, pg in sorted(kept, key=lambda c: c[1]):
             hits.append(Hit(utt_id=pg.utt_id, kw_id=kw.id, stage=stage,
                             start_frame=ws, end_frame=we,
                             start_s=ws * pg.frame_period_s,
-                            end_s=we * pg.frame_period_s,
-                            norm_score=score))
-    merged = merge_stages(hits)
-    for h in merged:
-        h.decision = h.norm_score >= cfg.decision_threshold
-    return merged
+                            end_s=we * pg.frame_period_s, norm_score=score,
+                            decision=score >= cfg.decision_threshold))
+    return hits
 
 
 def write_hits(hits: list[Hit], path) -> None:

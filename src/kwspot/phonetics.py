@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadSyllable
+from .errors import BadSyllable, read_text
 
 # Longest-match order matters: digraphs before their single-letter prefixes.
 INITIALS = ("zh", "ch", "sh",
@@ -86,30 +86,29 @@ def load_cost_table(path) -> CostTable:
     """
     sections = {"initial_groups": [], "final_groups": [], "costs": {}}
     section = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1]
-                    if section not in sections:
-                        raise ValueError(f"unknown section [{section}]")
-                elif section == "costs":
-                    key, val = (x.strip() for x in line.split("="))
-                    if key not in ("tone_cost", "substitution_cost",
-                                   "indel_cost"):
-                        raise ValueError(f"unknown cost {key!r}")
-                    sections["costs"][key] = _cost(val)
-                elif section:
-                    members, cost = line.rsplit(":", 1)
-                    sections[section].append((frozenset(members.split()),
-                                              _cost(cost)))
-                else:
-                    raise ValueError("line before any section")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(read_text(path, ValueError).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1]
+                if section not in sections:
+                    raise ValueError(f"unknown section [{section}]")
+            elif section == "costs":
+                key, val = (x.strip() for x in line.split("="))
+                if key not in ("tone_cost", "substitution_cost",
+                               "indel_cost"):
+                    raise ValueError(f"unknown cost {key!r}")
+                sections["costs"][key] = _cost(val)
+            elif section:
+                members, cost = line.rsplit(":", 1)
+                sections[section].append((frozenset(members.split()),
+                                          _cost(cost)))
+            else:
+                raise ValueError("line before any section")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return CostTable(initial_groups=tuple(sections["initial_groups"]),
                      final_groups=tuple(sections["final_groups"]),
                      **sections["costs"])

@@ -7,7 +7,8 @@ are ordered by utterance id so parallel runs produce identical files.
 A run reads each posteriorgram directory once (``load_pgrams``) and decodes
 through one call of ``_decode_all``, which at ``jobs > 1`` opens one Pool
 for all of its decodes; ``run_ablation`` passes its four ladder decodes and
-its seven kws rows the same loaded posteriorgrams.
+its seven kws rows the same loaded posteriorgrams, and the rows with fuzzy
+matching the same fuzzy costs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import kws as kws_mod
 from .decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                       build_bias_trie, prefix_beam_search)
 from .errors import BadFormat, OutOfVocabulary
-from .kws import Hit, Keyword, KwsConfig, Stage, detect
+from .kws import FuzzyCosts, Hit, Keyword, KwsConfig, Stage, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
 from .pgram import (Posteriorgram, SynthConfig, read_pgram, synth_generate,
@@ -231,16 +232,20 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
             costs: CostTable, cfg: KwsConfig) -> list[Hit]:
     stages = ("char",) if nbest_syll is None else ("char", "syll")
     pgrams = {stage: load_pgrams(Path(pgram_dir) / stage) for stage in stages}
+    # distances are >= 0, so a zero threshold matches no window
+    fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
+             if cfg.fuzzy_threshold > 0 else None)
     return _run_kws(pgram_dir, pgrams, nbest_char, nbest_syll, keywords,
-                    char_set, syll_set, lexicon, costs, cfg)
+                    char_set, syll_set, fuzzy, cfg)
 
 
 def _run_kws(pgram_dir, pgrams: dict[str, dict[str, Posteriorgram]],
              nbest_char, nbest_syll, keywords: list[Keyword],
-             char_set: UnitSet, syll_set: UnitSet | None, lexicon: Lexicon,
-             costs: CostTable, cfg: KwsConfig) -> list[Hit]:
+             char_set: UnitSet, syll_set: UnitSet | None,
+             fuzzy: FuzzyCosts | None, cfg: KwsConfig) -> list[Hit]:
     """run_kws on posteriorgrams already loaded, ``stage -> utterance id ->
-    posteriorgram``; ``pgram_dir`` names the stage directories in errors."""
+    posteriorgram``, with fuzzy matching exactly when ``fuzzy`` is given;
+    ``pgram_dir`` names the stage directories in errors."""
     if nbest_syll is not None and set(nbest_syll) != set(nbest_char):
         odd = sorted(set(nbest_syll) ^ set(nbest_char))
         raise BadFormat(f"utterance(s) {odd} are not in both the char and "
@@ -272,9 +277,6 @@ def _run_kws(pgram_dir, pgrams: dict[str, dict[str, Posteriorgram]],
             if any(e.spans and e.spans[-1][1] > frames for e in entries):
                 raise BadFormat(f"{stage_dir}: utterance {utt_id!r}: an "
                                 f"N-best span ends past its {frames} frames")
-    # distances are >= 0, so a zero threshold matches no window
-    fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
-             if cfg.fuzzy_threshold > 0 else None)
     syll_pgrams, syll_nbest = pgrams.get("syll", {}), nbest_syll or {}
     hits: list[Hit] = []
     for utt_id in sorted(nbest_char):
@@ -344,19 +346,18 @@ LADDER_DECODES = {
     "syll_bias": ("syll", None, True, True),
 }
 # Each row adds one method to the row before it.  Method -> (char decode,
-# kws stages, N-best matching, length normalisation).  A row without N-best
-# matching searches each utterance's top hypothesis only; the syllable
-# stage reads the syll_bias decode, and a row without the fuzzy stage
-# matches at fuzzy threshold 0.
+# the kws stages it adds to the char stage, N-best matching, length
+# normalisation).  A row without N-best matching searches each utterance's
+# top hypothesis only; the syllable stage reads the syll_bias decode, and
+# only a row with the fuzzy stage is given the fuzzy costs.
 LADDER_ROWS = {
-    "greedy": ("greedy", (Stage.CHAR,), False, False),
-    "+lm": ("lm", (Stage.CHAR,), False, False),
-    "+length_norm": ("lm", (Stage.CHAR,), False, True),
-    "+nbest": ("lm", (Stage.CHAR,), True, True),
-    "+bias": ("bias", (Stage.CHAR,), True, True),
-    "+fuzzy": ("bias", (Stage.CHAR, Stage.FUZZY), True, True),
-    "+syllable": ("bias", (Stage.CHAR, Stage.FUZZY, Stage.SYLLABLE),
-                  True, True),
+    "greedy": ("greedy", (), False, False),
+    "+lm": ("lm", (), False, False),
+    "+length_norm": ("lm", (), False, True),
+    "+nbest": ("lm", (), True, True),
+    "+bias": ("bias", (), True, True),
+    "+fuzzy": ("bias", (Stage.FUZZY,), True, True),
+    "+syllable": ("bias", (Stage.FUZZY, Stage.SYLLABLE), True, True),
 }
 LADDER = list(LADDER_ROWS)
 
@@ -389,6 +390,8 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
             trie if with_trie else None,
             replace(beam_cfg, beam_size=beam_size or beam_cfg.beam_size))
     nbest = _decode_all(decodes, jobs)
+    fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
+             if kws_cfg.fuzzy_threshold > 0 else None)
 
     # each utterance's top hypothesis, sliced once per decode that a row
     # without N-best matching reads
@@ -397,13 +400,12 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
     rows = []
     for method, (char, stages, nbest_matching, length_norm) \
             in LADDER_ROWS.items():
-        kcfg = replace(kws_cfg, length_norm=length_norm,
-                       fuzzy_threshold=kws_cfg.fuzzy_threshold
-                       if Stage.FUZZY in stages else 0.0)
         syll = nbest["syll_bias"] if Stage.SYLLABLE in stages else None
         hits = _run_kws(pgram_dir, pgrams,
                         (nbest if nbest_matching else top)[char], syll,
-                        keywords, char_set, syll_set, lexicon, costs, kcfg)
+                        keywords, char_set, syll_set,
+                        fuzzy if Stage.FUZZY in stages else None,
+                        replace(kws_cfg, length_norm=length_norm))
         report = evaluate(hits, refs, eval_cfg, sweep_points=0)
         # recall over all matches, before the decision threshold
         a_tp, _, a_fn = align_hits(hits, refs, eval_cfg)

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import (BadFormat, BadSyllable, DuplicateUnit, EmptyUnitSet,
-                     OutOfVocabulary)
+                     OutOfVocabulary, read_text)
 from .phonetics import parse_syllable
 
 BLANK = "<blk>"
@@ -62,12 +62,11 @@ def load_unit_set(path, set_id: str | None = None,
                   kind: UnitKind = UnitKind.CHARACTER) -> UnitSet:
     """One unit per line, '#' comment lines skipped; blank prepended if absent."""
     units = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            units.append(line)
+    for line in read_text(path, BadFormat).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        units.append(line)
     if not units:
         raise EmptyUnitSet(f"no units in {path}")
     if units[0] != BLANK:
@@ -87,12 +86,7 @@ def read_tsv(path, num_fields: int, make=tuple):
     """Yield ``make(fields)`` for each line but blank and ``#`` lines; a line
     splits on tabs into num_fields fields, the last keeping further tabs.
     Fewer fields or a ValueError from make is BadFormat at ``path:line``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise BadFormat(f"{path}: not UTF-8 ({exc.reason})") from None
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_text(path, BadFormat).split("\n"), 1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t", num_fields - 1)

@@ -6,9 +6,10 @@ under test, except that the phrase-distance reference prices a substitution
 with ``kwspot.phonetics.syllable_distance``, the per-pair cost the kernel's
 matrix is built from, and the reference prefix beam search scores with
 ``NGramLM.score_token`` and aligns its N-best with ``align_viterbi``.
-The reference keyword detector walks every window of every hypothesis and
-scores every candidate with ``kwspot.kws.score_ctc``, merging with
-``kwspot.kws.merge_stages``.  The reference threshold sweep realigns the
+The reference keyword detector walks every window of every hypothesis,
+scores every candidate with ``kwspot.kws.score_ctc`` and merges all of the
+utterance's hits at once (``merge_stages``), the merge ``kwspot.kws.detect``
+does per keyword as it scores.  The reference threshold sweep realigns the
 hits at or above each threshold with ``kwspot.metrics.align_hits``.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from kwspot.decoder import BeamConfig, NBestEntry
 from kwspot.errors import AlignmentInfeasible, UnitSetMismatch
-from kwspot.kws import Hit, Stage, merge_stages, score_ctc
+from kwspot.kws import Hit, Stage, score_ctc
 from kwspot.metrics import align_hits, atwv, f1
 from kwspot.pgram import align_viterbi
 from kwspot.phonetics import syllable_distance
@@ -189,6 +190,28 @@ def _windows(nbest, k):
         toks = tuple(entry.tokens)
         for i in range(len(toks) - k + 1):
             yield rank, i, toks[i:i + k]
+
+
+def merge_stages(hits):
+    """Within each (utt, kw), in that order, merge overlapping hits keeping
+    the higher score: hits are taken by (-score, start frame, end frame,
+    stage name), and one overlapping a hit kept before is dropped; each
+    group's kept hits are ordered by start frame."""
+    by_key = {}
+    for h in hits:
+        by_key.setdefault((h.utt_id, h.kw_id), []).append(h)
+    out = []
+    for key in sorted(by_key):
+        group = sorted(by_key[key], key=lambda h: (-h.norm_score, h.start_frame,
+                                                   h.end_frame, h.stage.value))
+        kept = []
+        for h in group:
+            if any(h.start_frame < k.end_frame and k.start_frame < h.end_frame
+                   for k in kept):
+                continue
+            kept.append(h)
+        out.extend(sorted(kept, key=lambda h: h.start_frame))
+    return out
 
 
 def detect(pg_char, pg_syll, nbest_char, nbest_syll, keywords, fuzzy, cfg):

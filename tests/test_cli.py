@@ -139,6 +139,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"lexicon.tsv:3: primary pronunciation of {char!r}" in err
 
+    @pytest.mark.parametrize("reader, code", [
+        ("char_units", 1), ("cost_table", 2), ("config", 2), ("corpus", 2)])
+    def test_non_utf8_input_names_its_file(self, demo, tmp_path, capsys,
+                                           reader, code):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\n")
+        text = (demo / "config.ini").read_text(encoding="utf-8")
+        if reader == "char_units":
+            text = text.replace(str(demo / "char_units.txt"), str(bad))
+        elif reader == "cost_table":
+            text = text.replace("[paths]\n", f"[paths]\ncost_table = {bad}\n")
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(text, encoding="utf-8")
+        corpus = bad if reader == "corpus" else demo / "lm_corpus.txt"
+        rc = main(["--config", str(bad if reader == "config" else cfg),
+                   "lm-train", str(corpus), str(tmp_path / "lm.arpa"),
+                   "--unit", "syllable"])
+        assert rc == code
+        assert f"error: {bad}: not UTF-8" in capsys.readouterr().err
+
     def test_empty_lm_corpus_is_domain_error(self, demo, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")

@@ -10,8 +10,7 @@ from kwspot.decoder import BeamConfig, prefix_beam_search
 from kwspot.errors import AlignmentInfeasible, BadFormat, BadSyllable
 from kwspot.kws import (FuzzyCosts, Hit, Keyword, KwsConfig, Stage, WindowIndex,
                         char_syllables, detect, fuzzy_costs, match_exact,
-                        match_fuzzy, merge_stages, read_hits, score_ctc,
-                        write_hits)
+                        match_fuzzy, read_hits, score_ctc, write_hits)
 from kwspot.pgram import (Posteriorgram, SynthConfig, ctc_min_frames,
                           synth_generate, token_layout)
 from kwspot.phonetics import CostTable
@@ -19,7 +18,7 @@ from kwspot.corpus import make_language
 from kwspot.units import Lexicon, syllabify, tokenize_chars
 
 import oracles
-from oracles import path_sum_for_label, random_pgram_logp
+from oracles import merge_stages, path_sum_for_label, random_pgram_logp
 
 
 class FakeEntry:
@@ -93,6 +92,9 @@ def make_hit(score, start, end, stage=Stage.CHAR, kw="kw0", utt="u"):
 
 
 class TestMergeStages:
+    """The reference merge, which oracles.detect applies to all of an
+    utterance's hits and test_detect_equals_reference holds detect to."""
+
     def test_overlap_keeps_higher(self):
         a = make_hit(-1.5, 0, 10, Stage.CHAR)
         b = make_hit(-1.2, 5, 12, Stage.SYLLABLE)
@@ -261,10 +263,11 @@ def nbest_lists(draw, alphabet):
 @st.composite
 def detect_inputs(draw):
     """Random N-best lists over char units 1, 2 and 4 (1 and 2 are tone
-    variants of each other) with random posteriorgrams under them, random keywords, either
-    cost table or none, any threshold (0 included), and either length rule;
-    a syllable N-best or none; the lists are cut to their first 1-4 entries,
-    as a top-hypothesis-only match cuts them to one."""
+    variants of each other) with random posteriorgrams under them, random
+    keywords with their ids in any order, either cost table or none, any
+    threshold (0 included), and either length rule; a syllable N-best or
+    none; the lists are cut to their first 1-4 entries, as a
+    top-hypothesis-only match cuts them to one."""
     char_alphabet, syll_alphabet = [1, 2, 4], [1, 2, 3]
     nb_c = draw(nbest_lists(char_alphabet))
     nb_s = draw(st.none() | nbest_lists(syll_alphabet))
@@ -285,7 +288,8 @@ def detect_inputs(draw):
                             max_size=3))),
                         syll_units=tuple(draw(st.lists(
                             st.sampled_from(syll_alphabet), max_size=3))))
-                for n in range(draw(st.integers(1, 4)))]
+                for n in draw(st.permutations(range(draw(
+                    st.integers(1, 4)))))]
     cfg = KwsConfig(fuzzy_threshold=draw(st.just(0.0) | st.floats(0.0, 1.0)),
                     decision_threshold=draw(st.floats(-30.0, 0.0)),
                     length_norm=draw(st.booleans()))

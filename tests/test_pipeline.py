@@ -612,7 +612,9 @@ class TestLadderTable:
             assert self.methods(rows[before]) <= self.methods(rows[after])
             assert added == {after.removeprefix("+")}
             assert set(rows[before][1]) <= set(rows[after][1])
-        assert all(Stage.CHAR in row[1] for row in rows.values())
+        # the char stage always runs, so a row lists only what it adds
+        assert all(set(row[1]) <= {Stage.SYLLABLE, Stage.FUZZY}
+                   for row in rows.values())
 
     def test_decodes_go_greedy_lm_bias(self):
         decodes = pipeline.LADDER_DECODES
@@ -693,4 +695,28 @@ def test_ablation_forks_once_and_reads_each_pgram_once(pinned_ladder,
     report = pipeline.run_ablation(*args, jobs=2, ref_subsets=subsets)
     assert len(pools) == 1
     assert sorted(reads) == sorted(args[0].glob("*/*.pgram"))
+    assert report_sha256(report) == ABLATION_SHA256
+
+
+def test_ablation_builds_the_fuzzy_costs_once(pinned_ladder, monkeypatch):
+    """The rows with the fuzzy stage are given one set of fuzzy costs, built
+    once; the rows without it are given none."""
+    args, subsets = pinned_ladder
+    builds, given = [], []
+    build, run = kws.fuzzy_costs, pipeline._run_kws
+
+    def counted_build(*a):
+        builds.append(a)
+        return build(*a)
+
+    def recorded_run(*a):
+        given.append(a[-2])
+        return run(*a)
+    monkeypatch.setattr(kws, "fuzzy_costs", counted_build)
+    monkeypatch.setattr(pipeline, "_run_kws", recorded_run)
+    report = pipeline.run_ablation(*args, jobs=1, ref_subsets=subsets)
+    assert len(builds) == 1
+    fuzzy = [Stage.FUZZY in row[1] for row in pipeline.LADDER_ROWS.values()]
+    assert [f is not None for f in given] == fuzzy
+    assert len({id(f) for f in given if f is not None}) == 1
     assert report_sha256(report) == ABLATION_SHA256
