@@ -149,8 +149,9 @@ def build_bias_trie(keywords: list[list[int]], lm: NGramLM | None,
 
 @dataclass
 class NBestEntry:
-    tokens: tuple[int, ...]
+    """One hypothesis, its fields in the order write_nbest writes them."""
     text: str
+    tokens: tuple[int, ...]
     score_am: float     # natural log CTC mass
     score_lm: float     # log10
     score_bias: float

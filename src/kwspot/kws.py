@@ -7,13 +7,17 @@ width, a map from window to its (rank, start) positions), so exact matching
 is one lookup per keyword and fuzzy matching measures each distinct window
 once, in one batched ``phrase_distance`` per keyword.  Every candidate is
 then scored by the CTC forward algorithm over the frame window its matched
-tokens align to (once per distinct posteriorgram, units and window) and
-length-normalized in the log domain.  A fuzzy window with fewer frames
-than its keyword needs (``ctc_min_frames``) is skipped unscored; every
-other window is one ``score_ctc`` can score, or it raises.  ``detect``
-merges each keyword's candidates as it scores them, keeping the higher
-score of two that overlap, and builds a ``Hit``, decision included, for
-each candidate it keeps.
+tokens align to (once per distinct posteriorgram, units and window).  A
+fuzzy window with fewer frames than its keyword needs (``ctc_min_frames``)
+is skipped unscored; every other window is one ``score_ctc`` can score, or
+it raises.
+
+``detect`` returns the scored candidates and ``decide`` makes the hits:
+it length-normalizes the scores in the log domain, merges each keyword's
+candidates, keeping the higher score of two that overlap, and builds a
+``Hit``, decision included, for each one it keeps.  Candidates filtered
+by stage or rank decide as matching over only those stages or ranks would,
+so one round of matching serves several such questions.
 
 Each stage runs from its input: the character stage always, the syllable
 stage when ``detect`` is given a syllable N-best, fuzzy matching when it is
@@ -27,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -169,21 +174,19 @@ def score_ctc(pg: Posteriorgram, units, window: tuple[int, int]) -> float:
 def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
            nbest_char, nbest_syll,
            keywords: list[Keyword], fuzzy: FuzzyCosts | None,
-           cfg: KwsConfig) -> list[Hit]:
-    """Full matching + scoring pipeline for one utterance.  The character
-    stage always runs; the syllable stage runs when ``nbest_syll`` (over
-    ``pg_syll``) is given, fuzzy matching when ``fuzzy`` (from fuzzy_costs)
-    is.
+           cfg: KwsConfig) -> list[tuple]:
+    """Matching and scoring for one utterance.  The character stage always
+    runs; the syllable stage runs when ``nbest_syll`` (over ``pg_syll``) is
+    given, fuzzy matching when ``fuzzy`` (from fuzzy_costs) is.
 
-    Each keyword's scored candidates are merged where they are found:
-    taken best first, by (-score, start frame, end frame, stage name), a
-    candidate is kept unless its frames overlap one kept before.  Returns
-    the kept hits by keyword id (ids are unique, as load_id_text
-    enforces), each keyword's by start frame."""
+    Returns the scored candidates, each a ``(kw_id, rank, stage, start
+    frame, end frame, raw score, units, posteriorgram)`` tuple, grouped by
+    keyword in id order (ids are unique, as load_id_text enforces);
+    ``decide`` makes them hits."""
     char_windows = WindowIndex(nbest_char)
     syll_windows = WindowIndex(nbest_syll) if nbest_syll is not None else None
     scores: dict[tuple, float] = {}  # (id(pg), units, ws, we) -> raw score
-    hits: list[Hit] = []
+    cands: list[tuple] = []
     for kw in sorted(keywords, key=lambda k: k.id):
         found = [(Stage.CHAR, nbest_char, pg_char, kw.char_units,
                   match_exact(nbest_char, kw.char_units, char_windows))]
@@ -196,7 +199,6 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
             found.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units,
                           match_fuzzy(nbest_char, kw, fuzzy,
                                       cfg.fuzzy_threshold, char_windows)))
-        cands = []  # (score, start frame, end frame, stage, posteriorgram)
         for stage, nbest, pg, units, matches in found:
             for rank, ti, tj, *_ in matches:
                 spans = nbest[rank].spans
@@ -210,17 +212,32 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
                 raw = scores.get(key)
                 if raw is None:
                     raw = scores[key] = score_ctc(pg, units, (ws, we))
-                cands.append((raw / len(units) if cfg.length_norm else raw,
-                              ws, we, stage, pg))
-        if not cands:  # most keywords match nowhere in an utterance
-            continue
+                cands.append((kw.id, rank, stage, ws, we, raw, units, pg))
+    return cands
+
+
+def decide(cands, cfg: KwsConfig) -> list[Hit]:
+    """The hits of candidates in detect's order, of one utterance or of
+    several in turn.
+
+    Each (utterance, keyword)'s candidates are merged: scored (per unit
+    when ``cfg.length_norm``) and taken best first, by (-score, start
+    frame, end frame, stage name), a candidate is kept unless its frames
+    overlap one kept before.  The kept ones become hits by start frame,
+    each decided against ``cfg.decision_threshold``."""
+    hits: list[Hit] = []
+    for (utt_id, kw_id), group in groupby(cands,
+                                          key=lambda c: (c[7].utt_id, c[0])):
+        scored = sorted(((raw / len(units) if cfg.length_norm else raw,
+                          ws, we, stage, pg)
+                         for _, _, stage, ws, we, raw, units, pg in group),
+                        key=lambda c: (-c[0], c[1], c[2], c[3].value))
         kept: list[tuple] = []
-        for cand in sorted(cands, key=lambda c: (-c[0], c[1], c[2],
-                                                 c[3].value)):
+        for cand in scored:
             if all(cand[2] <= k[1] or k[2] <= cand[1] for k in kept):
                 kept.append(cand)
         for score, ws, we, stage, pg in sorted(kept, key=lambda c: c[1]):
-            hits.append(Hit(utt_id=pg.utt_id, kw_id=kw.id, stage=stage,
+            hits.append(Hit(utt_id=utt_id, kw_id=kw_id, stage=stage,
                             start_frame=ws, end_frame=we,
                             start_s=ws * pg.frame_period_s,
                             end_s=we * pg.frame_period_s, norm_score=score,

@@ -6,23 +6,25 @@ are ordered by utterance id so parallel runs produce identical files.
 
 A run reads each posteriorgram directory once (``load_pgrams``) and decodes
 through one call of ``_decode_all``, which at ``jobs > 1`` opens one Pool
-for all of its decodes; ``run_ablation`` passes its four ladder decodes and
-its seven kws rows the same loaded posteriorgrams, and the rows with fuzzy
-matching the same fuzzy costs.
+for all of its decodes.  Keyword search matches and scores once per char
+decode (``_run_kws``) and makes hits with ``kws.decide``: ``run_kws``
+decides its one round, and ``run_ablation`` decides each ladder row from a
+filter of its decode's candidates, so its four decodes and three kws
+rounds share one read of each posteriorgram and one set of fuzzy costs.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import kws as kws_mod
 from .decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                       build_bias_trie, prefix_beam_search)
-from .errors import BadFormat, OutOfVocabulary
-from .kws import FuzzyCosts, Hit, Keyword, KwsConfig, Stage, detect
+from .errors import BadFormat, OutOfVocabulary, UnitSetMismatch
+from .kws import FuzzyCosts, Hit, Keyword, KwsConfig, Stage, decide, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
 from .pgram import (Posteriorgram, SynthConfig, read_pgram, synth_generate,
@@ -169,17 +171,7 @@ def decode_dir(pgram_dir, us: UnitSet, lm: NGramLM | None,
 def write_nbest(nbest_by_utt: dict[str, list[NBestEntry]], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for utt_id in sorted(nbest_by_utt):
-            hyps = []
-            for e in nbest_by_utt[utt_id]:
-                hyps.append({
-                    "text": e.text,
-                    "tokens": list(e.tokens),
-                    "score_am": e.score_am,
-                    "score_lm": e.score_lm,
-                    "score_bias": e.score_bias,
-                    "score_total": e.score_total,
-                    "spans": [list(s) for s in e.spans],
-                })
+            hyps = [asdict(e) for e in nbest_by_utt[utt_id]]
             fh.write(json.dumps({"utt_id": utt_id, "hyps": hyps},
                                 ensure_ascii=False) + "\n")
 
@@ -235,16 +227,17 @@ def run_kws(pgram_dir, nbest_char, nbest_syll, keywords: list[Keyword],
     # distances are >= 0, so a zero threshold matches no window
     fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
              if cfg.fuzzy_threshold > 0 else None)
-    return _run_kws(pgram_dir, pgrams, nbest_char, nbest_syll, keywords,
-                    char_set, syll_set, fuzzy, cfg)
+    return decide(_run_kws(pgram_dir, pgrams, nbest_char, nbest_syll,
+                           keywords, char_set, syll_set, fuzzy, cfg), cfg)
 
 
 def _run_kws(pgram_dir, pgrams: dict[str, dict[str, Posteriorgram]],
              nbest_char, nbest_syll, keywords: list[Keyword],
              char_set: UnitSet, syll_set: UnitSet | None,
-             fuzzy: FuzzyCosts | None, cfg: KwsConfig) -> list[Hit]:
-    """run_kws on posteriorgrams already loaded, ``stage -> utterance id ->
-    posteriorgram``, with fuzzy matching exactly when ``fuzzy`` is given;
+             fuzzy: FuzzyCosts | None, cfg: KwsConfig) -> list[tuple]:
+    """The kws candidates of every utterance (see ``detect``), in utterance
+    id order, from posteriorgrams already loaded, ``stage -> utterance id
+    -> posteriorgram``, with fuzzy matching exactly when ``fuzzy`` is given;
     ``pgram_dir`` names the stage directories in errors."""
     if nbest_syll is not None and set(nbest_syll) != set(nbest_char):
         odd = sorted(set(nbest_syll) ^ set(nbest_char))
@@ -264,6 +257,12 @@ def _run_kws(pgram_dir, pgrams: dict[str, dict[str, Posteriorgram]],
             raise FileNotFoundError(f"{stage_dir}: no .pgram file for "
                                     f"utterance(s) {missing}")
         for utt_id, entries in nbest.items():
+            pg = pgrams[stage][utt_id]
+            if (pg.unit_set_id, pg.num_units) != (us.id, len(us)):
+                raise UnitSetMismatch(
+                    f"{stage_dir}: utterance {utt_id!r}: posteriorgram units "
+                    f"{pg.unit_set_id!r} ({pg.num_units}) are not the "
+                    f"{us.id!r} units ({len(us)})")
             if any(not 0 < t < len(us) for e in entries for t in e.tokens):
                 raise BadFormat(f"utterance {utt_id!r}: N-best token outside "
                                 f"the {us.id!r} units 1..{len(us) - 1}")
@@ -272,18 +271,18 @@ def _run_kws(pgram_dir, pgrams: dict[str, dict[str, Posteriorgram]],
                 raise BadFormat(f"{stage_dir}: utterance {utt_id!r}: an "
                                 f"N-best text is not its tokens' unit names "
                                 f"joined")
-            frames = pgrams[stage][utt_id].num_frames
+            frames = pg.num_frames
             # spans lie in order (read_nbest checks), so the last ends last
             if any(e.spans and e.spans[-1][1] > frames for e in entries):
                 raise BadFormat(f"{stage_dir}: utterance {utt_id!r}: an "
                                 f"N-best span ends past its {frames} frames")
     syll_pgrams, syll_nbest = pgrams.get("syll", {}), nbest_syll or {}
-    hits: list[Hit] = []
+    cands: list[tuple] = []
     for utt_id in sorted(nbest_char):
-        hits.extend(detect(pgrams["char"][utt_id], syll_pgrams.get(utt_id),
-                           nbest_char[utt_id], syll_nbest.get(utt_id),
-                           keywords, fuzzy, cfg))
-    return hits
+        cands.extend(detect(pgrams["char"][utt_id], syll_pgrams.get(utt_id),
+                            nbest_char[utt_id], syll_nbest.get(utt_id),
+                            keywords, fuzzy, cfg))
+    return cands
 
 
 def total_speech_seconds(pgram_dir) -> float:
@@ -347,9 +346,9 @@ LADDER_DECODES = {
 }
 # Each row adds one method to the row before it.  Method -> (char decode,
 # the kws stages it adds to the char stage, N-best matching, length
-# normalisation).  A row without N-best matching searches each utterance's
-# top hypothesis only; the syllable stage reads the syll_bias decode, and
-# only a row with the fuzzy stage is given the fuzzy costs.
+# normalisation).  A row without N-best matching keeps the candidates of
+# each utterance's top hypothesis only; the syllable stage reads the
+# syll_bias decode.
 LADDER_ROWS = {
     "greedy": ("greedy", (), False, False),
     "+lm": ("lm", (), False, False),
@@ -393,19 +392,23 @@ def run_ablation(pgram_dir, refs, keywords: list[Keyword],
     fuzzy = (kws_mod.fuzzy_costs(char_set, lexicon, costs)
              if kws_cfg.fuzzy_threshold > 0 else None)
 
-    # each utterance's top hypothesis, sliced once per decode that a row
-    # without N-best matching reads
-    top = {char: {utt: entries[:1] for utt, entries in nbest[char].items()}
-           for char, _, matching, _ in LADDER_ROWS.values() if not matching}
+    # one candidate table per char decode, matched with the stages of its
+    # last row, which hold those of its earlier rows
+    last = {char: stages for char, stages, _, _ in LADDER_ROWS.values()}
+    tables = {}
+    for char, stages in last.items():
+        syll = nbest["syll_bias"] if Stage.SYLLABLE in stages else None
+        tables[char] = _run_kws(pgram_dir, pgrams, nbest[char], syll,
+                                keywords, char_set, syll_set,
+                                fuzzy if Stage.FUZZY in stages else None,
+                                kws_cfg)
     rows = []
     for method, (char, stages, nbest_matching, length_norm) \
             in LADDER_ROWS.items():
-        syll = nbest["syll_bias"] if Stage.SYLLABLE in stages else None
-        hits = _run_kws(pgram_dir, pgrams,
-                        (nbest if nbest_matching else top)[char], syll,
-                        keywords, char_set, syll_set,
-                        fuzzy if Stage.FUZZY in stages else None,
-                        replace(kws_cfg, length_norm=length_norm))
+        hits = decide([c for c in tables[char]
+                       if (nbest_matching or c[1] == 0)
+                       and (c[2] is Stage.CHAR or c[2] in stages)],
+                      replace(kws_cfg, length_norm=length_norm))
         report = evaluate(hits, refs, eval_cfg, sweep_points=0)
         # recall over all matches, before the decision threshold
         a_tp, _, a_fn = align_hits(hits, refs, eval_cfg)

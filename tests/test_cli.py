@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -120,6 +121,22 @@ class TestExitCodes:
                    str(tmp_path / "hits.tsv"), "--nbest-char", str(nbest)])
         assert rc == 1
         assert repr(drop[0]) in capsys.readouterr().err
+
+    def test_kws_over_posteriorgrams_of_other_units(self, demo, trained,
+                                                    char_nbest, tmp_path,
+                                                    capsys):
+        # a char directory holding the syllable posteriorgrams
+        pg = tmp_path / "pg"
+        shutil.copytree(trained, pg)
+        utt = sorted((pg / "char").glob("*.pgram"))[0]
+        shutil.copy(pg / "syll" / utt.name, utt)
+        out = tmp_path / "hits.tsv"
+        rc = main(["--config", str(demo / "config.ini"), "kws", str(pg),
+                   str(out), "--nbest-char", str(char_nbest)])
+        assert rc == 1
+        assert f"utterance {utt.stem!r}: posteriorgram units" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_primary_pronunciation_names_lexicon_line(
             self, demo, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from kwspot import kws
 from kwspot.decoder import BeamConfig, prefix_beam_search
 from kwspot.errors import AlignmentInfeasible, BadFormat, BadSyllable
 from kwspot.kws import (FuzzyCosts, Hit, Keyword, KwsConfig, Stage, WindowIndex,
-                        char_syllables, detect, fuzzy_costs, match_exact,
-                        match_fuzzy, read_hits, score_ctc, write_hits)
+                        char_syllables, decide, detect, fuzzy_costs,
+                        match_exact, match_fuzzy, read_hits, score_ctc,
+                        write_hits)
 from kwspot.pgram import (Posteriorgram, SynthConfig, ctc_min_frames,
                           synth_generate, token_layout)
 from kwspot.phonetics import CostTable
@@ -159,7 +161,8 @@ class TestDetect:
         text = chars[10] + kw_text + chars[12]
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         kw = make_keyword(lang, kw_text)
-        hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, KwsConfig())
+        cfg = KwsConfig()
+        hits = decide(detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg), cfg)
         assert len(hits) == 1
         h = hits[0]
         assert h.decision
@@ -174,7 +177,8 @@ class TestDetect:
         top_c = nb_c[:1]
         for length_norm in (True, False):
             cfg = KwsConfig(length_norm=length_norm)
-            (h,) = detect(pg_c, None, top_c, None, [kw], None, cfg)
+            (h,) = decide(detect(pg_c, None, top_c, None, [kw], None, cfg),
+                          cfg)
             ((rank, i, j),) = match_exact(top_c, kw.char_units,
                                            WindowIndex(top_c))
             spans = top_c[rank].spans
@@ -201,12 +205,13 @@ class TestDetect:
         text = variant + other
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, text)
         cfg = KwsConfig(decision_threshold=-1e9)
-        hits = detect(pg_c, None, nb_c, None, [kw], fuzzy, cfg)
+        hits = decide(detect(pg_c, None, nb_c, None, [kw], fuzzy, cfg), cfg)
         assert len(hits) == 1
         assert hits[0].stage is Stage.FUZZY
         # strict threshold rejects the same variant
         tight = KwsConfig(decision_threshold=-1e9, fuzzy_threshold=0.05)
-        assert detect(pg_c, None, nb_c, None, [kw], fuzzy, tight) == []
+        assert decide(detect(pg_c, None, nb_c, None, [kw], fuzzy, tight),
+                      tight) == []
 
     def test_fuzzy_excludes_exact(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
@@ -229,7 +234,8 @@ class TestDetect:
         counts = []
         for theta in [-10.0, -5.0, -1e-4, 1.0]:
             cfg = KwsConfig(decision_threshold=theta)
-            hits = detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg)
+            hits = decide(detect(pg_c, pg_s, nb_c, nb_s, [kw], fuzzy, cfg),
+                          cfg)
             counts.append(sum(h.decision for h in hits))
         assert counts == sorted(counts, reverse=True)
 
@@ -306,10 +312,46 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def detect_hits(*args):
+    """detect's candidates, decided with the config detect was given."""
+    return decide(detect(*args), args[-1])
+
+
+@st.composite
+def row_views(draw):
+    """What an ablation ladder row keeps of one round of candidates: the
+    stages it adds to the char stage, whether only the top hypothesis's,
+    and its length rule."""
+    return (draw(st.sets(st.sampled_from([Stage.SYLLABLE, Stage.FUZZY]))),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+def row_inputs(args, stages, top_only, length_norm):
+    """The inputs of matching over that row's own stages and hypotheses:
+    1-entry lists for the top hypothesis only, the syllable N-best only
+    with the syllable stage, the fuzzy costs only with the fuzzy one."""
+    pg_c, pg_s, nb_c, nb_s, keywords, fuzzy, cfg = args
+    if Stage.SYLLABLE not in stages:
+        pg_s = nb_s = None
+    if top_only:
+        nb_c, nb_s = nb_c[:1], None if nb_s is None else nb_s[:1]
+    return (pg_c, pg_s, nb_c, nb_s, keywords,
+            fuzzy if Stage.FUZZY in stages else None,
+            replace(cfg, length_norm=length_norm))
+
+
 @settings(max_examples=300, deadline=None)
-@given(detect_inputs())
-def test_detect_equals_reference(args):
-    assert outcome(detect, *args) == outcome(oracles.detect, *args)
+@given(detect_inputs(), row_views())
+def test_detect_equals_reference(args, view):
+    got = outcome(detect_hits, *args)
+    assert got == outcome(oracles.detect, *args)
+    if not isinstance(got, list):
+        return  # no candidates to filter
+    stages, top_only, length_norm = view
+    row = [c for c in detect(*args) if (not top_only or c[1] == 0)
+           and (c[2] is Stage.CHAR or c[2] in stages)]
+    assert decide(row, replace(args[-1], length_norm=length_norm)) \
+        == oracles.detect(*row_inputs(args, *view))
 
 
 def test_cached_fuzzy_skip_does_not_hide_an_exact_raise():
@@ -344,8 +386,9 @@ def test_fuzzy_window_needs_the_keywords_frames(monkeypatch, extra):
         scored.append(args)
         return score_ctc(*args)
     monkeypatch.setattr(kws, "score_ctc", record)
-    hits = detect(pg, None, nb_c, None, [Keyword("fz", "", units, ())],
-                  FuzzyCosts(np.zeros((3, 3)), 1.0), KwsConfig())
+    cfg = KwsConfig()
+    hits = decide(detect(pg, None, nb_c, None, [Keyword("fz", "", units, ())],
+                         FuzzyCosts(np.zeros((3, 3)), 1.0), cfg), cfg)
     got = [(h.stage, h.start_frame, h.end_frame) for h in hits]
     if extra < 0:
         assert got == [] and scored == []

@@ -5,6 +5,7 @@ import shutil
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +14,13 @@ from kwspot import kws, phonetics, pipeline
 from kwspot.corpus import confusion_tables, make_corpus, make_language
 from kwspot.decoder import BeamConfig, BiasConfig
 from kwspot.errors import (AlignmentInfeasible, BadFormat, BadSyllable,
-                           OutOfVocabulary)
+                           OutOfVocabulary, UnitSetMismatch)
 from kwspot.kws import Hit, KwsConfig, Stage
 from kwspot.phonetics import CostTable
 from kwspot.lm import train
 from kwspot.metrics import EvalConfig, RefOccurrence, align_hits
-from kwspot.pgram import SynthConfig, read_pgram, token_layout, write_pgram
+from kwspot.pgram import (LOG_ZERO, SynthConfig, read_pgram, token_layout,
+                          write_pgram)
 from kwspot.units import Lexicon, syllabify, tokenize_chars
 
 import oracles
@@ -497,6 +499,30 @@ class TestBrokenKwsInputs:
             self._run_kws(lang, data, nb_c, nb_s, keywords)
 
 
+    @pytest.mark.parametrize("fault", ["id", "count"])
+    @pytest.mark.parametrize("stage", ["char", "syll"])
+    def test_pgram_of_other_units_is_unit_set_mismatch(
+            self, lang, small_run, decoded, tmp_path, stage, fault):
+        # "id": the other stage's posteriorgram (both toy unit sets have the
+        # same count); "count": one unit more, of zero mass
+        _, out, _, _ = small_run
+        nb_c, nb_s, keywords = decoded
+        data = tmp_path / "data"
+        shutil.copytree(out, data)
+        utt = max(nb_c)
+        path = data / stage / f"{utt}.pgram"
+        if fault == "id":
+            other = "syll" if stage == "char" else "char"
+            shutil.copy(data / other / f"{utt}.pgram", path)
+        else:
+            pg = read_pgram(path)
+            wider = np.hstack([pg.logp, np.full((pg.num_frames, 1), LOG_ZERO)])
+            write_pgram(replace(pg, logp=wider), path)
+        with pytest.raises(UnitSetMismatch,
+                           match=re.escape(f"{stage}: utterance {utt!r}")):
+            self._run_kws(lang, data, nb_c, nb_s, keywords)
+
+
 class TestEvaluate:
     def test_no_refs_gives_zero_atwv(self):
         hit = Hit(utt_id="u1", kw_id="k1", stage=Stage.CHAR, start_frame=0,
@@ -698,25 +724,50 @@ def test_ablation_forks_once_and_reads_each_pgram_once(pinned_ladder,
     assert report_sha256(report) == ABLATION_SHA256
 
 
-def test_ablation_builds_the_fuzzy_costs_once(pinned_ladder, monkeypatch):
-    """The rows with the fuzzy stage are given one set of fuzzy costs, built
-    once; the rows without it are given none."""
+def test_ablation_scores_each_decode_once(pinned_ladder, monkeypatch):
+    """One kws round per char decode: the fuzzy costs are built once and
+    given, with the syllable N-best, only to the bias decode's round, whose
+    fuzzy matching measures each (utterance, keyword) in one batch; the
+    rows only filter and decide the rounds' candidates."""
     args, subsets = pinned_ladder
-    builds, given = [], []
+    builds, given, decoded, detects, batches = [], [], [], [], []
     build, run = kws.fuzzy_costs, pipeline._run_kws
+    decode_all, detect = pipeline._decode_all, pipeline.detect
+    distance = kws.phrase_distance
 
     def counted_build(*a):
         builds.append(a)
         return build(*a)
 
     def recorded_run(*a):
-        given.append(a[-2])
+        given.append(a)
         return run(*a)
+
+    def recorded_decode_all(*a):
+        decoded.append(decode_all(*a))
+        return decoded[-1]
+
+    def counted_detect(*a):
+        detects.append(a)
+        return detect(*a)
+
+    def batch(windows, kw_units, *a):
+        batches.append((len(detects), kw_units))
+        return distance(windows, kw_units, *a)
     monkeypatch.setattr(kws, "fuzzy_costs", counted_build)
     monkeypatch.setattr(pipeline, "_run_kws", recorded_run)
+    monkeypatch.setattr(pipeline, "_decode_all", recorded_decode_all)
+    monkeypatch.setattr(pipeline, "detect", counted_detect)
+    monkeypatch.setattr(kws, "phrase_distance", batch)
     report = pipeline.run_ablation(*args, jobs=1, ref_subsets=subsets)
     assert len(builds) == 1
-    fuzzy = [Stage.FUZZY in row[1] for row in pipeline.LADDER_ROWS.values()]
-    assert [f is not None for f in given] == fuzzy
-    assert len({id(f) for f in given if f is not None}) == 1
+    (nbest,) = decoded
+    assert [a[2] for a in given] == [nbest[name]
+                                     for name in ("greedy", "lm", "bias")]
+    assert [a[3] for a in given] == [None, None, nbest["syll_bias"]]
+    assert [a[7] is not None for a in given] == [False, False, True]
+    utts = len(nbest["bias"])
+    keywords = sorted(args[2], key=lambda k: k.id)
+    assert batches == [(2 * utts + n, kw.char_units)
+                       for n in range(1, utts + 1) for kw in keywords]
     assert report_sha256(report) == ABLATION_SHA256
