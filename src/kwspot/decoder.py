@@ -20,7 +20,9 @@ the same path over neutral tables: an order-1 LM whose every increment is
 exactly when it is given a trie, and a trie built with alpha = beta = 0
 gives the N-best lists of no trie.
 The float operations are those of the plain per-(prefix, unit) loop, in the
-same order, so the N-best lists equal that loop's bit for bit.
+same order, so the N-best lists equal that loop's bit for bit.  The spans of
+the N-best come from one ``align_viterbi`` call, which aligns every
+non-empty hypothesis in one batched trellis.
 """
 
 from __future__ import annotations
@@ -286,15 +288,17 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
     am = [logaddexp(b, nb) for b, nb in zip(pb, pnb)]
     total = [a + lmw * s + b for a, s, b in zip(am, lm10, bias)]
     ranked = sorted(range(len(prefixes)),
-                    key=lambda k: (-total[k], prefixes[k]))
+                    key=lambda k: (-total[k], prefixes[k]))[:cfg.nbest]
+    # one trellis aligns every non-empty prefix of the N-best
+    spans = iter(align_viterbi(pg, [prefixes[k] for k in ranked
+                                    if prefixes[k]]))
     out = []
-    for k in ranked[:cfg.nbest]:
+    for k in ranked:
         prefix = prefixes[k]
         out.append(NBestEntry(
             tokens=prefix, text="".join(us.units[u] for u in prefix),
             score_am=am[k], score_lm=lm10[k], score_bias=bias[k],
-            score_total=total[k],
-            spans=align_viterbi(pg, list(prefix)) if prefix else []))
+            score_total=total[k], spans=next(spans) if prefix else []))
     return out
 
 

@@ -5,12 +5,12 @@ Matching runs in three stages: exact character, exact syllable, and fuzzy
 Each utterance's N-best lists are indexed once (``WindowIndex``: per window
 width, a map from window to its (rank, start) positions), so exact matching
 is one lookup per keyword and fuzzy matching measures each distinct window
-once, in one batched ``phrase_distance`` per keyword.  Every candidate is
-then scored by the CTC forward algorithm over the frame window its matched
-tokens align to (once per distinct posteriorgram, units and window).  A
-fuzzy window with fewer frames than its keyword needs (``ctc_min_frames``)
-is skipped unscored; every other window is one ``score_ctc`` can score, or
-it raises.
+against every keyword of its width once, in one batched ``phrase_distance``
+per width (``fuzzy_distances``).  Every candidate is then scored by the CTC
+forward algorithm over the frame window its matched tokens align to (once
+per distinct posteriorgram, units and window).  A fuzzy window with fewer
+frames than its keyword needs (``ctc_min_frames``) is skipped unscored;
+every other window is one ``score_ctc`` can score, or it raises.
 
 ``detect`` returns the scored candidates and ``decide`` makes the hits:
 it length-normalizes the scores in the log domain, merges each keyword's
@@ -144,19 +144,37 @@ def match_exact(nbest, kw_units: tuple[int, ...], windows: WindowIndex):
     return [(rank, i, i + len(kw)) for rank, i in windows[len(kw)].get(kw, ())]
 
 
-def match_fuzzy(nbest, kw: Keyword, fuzzy: FuzzyCosts, threshold: float,
+def fuzzy_distances(windows: WindowIndex, keywords: list[Keyword],
+                    fuzzy: FuzzyCosts) -> dict[int, dict[tuple, list]]:
+    """The phonetic distances of the windows ``windows`` indexes to the
+    keywords' char units, per width: ``table[k]`` maps the char units of
+    every k-unit keyword to [(window, distance)] over the distinct k-token
+    windows.  One phrase_distance batch measures a width, in the order of
+    each width's first keyword."""
+    units: dict[int, dict[tuple[int, ...], None]] = {}
+    for kw in keywords:
+        units.setdefault(len(kw.char_units), {})[kw.char_units] = None
+    table = {}
+    for k, kw_units in units.items():
+        distinct = list(windows[k])
+        dist = phrase_distance(distinct, list(kw_units), fuzzy.sub,
+                               fuzzy.indel_cost).tolist()
+        table[k] = {u: list(zip(distinct, row))
+                    for u, row in zip(kw_units, dist)}
+    return table
+
+
+def match_fuzzy(nbest, kw: Keyword, distances: list, threshold: float,
                 windows: WindowIndex):
     """Windows of width |kw| of nbest (which ``windows`` indexes) whose
-    pronunciation is close to the keyword's; exact character matches are
-    excluded.  One phrase_distance batch covers the distinct windows."""
+    pronunciation is close to the keyword's, given the keyword's
+    [(window, distance)] row of ``fuzzy_distances``; exact character
+    matches are excluded."""
     kw_units = kw.char_units
     k = len(kw_units)
     index = windows[k]
-    distinct = [w for w in index if w != kw_units]
-    dist = phrase_distance(distinct, kw_units, fuzzy.sub,
-                           fuzzy.indel_cost).tolist()
-    return sorted((rank, i, i + k, d) for w, d in zip(distinct, dist)
-                  if d < threshold for rank, i in index[w])
+    return sorted((rank, i, i + k, d) for w, d in distances
+                  if d < threshold and w != kw_units for rank, i in index[w])
 
 
 def score_ctc(pg: Posteriorgram, units, window: tuple[int, int]) -> float:
@@ -167,8 +185,8 @@ def score_ctc(pg: Posteriorgram, units, window: tuple[int, int]) -> float:
     ws, we = window
     if not 0 <= ws < we <= pg.num_frames:
         raise AlignmentInfeasible(f"bad window [{ws}, {we})")
-    alpha = ctc_trellis(pg.logp[ws:we], list(units))
-    return float(np.logaddexp.reduce(alpha[-1, -2:]))
+    alpha = ctc_trellis(pg.logp[ws:we], [units])
+    return float(np.logaddexp.reduce(alpha[-1, 0, -2:]))
 
 
 def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
@@ -183,21 +201,25 @@ def detect(pg_char: Posteriorgram, pg_syll: Posteriorgram | None,
     frame, end frame, raw score, units, posteriorgram)`` tuple, grouped by
     keyword in id order (ids are unique, as load_id_text enforces);
     ``decide`` makes them hits."""
+    keywords = sorted(keywords, key=lambda k: k.id)
     char_windows = WindowIndex(nbest_char)
     syll_windows = WindowIndex(nbest_syll) if nbest_syll is not None else None
+    distances = (fuzzy_distances(char_windows, keywords, fuzzy)
+                 if fuzzy is not None else None)
     scores: dict[tuple, float] = {}  # (id(pg), units, ws, we) -> raw score
     cands: list[tuple] = []
-    for kw in sorted(keywords, key=lambda k: k.id):
+    for kw in keywords:
         found = [(Stage.CHAR, nbest_char, pg_char, kw.char_units,
                   match_exact(nbest_char, kw.char_units, char_windows))]
         if syll_windows is not None and kw.syll_units:
             found.append((Stage.SYLLABLE, nbest_syll, pg_syll, kw.syll_units,
                           match_exact(nbest_syll, kw.syll_units,
                                       syll_windows)))
-        if fuzzy is not None:
+        if distances is not None:
+            row = distances[len(kw.char_units)][kw.char_units]
             # scored with the true keyword's units, not the decoded variant
             found.append((Stage.FUZZY, nbest_char, pg_char, kw.char_units,
-                          match_fuzzy(nbest_char, kw, fuzzy,
+                          match_fuzzy(nbest_char, kw, row,
                                       cfg.fuzzy_threshold, char_windows)))
         for stage, nbest, pg, units, matches in found:
             for rank, ti, tj, *_ in matches:

@@ -5,12 +5,18 @@ posteriors over a unit set, one row per frame.  The synthetic generator stands
 in for the acoustic model so every downstream algorithm can be verified at desk
 scale against enumeration oracles; its frame layout, ``token_layout``, also
 times the reference keyword occurrences.
+
+``ctc_trellis`` is the one CTC recursion: it runs a batch of token sequences
+side by side in one trellis, a frame at a time, for forward masses
+(``kws.score_ctc``) and for best paths (``align_viterbi``, which aligns a
+whole N-best list in one call).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -145,70 +151,109 @@ def ctc_min_frames(tokens: list[int]) -> int:
     return len(tokens) + rep
 
 
-def ctc_trellis(lp: np.ndarray, tokens: list[int],
-                plus=np.logaddexp) -> np.ndarray:
-    """CTC recursion of tokens over the T x V log posteriors lp.
+def ctc_trellis(lp: np.ndarray, seqs, plus=np.logaddexp) -> np.ndarray:
+    """CTC recursion of each token sequence of seqs over the T x V log
+    posteriors lp, all sequences in one trellis.
 
-    Returns the (T, 2L+1) matrix over the blank-interleaved states
-    (blank, tok_1, blank, ..., tok_L, blank), the blank being unit 0.  A
-    state is entered from itself, from the state before it, or by skipping
-    the blank two states back when it holds a token differing from the
-    previous one.  ``plus=np.logaddexp`` gives forward masses,
-    ``np.maximum`` best-path (Viterbi) scores.
+    Returns the (T, N, S) array over each sequence's blank-interleaved
+    states (blank, tok_1, blank, ..., tok_L, blank), the blank being unit 0,
+    padded with -inf states to S = 2 * (longest L) + 1.  A state is entered
+    from itself, from the state before it, or by skipping the blank two
+    states back when it holds a token differing from the previous one.
+    ``plus=np.logaddexp`` gives forward masses, ``np.maximum`` best-path
+    (Viterbi) scores.
+
+    A frame of every sequence is one row of N * S cells plus one -inf cell
+    (``_ctc_layout``): each cell gathers its stay, step and skip sources
+    from the row before in one ``take`` and reduces them with plus in that
+    order, so every real state gets the float operations
+    ``plus(plus(stay, step), skip) + emit`` of a one-sequence recursion.
     """
+    alpha, _ = _ctc_rows(lp, seqs, plus)
+    return alpha[:, :-1].reshape(len(alpha), len(seqs), -1)
+
+
+def _ctc_rows(lp: np.ndarray, seqs, plus) -> tuple[np.ndarray, np.ndarray]:
+    """The recursion of ``ctc_trellis`` as (T, N * S + 1) rows, the -inf
+    cell last, with the (3, N * S) sources of ``_ctc_layout``."""
     T = lp.shape[0]
-    if T < max(ctc_min_frames(tokens), 1):
-        raise AlignmentInfeasible(f"{len(tokens)} tokens do not fit in {T} frames")
-    states = np.zeros(2 * len(tokens) + 1, dtype=np.intp)
-    states[1::2] = tokens
-    S = len(states)
-    emit = lp[:, states].astype(np.float64)
-    alpha = np.full((T, S), -np.inf)
-    alpha[0, :2] = emit[0, :2]
-    skip = np.zeros(S, dtype=bool)
-    skip[2:] = (states[2:] != 0) & (states[2:] != states[:-2])
-    step = np.full(S, -np.inf)
-    jump = np.full(S, -np.inf)  # stays -inf wherever skip is False
+    for tokens in seqs:
+        if T < max(ctc_min_frames(tokens), 1):
+            raise AlignmentInfeasible(f"{len(tokens)} tokens do not fit in "
+                                      f"{T} frames")
+    states, src = _ctc_layout(seqs)
+    N, S = states.shape
+    emit = lp[:, states.ravel()].astype(np.float64)
+    alpha = np.full((T, N * S + 1), -np.inf)
+    first = np.flatnonzero((states >= 0) & (np.arange(S) < 2))
+    alpha[0, first] = emit[0, first]
     for t in range(1, T):
-        prev = alpha[t - 1]
-        step[1:] = prev[:-1]
-        np.copyto(jump[2:], prev[:-2], where=skip[2:])
-        alpha[t] = plus(plus(prev, step), jump) + emit[t]
-    return alpha
+        np.add(plus.reduce(alpha[t - 1].take(src), axis=0), emit[t],
+               out=alpha[t, :-1])
+    return alpha, src
 
 
-def align_viterbi(pg: Posteriorgram, tokens: list[int]) -> list[tuple[int, int]]:
-    """Best CTC alignment (max over paths) of tokens against pg.
+def _ctc_layout(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, S) units of seqs' blank-interleaved states, -1 at a padded
+    state, and the (3, N * S) flat stay, step and skip sources of each
+    state in a row of N * S cells plus one -inf cell at N * S: a padded
+    state, and a source not allowed, points at the -inf cell."""
+    N = len(seqs)
+    S = 2 * max(map(len, seqs)) + 1
+    states = np.full((N, S), -1, dtype=np.intp)
+    for n, tokens in enumerate(seqs):
+        states[n, :2 * len(tokens) + 1] = 0
+        states[n, 1:2 * len(tokens):2] = tokens
+    real = states >= 0
+    cell = np.arange(N * S).reshape(N, S)
+    src = np.full((3, N, S), N * S, dtype=np.intp)
+    src[0][real] = cell[real]
+    src[1, :, 1:][real[:, 1:]] = cell[:, :-1][real[:, 1:]]
+    skip = (states[:, 2:] > 0) & (states[:, 2:] != states[:, :-2])
+    src[2, :, 2:][skip] = cell[:, :-2][skip]
+    return states, src.reshape(3, N * S)
 
-    Returns one [start, end) frame pair per token: the frames its non-blank
-    state occupies.  Ties go to staying in a state, then to stepping one
-    state, then to skipping a blank.
+
+def align_viterbi(pg: Posteriorgram, seqs) -> list[list[tuple[int, int]]]:
+    """Best CTC alignment (max over paths) of each token sequence of seqs
+    against pg, all in one trellis.
+
+    Returns, per sequence, one [start, end) frame pair per token: the frames
+    its non-blank state occupies.  Ties go to staying in a state, then to
+    stepping one state, then to skipping a blank.  The backtrack follows
+    every sequence's path at once, choosing at each frame among the three
+    sources of the path's cells only.
     """
-    if not tokens:
+    if not seqs:
         return []
-    delta = ctc_trellis(pg.logp, tokens, plus=np.maximum)
-    T, S = delta.shape
+    flat, src = _ctc_rows(pg.logp, seqs, np.maximum)
+    T, N = len(flat), len(seqs)
+    S = src.shape[1] // N
+    lens = np.array([len(tokens) for tokens in seqs])
+    last = np.arange(N) * S + 2 * lens  # each sequence's last blank
     # best path must end in the last blank or the last token state
-    end = S - 1 if delta[T - 1, S - 1] >= delta[T - 1, S - 2] else S - 2
-    if not np.isfinite(delta[T - 1, end]):
+    fin = flat[T - 1]
+    cells = np.where((lens > 0) & (fin[last - 1] > fin[last]), last - 1, last)
+    if not np.isfinite(fin[cells]).all():
         raise AlignmentInfeasible("no feasible path")
-    path = np.zeros(T, dtype=np.int64)
-    s = end
+    # a source not allowed is the -inf cell, so it never wins on a
+    # feasible path
+    path = np.empty((T, N), dtype=np.intp)
+    path[T - 1] = cells
+    pick = np.arange(N)
     for t in range(T - 1, 0, -1):
-        path[t] = s
-        prev = delta[t - 1]
-        best, arg = prev[s], s
-        if s >= 1 and prev[s - 1] > best:
-            best, arg = prev[s - 1], s - 1
-        if (s % 2 and s >= 3 and tokens[s // 2] not in (0, tokens[s // 2 - 1])
-                and prev[s - 2] > best):
-            arg = s - 2
-        s = arg
-    path[0] = s
-    # the path never moves back, so each token state holds one run of frames
-    odd = np.arange(1, S, 2)
-    return list(zip(np.searchsorted(path, odd, "left").tolist(),
-                    np.searchsorted(path, odd, "right").tolist()))
+        options = src[:, cells]
+        cells = options[flat[t - 1].take(options).argmax(axis=0), pick]
+        path[t - 1] = cells
+    # a path never moves back, so each token state holds one run of frames,
+    # and the paths laid end to end are sorted
+    order = path.T.ravel()
+    odd = np.concatenate([n * S + np.arange(1, 2 * k, 2)
+                          for n, k in enumerate(lens.tolist())])
+    base = np.repeat(np.arange(N) * T, lens)
+    pairs = zip((np.searchsorted(order, odd, "left") - base).tolist(),
+                (np.searchsorted(order, odd, "right") - base).tolist())
+    return [list(islice(pairs, k)) for k in lens.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ The DP runs over unit ids, not syllables: ``substitution_matrix`` tabulates
 the substitution cost of every pair of units once, as a numpy array (capped
 at one indel, so the normalized distance stays in [0, 1]), and
 ``phrase_distance`` reads its substitutions from that matrix.  It measures a
-whole batch of equal-width windows against one keyword in one DP, with numpy
-columns of windows; every distance is bit-identical to a scalar DP's.
+whole batch of equal-width windows against every keyword of one length in
+one DP, with numpy columns of (keyword, window) pairs; every distance is
+bit-identical to a scalar DP's.
 """
 
 from __future__ import annotations
@@ -168,29 +169,34 @@ def _substitution_matrix(sylls: tuple[Syllable | None, ...],
     return sub
 
 
-def phrase_distance(windows: Sequence[Sequence[int]], b: Sequence[int],
-                    sub: np.ndarray, indel_cost: float) -> np.ndarray:
+def phrase_distance(windows: Sequence[Sequence[int]],
+                    keywords: Sequence[Sequence[int]], sub: np.ndarray,
+                    indel_cost: float) -> np.ndarray:
     """Levenshtein distance of each of the equal-width unit-id ``windows`` to
-    b, with substitutions from ``sub`` (substitution_matrix), normalized by
-    the longer length.
+    each of the equal-length unit-id ``keywords``, with substitutions from
+    ``sub`` (substitution_matrix), normalized by the longer length: a
+    (keywords, windows) array.
 
     One DP runs over the whole batch: each DP cell is a numpy column over
-    the windows.  A cell takes the same float additions and minimum as in a
-    DP over one window, so every distance is bit-identical to that DP's."""
-    if not windows:
-        return np.zeros(0)
+    the (keyword, window) pairs.  A cell takes the same float additions and
+    minimum as in a DP over one pair, so every distance is bit-identical to
+    that DP's."""
+    if not len(windows) or not len(keywords):
+        return np.zeros((len(keywords), len(windows)))
     a = np.array(windows, dtype=np.intp)
-    n, m = a.shape
-    k = len(b)
-    # costs[i, j, w]: substituting b[j] for the i-th unit of window w
-    costs = sub[a.T[:, None, :], np.array(b, dtype=np.intp)[:, None]]
-    prev = np.arange(k + 1.0)[:, None] * np.full(n, indel_cost)
+    b = np.array(keywords, dtype=np.intp)
+    (n, m), (K, k) = a.shape, b.shape
+    # costs[i, j, kk * n + w]: substituting b[kk, j] for the i-th unit of
+    # window w
+    costs = sub[a.T[:, None, None, :], b.T[None, :, :, None]].reshape(
+        m, k, K * n)
+    prev = np.arange(k + 1.0)[:, None] * np.full(K * n, indel_cost)
     for i in range(m):
         # substitution or deletion, then insertion from the left
         below = np.minimum(prev[:-1] + costs[i], prev[1:] + indel_cost)
-        cur = np.empty((k + 1, n))
+        cur = np.empty((k + 1, K * n))
         cur[0] = left = (i + 1) * indel_cost
         for j in range(k):
             left = np.minimum(below[j], left + indel_cost, out=cur[j + 1])
         prev = cur
-    return prev[-1] / max(m, k, 1)
+    return (prev[-1] / max(m, k, 1)).reshape(K, n)

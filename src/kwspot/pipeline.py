@@ -16,6 +16,7 @@ rounds share one read of each posteriorgram and one set of fuzzy costs.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -189,7 +190,7 @@ def read_nbest(path) -> dict[str, list[NBestEntry]]:
                 if obj["utt_id"] in out:
                     raise ValueError(f"utterance {obj['utt_id']!r} repeated")
                 out[obj["utt_id"]] = [_nbest_entry(h) for h in obj["hyps"]]
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise BadFormat(f"{path}:{lineno}: bad N-best line "
                                 f"({type(exc).__name__}: {exc})") from None
     return out
@@ -206,6 +207,10 @@ def _nbest_entry(h: dict) -> NBestEntry:
         raise ValueError("tokens and span frames must be integers")
     if any(type(h[k]) not in (int, float) for k in _SCORES):
         raise ValueError("scores must be numbers")
+    # json reads NaN, Infinity and -Infinity as floats; an int too large
+    # for a float raises OverflowError
+    if not all(math.isfinite(h[k]) for k in _SCORES):
+        raise ValueError("scores must be finite")
     if type(h["text"]) is not str:
         raise ValueError("text must be a string")
     # one [start, end) pair per token, in order and none overlapping

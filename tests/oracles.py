@@ -5,12 +5,16 @@ the textbook recursion; nothing here shares code with the implementations
 under test, except that the phrase-distance reference prices a substitution
 with ``kwspot.phonetics.syllable_distance``, the per-pair cost the kernel's
 matrix is built from, and the reference prefix beam search scores with
-``NGramLM.score_token`` and aligns its N-best with ``align_viterbi``.
-The reference keyword detector walks every window of every hypothesis,
-scores every candidate with ``kwspot.kws.score_ctc`` and merges all of the
-utterance's hits at once (``merge_stages``), the merge ``kwspot.kws.detect``
-does per keyword as it scores.  The reference threshold sweep realigns the
-hits at or above each threshold with ``kwspot.metrics.align_hits``.
+``NGramLM.score_token``.  The one-sequence CTC recursion (``ctc_trellis``),
+its scalar Viterbi backtrack (``align_viterbi``) and ``score_ctc`` over it
+are the references of the batched trellis in ``kwspot.pgram``; the
+reference beam search aligns each N-best entry with its own
+``align_viterbi`` call.  The reference keyword detector walks every window
+of every hypothesis, scores every candidate with its own ``score_ctc`` call
+and merges all of the utterance's hits at once (``merge_stages``), the
+merge ``kwspot.kws.decide`` does per keyword.  The reference threshold sweep
+realigns the hits at or above each threshold with
+``kwspot.metrics.align_hits``.
 """
 
 import itertools
@@ -20,9 +24,9 @@ import numpy as np
 
 from kwspot.decoder import BeamConfig, NBestEntry
 from kwspot.errors import AlignmentInfeasible, UnitSetMismatch
-from kwspot.kws import Hit, Stage, score_ctc
+from kwspot.kws import Hit, Stage
 from kwspot.metrics import align_hits, atwv, f1
-from kwspot.pgram import align_viterbi
+from kwspot.pgram import ctc_min_frames
 from kwspot.phonetics import syllable_distance
 
 LN10 = math.log(10.0)
@@ -78,6 +82,73 @@ def best_alignment(logp, label, blank=0):
         if lp > best:
             best, best_path = lp, path
     return best, best_path
+
+
+def ctc_trellis(lp, tokens, plus=np.logaddexp):
+    """The CTC recursion of one token sequence over the T x V log posteriors
+    lp: the (T, 2L+1) matrix over the blank-interleaved states, with
+    ``plus(plus(stay, step), skip) + emit`` per cell, a frame at a time."""
+    T = lp.shape[0]
+    if T < max(ctc_min_frames(tokens), 1):
+        raise AlignmentInfeasible(f"{len(tokens)} tokens do not fit in {T} frames")
+    states = np.zeros(2 * len(tokens) + 1, dtype=np.intp)
+    states[1::2] = tokens
+    S = len(states)
+    emit = lp[:, states].astype(np.float64)
+    alpha = np.full((T, S), -np.inf)
+    alpha[0, :2] = emit[0, :2]
+    skip = np.zeros(S, dtype=bool)
+    skip[2:] = (states[2:] != 0) & (states[2:] != states[:-2])
+    step = np.full(S, -np.inf)
+    jump = np.full(S, -np.inf)  # stays -inf wherever skip is False
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        step[1:] = prev[:-1]
+        np.copyto(jump[2:], prev[:-2], where=skip[2:])
+        alpha[t] = plus(plus(prev, step), jump) + emit[t]
+    return alpha
+
+
+def align_viterbi(pg, tokens):
+    """The best CTC alignment of one token sequence against pg, by a scalar
+    backtrack through ``ctc_trellis``'s max-trellis: one [start, end) frame
+    pair per token.  Ties go to staying in a state, then to stepping one
+    state, then to skipping a blank."""
+    if not tokens:
+        return []
+    delta = ctc_trellis(pg.logp, tokens, plus=np.maximum)
+    T, S = delta.shape
+    # best path must end in the last blank or the last token state
+    end = S - 1 if delta[T - 1, S - 1] >= delta[T - 1, S - 2] else S - 2
+    if not np.isfinite(delta[T - 1, end]):
+        raise AlignmentInfeasible("no feasible path")
+    path = np.zeros(T, dtype=np.int64)
+    s = end
+    for t in range(T - 1, 0, -1):
+        path[t] = s
+        prev = delta[t - 1]
+        best, arg = prev[s], s
+        if s >= 1 and prev[s - 1] > best:
+            best, arg = prev[s - 1], s - 1
+        if (s % 2 and s >= 3 and tokens[s // 2] not in (0, tokens[s // 2 - 1])
+                and prev[s - 2] > best):
+            arg = s - 2
+        s = arg
+    path[0] = s
+    # the path never moves back, so each token state holds one run of frames
+    odd = np.arange(1, S, 2)
+    return list(zip(np.searchsorted(path, odd, "left").tolist(),
+                    np.searchsorted(path, odd, "right").tolist()))
+
+
+def score_ctc(pg, units, window):
+    """Natural log of the total mass of window paths collapsing to units,
+    by the one-sequence ``ctc_trellis``; both final states are summed."""
+    ws, we = window
+    if not 0 <= ws < we <= pg.num_frames:
+        raise AlignmentInfeasible(f"bad window [{ws}, {we})")
+    alpha = ctc_trellis(pg.logp[ws:we], list(units))
+    return float(np.logaddexp.reduce(alpha[-1, -2:]))
 
 
 def random_pgram_logp(rng, T, V):
@@ -218,7 +289,7 @@ def detect(pg_char, pg_syll, nbest_char, nbest_syll, keywords, fuzzy, cfg):
     """Keyword detection candidate by candidate: every keyword walks every
     window of every hypothesis, each distinct (window, keyword) distance is
     computed once per call by the scalar DP, and every candidate is scored
-    by its own ``score_ctc`` call."""
+    by its own ``score_ctc`` call (the one-sequence recursion above)."""
     sub = fuzzy.sub.tolist() if fuzzy is not None else None
     memo = {}
 

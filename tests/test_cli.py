@@ -138,6 +138,24 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_nbest_score_names_its_line(self, demo, trained,
+                                                    char_nbest, tmp_path,
+                                                    capsys):
+        lines = char_nbest.read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[1])
+        obj["hyps"][0].update(score_am=float("nan"), score_lm=float("inf"),
+                              score_total=float("-inf"))
+        lines[1] = json.dumps(obj, ensure_ascii=False)
+        assert "NaN" in lines[1] and "-Infinity" in lines[1]
+        nbest = tmp_path / "char.jsonl"
+        nbest.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        out = tmp_path / "hits.tsv"
+        rc = main(["--config", str(demo / "config.ini"), "kws", str(trained),
+                   str(out), "--nbest-char", str(nbest)])
+        assert rc == 1
+        assert "char.jsonl:2: bad N-best line" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_primary_pronunciation_names_lexicon_line(
             self, demo, tmp_path, capsys):
         lines = (demo / "lexicon.tsv").read_text(encoding="utf-8").splitlines()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kwspot import decoder
 from kwspot.corpus import make_language
 from kwspot.decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                             build_bias_trie, logaddexp, prefix_beam_search)
@@ -378,3 +379,21 @@ def test_search_never_calls_score_token(monkeypatch):
     monkeypatch.setattr(NGramLM, "score_token", refuse)
     got = prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
     assert got == want and len(got) == 4
+
+
+def test_search_aligns_its_nbest_in_one_call(monkeypatch):
+    # one batched trellis aligns every non-empty prefix of the N-best
+    targets = [1, 4, 0, 1, 4, 3, 4, 1, 0]
+    p = np.full((len(targets), 5), 0.125)
+    p[np.arange(len(targets)), targets] = 0.5
+    pg = pg_from_probs(p, US5.id)
+    calls, align = [], decoder.align_viterbi
+
+    def counted(pg, seqs):
+        calls.append(list(seqs))
+        return align(pg, seqs)
+    monkeypatch.setattr(decoder, "align_viterbi", counted)
+    got = prefix_beam_search(pg, US5, cfg=BeamConfig(
+        beam_size=4, nbest=4, token_min_logp=-math.inf))
+    assert len(got) == 4
+    assert calls == [[e.tokens for e in got if e.tokens]]

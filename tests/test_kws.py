@@ -11,8 +11,8 @@ from kwspot.decoder import BeamConfig, prefix_beam_search
 from kwspot.errors import AlignmentInfeasible, BadFormat, BadSyllable
 from kwspot.kws import (FuzzyCosts, Hit, Keyword, KwsConfig, Stage, WindowIndex,
                         char_syllables, decide, detect, fuzzy_costs,
-                        match_exact, match_fuzzy, read_hits, score_ctc,
-                        write_hits)
+                        fuzzy_distances, match_exact, match_fuzzy, read_hits,
+                        score_ctc, write_hits)
 from kwspot.pgram import (Posteriorgram, SynthConfig, ctc_min_frames,
                           synth_generate, token_layout)
 from kwspot.phonetics import CostTable
@@ -21,6 +21,15 @@ from kwspot.units import Lexicon, syllabify, tokenize_chars
 
 import oracles
 from oracles import merge_stages, path_sum_for_label, random_pgram_logp
+
+
+def fuzzy_args(nbest, kw, fuzzy):
+    """match_fuzzy's distance row of kw, measured alone against nbest's
+    windows, and those windows."""
+    windows = WindowIndex(nbest)
+    units = kw.char_units
+    return (fuzzy_distances(windows, [kw], fuzzy)[len(units)][units],
+            windows)
 
 
 class FakeEntry:
@@ -217,14 +226,16 @@ class TestDetect:
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[0] + chars[5])
-        got = match_fuzzy(nb_c, kw, fuzzy, 0.5, WindowIndex(nb_c))
+        row, windows = fuzzy_args(nb_c, kw, fuzzy)
+        got = match_fuzzy(nb_c, kw, row, 0.5, windows)
         assert all(nb_c[r].tokens[i:j] != kw.char_units for r, i, j, _ in got)
 
     def test_fuzzy_threshold_zero_empty(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)
         kw = make_keyword(lang, chars[0] + chars[5])
         pg_c, pg_s, nb_c, nb_s = decode_pair(lang, chars[1] + chars[5])
-        assert match_fuzzy(nb_c, kw, fuzzy, 0.0, WindowIndex(nb_c)) == []
+        row, windows = fuzzy_args(nb_c, kw, fuzzy)
+        assert match_fuzzy(nb_c, kw, row, 0.0, windows) == []
 
     def test_decision_monotone_in_threshold(self, lang, fuzzy):
         chars = list(lang.lexicon.entries)

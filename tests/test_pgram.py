@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwspot.errors import AlignmentInfeasible, BadFormat, InvalidTranscript
+from kwspot.kws import score_ctc
 from kwspot.pgram import (LOG_ZERO, MAGIC, Posteriorgram, SynthConfig,
-                          align_viterbi, ctc_trellis, read_pgram,
-                          synth_generate, token_layout, write_pgram)
+                          align_viterbi, ctc_min_frames, ctc_trellis,
+                          read_pgram, synth_generate, token_layout,
+                          write_pgram)
 from kwspot.units import BLANK, UnitKind, UnitSet
 
+import oracles
 from fuzzing import edit_lists, mutate
 from oracles import best_alignment, greedy_path, random_pgram_logp
 
@@ -153,15 +156,15 @@ def trellis_loop(logp, label, blank=0, plus=np.logaddexp):
 class TestViterbi:
     def test_one_hot_span(self):
         pg = synth_generate([1], US, SynthConfig(frames_per_token=2, blank_gap=1))
-        assert align_viterbi(pg, [1]) == [(1, 3)]
+        assert align_viterbi(pg, [[1]])[0] == [(1, 3)]
 
     def test_repeat_infeasible(self):
         pg = one_hot_pg([1, 1])
         with pytest.raises(AlignmentInfeasible):
-            align_viterbi(pg, [1, 1])
+            align_viterbi(pg, [[1, 1]])
 
     def test_empty_tokens(self):
-        assert align_viterbi(one_hot_pg([0, 0]), []) == []
+        assert align_viterbi(one_hot_pg([0, 0]), [[]])[0] == []
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_bruteforce(self, seed):
@@ -174,9 +177,9 @@ class TestViterbi:
         oracle_score, oracle_path = best_alignment(pg.logp.astype(np.float64), labels)
         if oracle_path is None:
             with pytest.raises(AlignmentInfeasible):
-                ctc_trellis(pg.logp, labels, plus=np.maximum)
+                ctc_trellis(pg.logp, [labels], plus=np.maximum)
             return
-        got = ctc_trellis(pg.logp, labels, plus=np.maximum)[-1, -2:].max()
+        got = ctc_trellis(pg.logp, [labels], plus=np.maximum)[-1, 0, -2:].max()
         assert got == pytest.approx(oracle_score, rel=1e-9, abs=1e-9)
 
     def test_spans_match_bruteforce_tiny(self):
@@ -187,7 +190,7 @@ class TestViterbi:
                 logp = random_pgram_logp(rng, T, 3)
                 pg = Posteriorgram("u", "s", 0.04, logp.astype(np.float32))
                 _, path = best_alignment(pg.logp.astype(np.float64), labels)
-                spans = align_viterbi(pg, labels)
+                (spans,) = align_viterbi(pg, [labels])
                 assert len(spans) == len(labels)
                 for tok, span in zip(labels, spans):
                     frames = [t for t, s in enumerate(path) if s == tok]
@@ -205,14 +208,15 @@ class TestViterbi:
         lp = pg.logp.astype(np.float64)
         labels = [int(u) for u in rng.integers(1, V, size=rng.integers(1, 5))]
         try:
-            fwd = ctc_trellis(pg.logp, labels)
+            fwd = ctc_trellis(pg.logp, [labels])[:, 0]
         except AlignmentInfeasible:
             with pytest.raises(AlignmentInfeasible):
-                align_viterbi(pg, labels)
+                align_viterbi(pg, [labels])
             return
         assert np.array_equal(fwd, trellis_loop(lp, labels)[0])
         delta, back = trellis_loop(lp, labels, plus=np.maximum)
-        assert np.array_equal(ctc_trellis(pg.logp, labels, plus=np.maximum), delta)
+        assert np.array_equal(
+            ctc_trellis(pg.logp, [labels], plus=np.maximum)[:, 0], delta)
         S = delta.shape[1]
         s = S - 1 if delta[-1, S - 1] >= delta[-1, S - 2] else S - 2
         path = [s]
@@ -220,11 +224,55 @@ class TestViterbi:
             s = back[t, s]
             path.append(s)
         path.reverse()
-        spans = align_viterbi(pg, labels)
+        (spans,) = align_viterbi(pg, [labels])
         assert len(spans) == len(labels)
         for i, span in enumerate(spans):
             frames = [t for t, st in enumerate(path) if st == 2 * i + 1]
             assert span == (frames[0], frames[-1] + 1)
+
+
+@st.composite
+def alignment_batches(draw):
+    """A posteriorgram over 2-5 units, often rounded so that many paths tie,
+    and 1-5 token sequences of mixed lengths 0-4 that fit it (over so few
+    units that repeats are common); T is often the largest
+    ctc_min_frames."""
+    V = draw(st.integers(2, 5))
+    seqs = draw(st.lists(st.lists(st.integers(1, V - 1), max_size=4),
+                         min_size=1, max_size=5))
+    need = max(1, *map(ctc_min_frames, seqs))
+    T = draw(st.just(need) | st.integers(need, need + 8))
+    logp = random_pgram_logp(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), T, V)
+    if draw(st.booleans()):
+        logp = np.round(logp * 2) / 2
+    return Posteriorgram("u", "s", 0.04, logp.astype(np.float32)), seqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(alignment_batches())
+def test_batched_alignment_equals_per_entry_oracle(batch):
+    pg, seqs = batch
+    assert (align_viterbi(pg, seqs)
+            == [oracles.align_viterbi(pg, tokens) for tokens in seqs])
+    for plus in (np.logaddexp, np.maximum):
+        got = ctc_trellis(pg.logp, seqs, plus=plus)
+        for n, tokens in enumerate(seqs):
+            S = 2 * len(tokens) + 1
+            assert np.array_equal(got[:, n, :S],
+                                  oracles.ctc_trellis(pg.logp, tokens, plus))
+            assert (got[:, n, S:] == -np.inf).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(alignment_batches())
+def test_score_ctc_equals_one_sequence_recursion(batch):
+    pg, seqs = batch
+    for tokens in filter(None, seqs):
+        for window in ((0, pg.num_frames),
+                       (pg.num_frames - ctc_min_frames(tokens), pg.num_frames)):
+            assert (score_ctc(pg, tokens, window)
+                    == oracles.score_ctc(pg, tokens, window))
 
 
 class TestIO:

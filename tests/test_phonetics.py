@@ -62,14 +62,14 @@ def ids(*sylls):
 def test_phrase_distance_worked():
     a = ids("zhang1", "hai3")
     b = ids("zang1", "hai3")
-    assert phrase_distance([a], b, SUB, INDEL)[0] == pytest.approx(0.25)
+    assert phrase_distance([a], [b], SUB, INDEL)[0, 0] == pytest.approx(0.25)
 
 
 def test_phrase_distance_identity_and_indel():
     a = ids("zhong1")
-    assert phrase_distance([a], a, SUB, INDEL)[0] == 0.0
-    assert phrase_distance([a], [], SUB, INDEL)[0] == pytest.approx(1.0)
-    assert phrase_distance([[]], [], SUB, INDEL)[0] == 0.0
+    assert phrase_distance([a], [a], SUB, INDEL)[0, 0] == 0.0
+    assert phrase_distance([a], [[]], SUB, INDEL)[0, 0] == pytest.approx(1.0)
+    assert phrase_distance([[]], [[]], SUB, INDEL)[0, 0] == 0.0
 
 
 phrase = st.lists(st.sampled_from(SYLLS), max_size=5)
@@ -79,15 +79,15 @@ phrase = st.lists(st.sampled_from(SYLLS), max_size=5)
 def test_symmetry(xs, ys):
     a = ids(*xs)
     b = ids(*ys)
-    assert phrase_distance([a], b, SUB, INDEL)[0] == pytest.approx(
-        phrase_distance([b], a, SUB, INDEL)[0])
+    assert phrase_distance([a], [b], SUB, INDEL)[0, 0] == pytest.approx(
+        phrase_distance([b], [a], SUB, INDEL)[0, 0])
 
 
 @given(phrase, phrase)
 def test_normalized_range(xs, ys):
     a = ids(*xs)
     b = ids(*ys)
-    (d,) = phrase_distance([a], b, SUB, INDEL)
+    ((d,),) = phrase_distance([a], [b], SUB, INDEL)
     assert 0.0 <= d <= 1.0 + 1e-12
 
 
@@ -112,8 +112,9 @@ def cost_tables(draw):
          [1, 2, 3, 4, 5, 6], [6, 5, 4])
 @given(cost_tables(), toy_phrase, toy_phrase)
 def test_phrase_distance_equals_syllable_list_oracle(table, a, b):
-    (got,) = phrase_distance([a], b, substitution_matrix(TOY_SYLLS, table),
-                             table.indel_cost)
+    ((got,),) = phrase_distance([a], [b],
+                                substitution_matrix(TOY_SYLLS, table),
+                                table.indel_cost)
     want = syllable_phrase_distance([TOY_SYLLS[u] for u in a],
                                     [TOY_SYLLS[u] for u in b], table)
     assert got == want
@@ -121,22 +122,31 @@ def test_phrase_distance_equals_syllable_list_oracle(table, a, b):
 
 @st.composite
 def window_batches(draw):
-    """1-8 windows of one width 0-5 over the toy char units."""
-    width = draw(st.integers(0, 5))
+    """1-8 windows of one width 0-5 and 1-4 keywords of one length 0-5 over
+    the toy char units."""
     unit = st.integers(1, len(TOY_SYLLS) - 1)
-    return draw(st.lists(st.tuples(*[unit] * width), min_size=1, max_size=8))
+
+    def batch(max_size):
+        width = draw(st.integers(0, 5))
+        return draw(st.lists(st.tuples(*[unit] * width), min_size=1,
+                             max_size=max_size))
+    return batch(8), batch(4)
 
 
-@example(CostTable(tone_cost=0.3, indel_cost=0.7), [(1, 2, 3), (3, 2, 1)],
-         [1, 3, 3])
-@given(cost_tables(), window_batches(), toy_phrase)
-def test_batched_phrase_distance_equals_oracle(table, windows, b):
-    got = phrase_distance(windows, b, substitution_matrix(TOY_SYLLS, table),
+@example(CostTable(tone_cost=0.3, indel_cost=0.7),
+         ([(1, 2, 3), (3, 2, 1)], [(1, 3, 3), (3, 3, 1), (2, 2, 2)]))
+@given(cost_tables(), window_batches())
+def test_batched_phrase_distance_equals_oracle(table, batch):
+    windows, keywords = batch
+    got = phrase_distance(windows, keywords,
+                          substitution_matrix(TOY_SYLLS, table),
                           table.indel_cost)
-    assert got.shape == (len(windows),)
-    for window, d in zip(windows, got):
-        assert d == syllable_phrase_distance(
-            [TOY_SYLLS[u] for u in window], [TOY_SYLLS[u] for u in b], table)
+    assert got.shape == (len(keywords), len(windows))
+    for b, row in zip(keywords, got):
+        for window, d in zip(windows, row):
+            assert d == syllable_phrase_distance(
+                [TOY_SYLLS[u] for u in window], [TOY_SYLLS[u] for u in b],
+                table)
 
 
 @given(st.sampled_from(SYLLS), st.sampled_from(SYLLS))

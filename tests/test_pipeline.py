@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import shutil
 import time
@@ -227,7 +228,8 @@ def noisy_decoded(lang, tmp_path_factory):
 
 class TestComputeOnce:
     """run_kws measures each distinct window once per keyword and utterance,
-    and scores each distinct frame window once per utterance."""
+    in one batch per keyword width and utterance, and scores each distinct
+    frame window once per utterance."""
 
     @staticmethod
     def _record(monkeypatch, owner, name):
@@ -251,17 +253,29 @@ class TestComputeOnce:
         utts = self._record(monkeypatch, pipeline, "detect")
         builds = self._record(monkeypatch, kws, "substitution_matrix")
         batches = []  # (utterance number, windows, keyword units)
-        distance = kws.phrase_distance
+        found = []  # (N-best, keyword, fuzzy candidate)
+        distance, match = kws.phrase_distance, kws.match_fuzzy
 
-        def batch(windows, kw_units, *args):
-            batches.append((len(utts), windows, kw_units))
-            return distance(windows, kw_units, *args)
+        def batch(windows, keywords, *args):
+            batches.append((len(utts), windows, keywords))
+            return distance(windows, keywords, *args)
+
+        def matched(nbest, kw, *args):
+            cands = match(nbest, kw, *args)
+            found.extend((nbest, kw, c) for c in cands)
+            return cands
         monkeypatch.setattr(kws, "phrase_distance", batch)
+        monkeypatch.setattr(kws, "match_fuzzy", matched)
         assert self._run_kws(lang, noisy_decoded, KwsConfig())
         assert len(builds) == 1
-        pairs = [(utt, w, kw) for utt, windows, kw in batches for w in windows]
+        pairs = [(utt, w, kw) for utt, windows, keywords in batches
+                 for w in windows for kw in keywords]
         assert pairs and len(pairs) == len(set(pairs))
-        assert all(w != kw for _, w, kw in pairs)
+        widths = [(utt, len(keywords[0])) for utt, _, keywords in batches]
+        assert len(widths) == len(set(widths))
+        assert found
+        assert all(nbest[r].tokens[i:j] != kw.char_units
+                   for nbest, kw, (r, i, j, _) in found)
 
     def test_no_fuzzy_stage_no_distance_and_no_matrix(
             self, lang, noisy_decoded, monkeypatch):
@@ -341,7 +355,10 @@ class TestBrokenKwsInputs:
         ("tokens", "x"), ("tokens", 1.5), ("tokens", True), ("tokens", None),
         ("spans", "3"), ("spans", 2.0), ("spans", False),
         ("score_am", "high"), ("score_lm", None), ("score_bias", True),
-        ("score_total", [1.0]), ("text", 5), ("text", ["x"]), ("text", None)])
+        ("score_total", [1.0]), ("text", 5), ("text", ["x"]), ("text", None),
+        ("score_am", math.nan), ("score_lm", math.inf),
+        ("score_total", -math.inf),
+        pytest.param("score_bias", 10 ** 400, id="score_bias-huge_int")])
     def test_non_integer_token_or_frame_is_bad_format(self, decoded, tmp_path,
                                                       field, value):
         path = tmp_path / "nbest.jsonl"
@@ -727,8 +744,8 @@ def test_ablation_forks_once_and_reads_each_pgram_once(pinned_ladder,
 def test_ablation_scores_each_decode_once(pinned_ladder, monkeypatch):
     """One kws round per char decode: the fuzzy costs are built once and
     given, with the syllable N-best, only to the bias decode's round, whose
-    fuzzy matching measures each (utterance, keyword) in one batch; the
-    rows only filter and decide the rounds' candidates."""
+    fuzzy matching measures each (utterance, keyword width) in one batch;
+    the rows only filter and decide the rounds' candidates."""
     args, subsets = pinned_ladder
     builds, given, decoded, detects, batches = [], [], [], [], []
     build, run = kws.fuzzy_costs, pipeline._run_kws
@@ -751,9 +768,9 @@ def test_ablation_scores_each_decode_once(pinned_ladder, monkeypatch):
         detects.append(a)
         return detect(*a)
 
-    def batch(windows, kw_units, *a):
-        batches.append((len(detects), kw_units))
-        return distance(windows, kw_units, *a)
+    def batch(windows, keywords, *a):
+        batches.append((len(detects), keywords))
+        return distance(windows, keywords, *a)
     monkeypatch.setattr(kws, "fuzzy_costs", counted_build)
     monkeypatch.setattr(pipeline, "_run_kws", recorded_run)
     monkeypatch.setattr(pipeline, "_decode_all", recorded_decode_all)
@@ -767,7 +784,10 @@ def test_ablation_scores_each_decode_once(pinned_ladder, monkeypatch):
     assert [a[3] for a in given] == [None, None, nbest["syll_bias"]]
     assert [a[7] is not None for a in given] == [False, False, True]
     utts = len(nbest["bias"])
-    keywords = sorted(args[2], key=lambda k: k.id)
-    assert batches == [(2 * utts + n, kw.char_units)
-                       for n in range(1, utts + 1) for kw in keywords]
+    # widths in the order of their first keyword by id
+    widths = {}
+    for kw in sorted(args[2], key=lambda k: k.id):
+        widths.setdefault(len(kw.char_units), {})[kw.char_units] = None
+    assert batches == [(2 * utts + n, list(units))
+                       for n in range(1, utts + 1) for units in widths.values()]
     assert report_sha256(report) == ABLATION_SHA256

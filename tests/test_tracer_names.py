@@ -37,7 +37,8 @@ def test_tracer_wraps_and_restores_every_name(tracing):
         assert getattr(owner, attr) is original, attr
 
 
-def test_run_kws_records_every_kws_span(tracing, tmp_path):
+def synth(tmp_path):
+    """A 3-utterance noisy corpus under tmp_path; its language and corpus."""
     lang = make_language()
     corpus = make_corpus(lang, num_utts=3, num_keywords=6, seed=4)
     char_conf, syll_conf = confusion_tables(lang)
@@ -45,6 +46,25 @@ def test_run_kws_records_every_kws_span(tracing, tmp_path):
                           lang.syll_set, lang.lexicon, SynthConfig(noise=0.3),
                           tmp_path, 0, 0.04, char_confusion=char_conf,
                           syll_confusion=syll_conf)
+    return lang, corpus
+
+
+def test_decode_dir_records_every_decoder_span(tracing, tmp_path):
+    lang, _ = synth(tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert pipeline.decode_dir(tmp_path / "char", lang.char_set, None,
+                                   None, BeamConfig(nbest=5))
+    finally:
+        tracer.uninstall()
+    layers = tracer.layers()
+    for name in ("decoder.prefix_beam_search", "pgram.align_viterbi"):
+        assert name in layers and layers[name]["calls"] >= 1, name
+
+
+def test_run_kws_records_every_kws_span(tracing, tmp_path):
+    lang, corpus = synth(tmp_path)
     beam = BeamConfig(nbest=5)
     nb_c = pipeline.decode_dir(tmp_path / "char", lang.char_set, None, None,
                                beam)
