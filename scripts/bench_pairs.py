@@ -3,11 +3,15 @@
 workload and end-to-end metric, whether the second checkout shows a gain.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --pairs 10 --seed 1
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload noisy
 
-Each pair runs ``bench/run.py --workload all --seed S`` once in each
+Each pair runs ``bench/run.py --workload W --seed S`` once in each
 checkout, one after the other, for the ``run_seconds`` of CHANGE's
-``BENCHMARK.json``; the side that runs first swaps from pair to pair.  Every pair's values, and each side's ``correct`` and ``failed``, are
-printed as it ends.  Then, per workload and metric, the summary gives each
+``BENCHMARK.json``; the side that runs first swaps from pair to pair.  W
+is ``all`` unless ``--workload`` names one workload of that file, which
+pairs a claim about one workload in about a third of the time.  Every
+pair's values, and each side's ``correct`` and ``failed``, are printed as
+it ends.  Then, per workload and metric, the summary gives each
 side's median and quartiles, the pairs CHANGE won (ties count for neither
 side) and whether it is a gain: every CHANGE run is correct and fails no
 more operations in all than PARENT's runs, CHANGE won at least 9/10 of the
@@ -24,10 +28,12 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, seed: int, seconds: float) -> dict:
-    """The result object (the last output line) of one ``--workload all``
-    run in checkout."""
-    cmd = [sys.executable, "bench/run.py", "--workload", "all",
+def run_bench(checkout: Path, seed: int, seconds: float,
+              workload: str) -> dict:
+    """The result object (the last output line) of one run of workload, or
+    of ``all``, in checkout, with each metric named ``workload.metric`` as
+    an ``all`` run names it."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=False)
@@ -35,7 +41,11 @@ def run_bench(checkout: Path, seed: int, seconds: float) -> dict:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{checkout}: bench/run.py exited with "
                          f"{proc.returncode}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if workload != "all":
+        result["metrics"] = {f"{workload}.{key}": value
+                             for key, value in result["metrics"].items()}
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -71,21 +81,26 @@ def summarize(pairs: list[tuple[dict, dict]],
     return rows
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    ap.add_argument("--workload", default="all")
+    args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workload not in ("all", *names):
+        ap.error(f"--workload must be all or one of {', '.join(names)}")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     pairs = []
     for i in range(args.pairs):
         sides = [("parent", args.parent), ("change", args.change)]
-        out = {name: run_bench(path, args.seed, spec["run_seconds"])
+        out = {name: run_bench(path, args.seed, spec["run_seconds"],
+                               args.workload)
                for name, path in (sides if i % 2 == 0 else sides[::-1])}
         pairs.append((out["parent"], out["change"]))
         first = "parent" if i % 2 == 0 else "change"

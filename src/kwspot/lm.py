@@ -13,6 +13,14 @@ tuple key with its backoff weight.  ``NGramLM.backoff_walk`` is the one
 place the backoff rule is written; ``score_token`` scores one token with it
 and ``ScoreRows`` a row of tokens.  ``next_state`` is the one place the
 state after a token is written.
+
+Set-up works on arrays, as KenLM builds its sorted tables (Heafield, "KenLM:
+faster and smaller language model queries", WMT 2011).  ``train`` maps
+tokens to integer ids and counts each order's k-grams with one ``np.unique``
+of integer codes, built from the rank of each k-gram's (k-1)-gram prefix so
+that no vocabulary size overflows them; it takes ``math.log10`` once per
+distinct value.  ``write_arpa`` formats each distinct value once, and
+``read_arpa`` parses one section at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +28,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections import Counter, defaultdict
-from itertools import chain
+from itertools import chain, compress, islice, repeat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +151,18 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
 
     P(w|c) = max(count(c,w)-D, 0)/count(c) + D*N1plus(c)/count(c) * P(w|c');
     unigrams interpolate with the uniform distribution over vocab + <unk>.
-    Orders are built lowest first: every suffix of a counted k-gram is a
-    counted (k-1)-gram, because <s> only ever starts a sentence.
+
+    The sentences are one array of token ids.  Orders are counted lowest
+    first: a k-gram's code is the rank of its (k-1)-gram prefix times the
+    number of ids plus its last id, so codes stay below (distinct
+    (k-1)-grams) x ids at any order, and ``np.unique`` of the codes of every
+    k-gram that fits in its sentence gives the distinct k-grams sorted by
+    context and their counts.  Each context's total and N1+ are sums over
+    its run of k-grams; a k-gram's lower-order probability is its suffix's,
+    the (k-1)-gram one position on, which is counted because <s> only ever
+    starts a sentence.  The formula above is the same float operations, in
+    the same order, on arrays; log10 is ``math.log10`` once per distinct
+    value, because ``np.log10`` differs from it in the last bit.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -154,48 +171,68 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
     sents = []
     vocab = set()
     for line in lines:
-        toks = [ch for ch in line.strip() if not ch.isspace()] \
-            if isinstance(line, str) else list(line)
-        if not toks:
-            continue
-        sents.append([BOS] * (order > 1) + toks + [EOS])
-        vocab.update(toks)
+        toks = list("".join(line.split())) if isinstance(line, str) \
+            else list(line)
+        if toks:
+            sents.append([BOS] * (order > 1) + toks + [EOS])
+            vocab.update(toks)
     if not sents:
         raise EmptyCorpus("no usable sentences")
 
     lm = NGramLM(order=order, vocab=vocab | {EOS, UNK})
-    p: dict[tuple[str, ...], dict[str, float]] = {}  # one order, as probs
-    for k in range(1, order + 1):
-        counts = Counter()
-        for sent in sents:
-            counts.update(zip(*(sent[j:] for j in range(k))))
-        if k == 1:
-            counts.pop((BOS,), None)  # <s> is context only, never predicted
-            n = sum(counts.values())
-            lam = discount * len(counts) / n
-            uniform = 1.0 / (len(vocab) + 2)  # vocab plus </s> and <unk>
-            p = {(): {w: max(counts[(w,)] - discount, 0.0) / n + lam * uniform
-                      for w in lm.vocab}}
-        else:
-            grouped = defaultdict(dict)  # context -> token -> count
-            for gram, c in counts.items():
-                grouped[gram[:-1]][gram[-1]] = c
-            below, p = p, {}
-            for ctx, successors in grouped.items():
-                total = sum(successors.values())
-                lam = discount * len(successors) / total
-                lower = below[ctx[1:]]
-                p[ctx] = {w: max(c - discount, 0.0) / total + lam * lower[w]
-                          for w, c in successors.items()}
-                lm.backoffs[ctx] = _log10(lam)
-        lm.probs.update((ctx, {w: _log10(x) for w, x in q.items()})
-                        for ctx, q in p.items())
+    words = sorted(lm.vocab | {BOS})
+    ids = {w: i for i, w in enumerate(words)}
+    nids = len(words)
+    seq = np.fromiter(map(ids.__getitem__, chain.from_iterable(sents)),
+                      dtype=np.int64)
+    lens = [len(sent) for sent in sents]
+    ends = np.repeat(np.cumsum(lens), lens)  # each position's sentence end
+    count = np.bincount(seq, minlength=nids)
+    count[ids[BOS]] = 0  # <s> is context only, never predicted
+    n = int(count.sum())
+    lam = discount * int(np.count_nonzero(count)) / n
+    uniform = 1.0 / (len(vocab) + 2)  # vocab plus </s> and <unk>
+    # rank of the (k-1)-gram at each position, and its probability by rank
+    rank = seq
+    lower = p = np.maximum(count - discount, 0.0) / n + lam * uniform
+    start = np.arange(len(seq))  # the positions a k-gram fits at
+    tables = []
+    for k in range(2, order + 1):
+        start = start[start + k <= ends[start]]
+        grams, first, inverse, count = np.unique(
+            rank[start] * nids + seq[start + k - 1], return_index=True,
+            return_inverse=True, return_counts=True)
+        at = start[first]  # a position of each distinct k-gram
+        heads = np.flatnonzero(np.diff(grams // nids, prepend=-1))
+        total = np.add.reduceat(count, heads)
+        n1 = np.diff(heads, append=len(grams))
+        lam = discount * n1 / total
+        q = (np.maximum(count - discount, 0.0) / np.repeat(total, n1)
+             + np.repeat(lam, n1) * lower[rank[at + 1]])
+        contexts = seq[at[heads, None] + np.arange(k - 1)]
+        tables.append((contexts, n1, grams % nids, q, lam))
+        rank = np.empty_like(seq)
+        rank[start] = inverse
+        lower = q
+
+    values = [p, *chain.from_iterable(t[3:] for t in tables)]
+    distinct, inverse = np.unique(np.concatenate(values), return_inverse=True)
+    logs = np.full(len(distinct), LOG10_ZERO)
+    positive = distinct > 0
+    logs[positive] = list(map(math.log10, distinct[positive].tolist()))
+    # the log10 of each array of values, in their order
+    logs = iter(np.split(logs[inverse], np.cumsum(list(map(len, values)))))
+    names = np.array(words, dtype=object)
+    lm.probs[()] = dict(zip(words, next(logs).tolist()))
     lm.probs[()][BOS] = LOG10_ZERO  # the conventional entry for <s>
+    for contexts, n1, last, _, _ in tables:
+        contexts = list(zip(*names[contexts].T.tolist()))
+        # each context's dict takes the next n1 successors of the order
+        successors = zip(names[last].tolist(), next(logs).tolist())
+        lm.probs.update(zip(contexts, map(dict, map(
+            islice, repeat(successors), n1.tolist()))))
+        lm.backoffs.update(zip(contexts, next(logs).tolist()))
     return lm
-
-
-def _log10(p: float) -> float:
-    return math.log10(p) if p > 0 else LOG10_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -206,36 +243,66 @@ _SECTION_LINE = re.compile(r"\\([0-9]+)-grams:")
 
 
 def write_arpa(lm: NGramLM, path) -> None:
-    """Each order's n-grams sorted, that is, by context, then by token."""
+    """Each order's n-grams sorted, that is, by context, then by token.
+
+    Each context's words are joined once for all its n-grams, and each
+    distinct value of an order is formatted once: values are told apart by
+    their bits, so 0.0 and -0.0 stay ``0`` and ``-0``.
+    """
     by_order: dict[int, list] = {k: [] for k in range(1, lm.order + 1)}
     for context in lm.probs:
         by_order[len(context) + 1].append(context)
-    out = ["\\data\\"]
-    out += [f"ngram {k}={sum(len(lm.probs[c]) for c in contexts)}"
-            for k, contexts in by_order.items()]
-    for k, contexts in by_order.items():
-        out.append(f"\n\\{k}-grams:")
-        backoffs = lm.backoffs if k < lm.order else {}
-        for context in sorted(contexts):
-            for token, logp in sorted(lm.probs[context].items()):
-                gram = context + (token,)
-                line = f"{logp:.17g}\t{' '.join(gram)}"
-                out.append(line if (b := backoffs.get(gram)) is None
-                           else f"{line}\t{b:.17g}")
-    out.append("\n\\end\\\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out))
+        fh.write("\\data\\" + "".join(
+            f"\nngram {k}={sum(map(len, map(lm.probs.__getitem__, c)))}"
+            for k, c in by_order.items()))
+        for k, contexts in by_order.items():
+            fh.write(f"\n\n\\{k}-grams:")
+            fh.write("".join(_arpa_lines(lm, k, sorted(contexts))))
+        fh.write("\n\n\\end\\\n")
+
+
+def _arpa_lines(lm: NGramLM, k: int, contexts: list) -> list[str]:
+    """Each line of the n-grams after contexts, which are sorted and of
+    order k - 1, with a newline before it."""
+    # per n-gram: its context's words and a space, its token, its log10
+    # probability and its backoff or None
+    heads, tokens, logps, backoffs = [], [], [], []
+    for context in contexts:
+        successors = lm.probs[context]
+        ranked = sorted(successors)
+        heads += [" ".join(context + ("",))] * len(ranked)
+        tokens += ranked
+        logps += map(successors.__getitem__, ranked)
+        backoffs += ([lm.backoffs.get(context + (t,)) for t in ranked]
+                     if k < lm.order else [None] * len(ranked))
+    text = _format(logps + [b for b in backoffs if b is not None])
+    after = iter(text[len(logps):])
+    return [f"\n{p}\t{head}{token}" if b is None
+            else f"\n{p}\t{head}{token}\t{next(after)}"
+            for p, head, token, b in zip(text, heads, tokens, backoffs)]
+
+
+def _format(values: list[float]) -> list[str]:
+    """``f"{x:.17g}"`` of each value, formatted once per distinct bits."""
+    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    text = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
 
 
 def read_arpa(path) -> NGramLM:
     """Load an ARPA backoff model; anything that does not fit is BadFormat.
 
     An entry is ``prob w1 .. wk [backoff]`` split on any whitespace, so a
-    last field is a backoff exactly when the line has k+2 fields.
+    last field is a backoff exactly when the line has k+2 fields.  The
+    entries between two lines that start with a backslash are read
+    together, as one section.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
+            lines = list(map(str.strip, fh))
     except UnicodeDecodeError as exc:
         raise BadFormat(f"{path}: not UTF-8 ({exc.reason})") from None
     it = iter(lines)
@@ -257,43 +324,26 @@ def read_arpa(path) -> NGramLM:
         raise BadFormat(f"ngram counts must declare orders 1..n, got "
                         f"{sorted(declared)}")
     lm = NGramLM(order=order, vocab=set())
-    k = None
     found = [0] * (order + 1)
-    for s in it:
-        if not s:
-            continue
-        if s.startswith("\\"):
-            if s == "\\end\\":
-                break
-            m = _SECTION_LINE.fullmatch(s)
-            if m is None or int(m[1]) not in declared:
-                raise BadFormat(f"bad or undeclared section: {s!r}")
-            k = int(m[1])
-            continue
-        if k is None:
-            raise BadFormat(f"entry outside section: {s!r}")
-        fields = s.split()
-        # one string object per distinct word, shared by every n-gram
-        gram = tuple(map(sys.intern, fields[1:k + 1]))
-        successors = lm.probs.get(context := gram[:-1], _NONE)
-        if len(fields) not in (k + 1, k + 2) or gram[-1] in successors:
-            raise BadFormat(f"bad or repeated entry in \\{k}-grams: {s!r}")
-        if successors is _NONE:
-            successors = lm.probs[context] = {}
-        try:
-            successors[gram[-1]] = float(fields[0])
-            if len(fields) == k + 2:
-                # one tuple keys the backoff and, below the top order,
-                # the successors
-                lm.backoffs[gram] = float(fields[-1])
-                if k < order and gram not in lm.probs:
-                    lm.probs[gram] = {}
-        except ValueError:
-            raise BadFormat(f"bad number in {s!r}") from None
-        found[k] += 1
-    else:
-        raise BadFormat("missing \\end\\")
-    if any(it):
+    rest = list(it)
+    k, begin = None, 0
+    marks = compress(range(len(rest)), map(str.startswith, rest, repeat("\\")))
+    for i in [*marks, len(rest)]:  # each section line, then the file's end
+        entries = list(filter(None, rest[begin:i]))
+        if entries:
+            if k is None:
+                raise BadFormat(f"entry outside section: {entries[0]!r}")
+            _read_section(lm, k, entries)
+            found[k] += len(entries)
+        if i == len(rest):
+            raise BadFormat("missing \\end\\")
+        if rest[i] == "\\end\\":
+            break
+        m = _SECTION_LINE.fullmatch(rest[i])
+        if m is None or int(m[1]) not in declared:
+            raise BadFormat(f"bad or undeclared section: {rest[i]!r}")
+        k, begin = int(m[1]), i + 1
+    if any(rest[i + 1:]):
         raise BadFormat("text after \\end\\")
     if not all(map(math.isfinite, chain(lm.backoffs.values(), *map(
             dict.values, lm.probs.values())))):
@@ -303,3 +353,33 @@ def read_arpa(path) -> NGramLM:
             raise BadFormat(f"declared {n} {k}-grams, found {found[k]}")
     lm.vocab = set(lm.probs.get((), ())) - {BOS} | {EOS, UNK}
     return lm
+
+
+def _read_section(lm: NGramLM, k: int, entries: list[str]) -> None:
+    """Add the entries of a \\k-grams section, each a stripped line that is
+    not empty, to lm.  A run of entries with one context looks it up once."""
+    probs, intern = lm.probs, sys.intern
+    words = None  # the context words of the run
+    for s in entries:
+        fields = s.split()
+        if fields[1:k] != words:
+            words = fields[1:k]
+            # one string object per distinct word, shared by every n-gram
+            context = tuple(map(intern, words))
+            successors = probs.get(context)
+            if successors is None:
+                successors = probs[context] = {}
+        if len(fields) not in (k + 1, k + 2) or (
+                word := intern(fields[k])) in successors:
+            raise BadFormat(f"bad or repeated entry in \\{k}-grams: {s!r}")
+        try:
+            successors[word] = float(fields[0])
+            if len(fields) == k + 2:
+                # one tuple keys the backoff and, below the top order,
+                # the successors
+                gram = context + (word,)
+                lm.backoffs[gram] = float(fields[-1])
+                if k < lm.order and gram not in probs:
+                    probs[gram] = {}
+        except ValueError:
+            raise BadFormat(f"bad number in {s!r}") from None

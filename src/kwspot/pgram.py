@@ -14,9 +14,11 @@ whole N-best list in one call).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,35 +273,59 @@ def write_pgram(pg: Posteriorgram, path) -> None:
         fh.write(head + pg.logp.astype("<f4").tobytes(order="C"))
 
 
+class PgramHeader(NamedTuple):
+    utt_id: str
+    unit_set_id: str
+    frame_period_s: float
+    num_frames: int
+    num_units: int
+
+
 def read_pgram(path) -> Posteriorgram:
     """Read a binary posteriorgram; anything that does not fit is BadFormat."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        pg = _parse_pgram(data)
+        with open(path, "rb") as fh:
+            head = _read_header(fh)
+            data = fh.read()
+        logp = np.frombuffer(data, dtype="<f4").reshape(head.num_frames,
+                                                        head.num_units)
+        pg = Posteriorgram(head.utt_id, head.unit_set_id,
+                           head.frame_period_s, logp.copy())
         pg.validate()
     except BadFormat as exc:
         raise BadFormat(f"{path}: {exc}") from None
     return pg
 
 
-def _parse_pgram(data: bytes) -> Posteriorgram:
+def read_pgram_header(path) -> PgramHeader:
+    """The header of a binary posteriorgram, read without its frames; a
+    header that does not fit its file is BadFormat, as in ``read_pgram``."""
     try:
-        if struct.unpack_from("<4sH", data) != (MAGIC, VERSION):
+        with open(path, "rb") as fh:
+            return _read_header(fh)
+    except BadFormat as exc:
+        raise BadFormat(f"{path}: {exc}") from None
+
+
+def _read_header(fh) -> PgramHeader:
+    """The header of the posteriorgram file fh, read from its start; the
+    rest of the file must be the T x V float32 it declares, and the frame
+    period must be > 0."""
+    try:
+        if struct.unpack("<4sH", fh.read(6)) != (MAGIC, VERSION):
             raise BadFormat(f"not a version {VERSION} posteriorgram")
-        pos, ids = 6, []
+        ids = []
         for _ in range(2):  # utterance id, unit-set id
-            (n,) = struct.unpack_from("<H", data, pos)
-            ids.append(data[pos + 2:pos + 2 + n].decode("utf-8"))
-            pos += 2 + n
-        period, T, V = struct.unpack_from("<dII", data, pos)
+            (n,) = struct.unpack("<H", fh.read(2))
+            ids.append(fh.read(n).decode("utf-8"))
+        period, T, V = struct.unpack("<dII", fh.read(16))
     except struct.error:
         raise BadFormat("truncated header") from None
     except UnicodeDecodeError:
         raise BadFormat("an id is not UTF-8") from None
-    pos += 16
-    if len(data) - pos != T * V * 4:
-        raise BadFormat(f"{len(data) - pos} data bytes, header says "
-                        f"{T}x{V} float32")
-    logp = np.frombuffer(data, dtype="<f4", offset=pos).reshape(T, V)
-    return Posteriorgram(ids[0], ids[1], period, logp.copy())
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != T * V * 4:
+        raise BadFormat(f"{size} data bytes, header says {T}x{V} float32")
+    if not (np.isfinite(period) and period > 0):  # as validate checks it
+        raise BadFormat(f"frame period {period!r} is not > 0")
+    return PgramHeader(ids[0], ids[1], period, T, V)

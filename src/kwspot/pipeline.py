@@ -28,8 +28,8 @@ from .errors import BadFormat, OutOfVocabulary, UnitSetMismatch
 from .kws import FuzzyCosts, Hit, Keyword, KwsConfig, Stage, decide, detect
 from .lm import NGramLM
 from .metrics import EvalConfig, RefOccurrence, align_hits, atwv, f1
-from .pgram import (Posteriorgram, SynthConfig, read_pgram, synth_generate,
-                    token_layout, write_pgram)
+from .pgram import (Posteriorgram, SynthConfig, read_pgram, read_pgram_header,
+                    synth_generate, token_layout, write_pgram)
 from .phonetics import CostTable
 from .units import (Lexicon, UnitSet, find_all, read_tsv, syllabify,
                     tokenize_chars)
@@ -104,20 +104,25 @@ def synth_corpus(transcripts, keywords, char_set, syll_set, lexicon,
 
 def load_pgrams(pgram_dir) -> dict[str, Posteriorgram]:
     """The posteriorgrams of a directory by utterance id, read in sorted path
-    order.  Each file is named ``<utt_id>.pgram``; a missing directory, or
-    one without such a file, is an error rather than an empty result."""
+    order; see ``_read_dir``."""
+    # read_pgram is looked up at call time, so a wrapper of it applies
+    return {pg.utt_id: pg for pg in _read_dir(pgram_dir, read_pgram)}
+
+
+def _read_dir(pgram_dir, read):
+    """read(path) of each posteriorgram of a directory, in sorted path order.
+    Each file is named ``<utt_id>.pgram``; a missing directory, or one
+    without such a file, is an error rather than an empty result."""
     paths = sorted(Path(pgram_dir).glob("*.pgram"))
     if not paths:
         raise FileNotFoundError(f"{pgram_dir}: no .pgram file (missing or "
                                 f"empty posteriorgram directory)")
-    pgrams = {}
     for path in paths:
-        pg = read_pgram(path)
-        if pg.utt_id != path.stem:
-            raise BadFormat(f"{path}: utterance id {pg.utt_id!r} differs from "
-                            f"the file name")
-        pgrams[pg.utt_id] = pg
-    return pgrams
+        item = read(path)
+        if item.utt_id != path.stem:
+            raise BadFormat(f"{path}: utterance id {item.utt_id!r} differs "
+                            f"from the file name")
+        yield item
 
 
 # The decodes a Pool worker runs, keyed by name; set once per worker by
@@ -291,9 +296,11 @@ def _run_kws(pgram_dir, pgrams: dict[str, dict[str, Posteriorgram]],
 
 
 def total_speech_seconds(pgram_dir) -> float:
+    """Frames times frame period, summed over a posteriorgram directory in
+    sorted path order; only each file's header is read."""
     total = 0.0
-    for pg in load_pgrams(pgram_dir).values():
-        total += pg.num_frames * pg.frame_period_s
+    for head in _read_dir(pgram_dir, read_pgram_header):
+        total += head.num_frames * head.frame_period_s
     return total
 
 

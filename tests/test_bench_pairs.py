@@ -2,7 +2,11 @@
 result lines: pairs won, quartiles and the gain rule."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 BETTER = {"speech_s_per_s": "higher", "peak_rss_mb": "lower"}
@@ -67,3 +71,44 @@ def test_no_gain_when_the_change_is_wrong_or_fails_more(monkeypatch):
     for bad in ({"correct": False}, {"failed": 1}):
         row = speed_row(bad)
         assert row["wins"] == 10 and not row["gain"], bad
+
+
+def test_the_workload_goes_to_every_bench_command(monkeypatch, tmp_path,
+                                                  capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 35, "workloads": [{"name": "noisy"}, {"name": "wide"}],
+        "end_to_end": [{"name": "speech_s_per_s", "better": "higher"}]}))
+    commands = []
+
+    def fake_run(cmd, cwd, **kw):
+        """One run's output: its record, then its result line."""
+        commands.append((cmd, cwd))
+        workload = cmd[cmd.index("--workload") + 1]
+        metrics = {"speech_s_per_s": {"value": 100.0, "unit": "s/s"}}
+        if workload == "all":
+            metrics = {f"{w}.{k}": v for w in ("noisy", "wide")
+                       for k, v in metrics.items()}
+        line = json.dumps({"correct": True, "attempted": 2, "failed": 0,
+                           "metrics": metrics})
+        return subprocess.CompletedProcess(cmd, 0, "{}\n" + line + "\n", "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent, change = tmp_path / "parent", tmp_path
+    for workload, keys in ((None, ["noisy", "wide"]), ("wide", ["wide"])):
+        commands.clear()
+        bench_pairs.main([str(parent), str(change), "--pairs", "2", "--seed",
+                          "3"] + (["--workload", workload] if workload
+                                  else []))
+        assert [cwd for _, cwd in commands] == [parent, change, change,
+                                               parent]
+        assert {tuple(cmd) for cmd, _ in commands} == {(
+            sys.executable, "bench/run.py", "--workload", workload or "all",
+            "--seed", "3", "--seconds", "35")}
+        rows = capsys.readouterr().out.splitlines()[-len(keys):]
+        assert [row.split()[0] for row in rows] == [
+            f"{k}.speech_s_per_s" for k in keys]
+    commands.clear()
+    with pytest.raises(SystemExit):  # not a workload of BENCHMARK.json
+        bench_pairs.main([str(parent), str(change), "--workload", "loud"])
+    assert not commands

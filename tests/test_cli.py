@@ -470,6 +470,26 @@ class TestExitCodes:
         assert rc == 2
         assert str(tmp_path / "pgx" / "char") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_truncated_char_pgram_names_its_file(self, demo, trained,
+                                                 tmp_path, capsys, command):
+        """eval reads only the headers of char/, and a file shorter than its
+        header says is still a domain error that names the file."""
+        pg = tmp_path / "pg"
+        shutil.copytree(trained, pg)
+        bad = sorted((pg / "char").glob("*.pgram"))[0]
+        bad.write_bytes(bad.read_bytes()[:-4])
+        hits = tmp_path / "hits.tsv"
+        hits.write_text("", encoding="utf-8")
+        out = tmp_path / "out.json"
+        args = {"eval": [hits, pg / "refs.tsv", "--pgram-dir", pg],
+                "ablate": [pg, pg / "refs.tsv"]}[command]
+        rc = main(["--config", str(demo / "config.ini"), command,
+                   *map(str, args), "--out", str(out)])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablate_rare_keyword_outside_keyword_list(self, demo, trained,
                                                       tmp_path, capsys):
         rare = tmp_path / "rare.txt"

@@ -143,6 +143,19 @@ def test_train_equals_recursive_reference(lines, order, discount):
     assert lm.vocab == vocab
 
 
+def test_train_codes_fit_a_large_vocabulary_at_order_5():
+    """7,000 tokens, each used once, at order 5: a 5-gram's code in base
+    7,003 (the tokens, </s>, <unk> and <s>) would pass 2**63."""
+    tokens = [f"w{i}" for i in range(7000)]
+    np.random.default_rng(5).shuffle(tokens)
+    lines = [tokens[i:i + 20] for i in range(0, len(tokens), 20)]
+    lm = train(lines, order=5, discount=0.75)
+    probs, backoffs, vocab = train_reference(lines, 5, 0.75)
+    assert flat(lm) == probs
+    assert lm.backoffs == backoffs
+    assert lm.vocab == vocab
+
+
 VALID_ARPA = ("\\data\\\nngram 1=3\nngram 2=1\n\n"
               "\\1-grams:\n-0.3\ta\t-0.2\n-0.5\tb\n-99\t<unk>\n\n"
               "\\2-grams:\n-0.1\ta b\n\n\\end\\\n")
@@ -218,6 +231,19 @@ class TestArpa:
             "-0.5\tb\t-0.40000000000000002\n\n"
             "\\2-grams:\n-0.10000000000000001\ta b\n\n\\end\\\n")
         assert read_arpa(tmp_path / "back.arpa").probs == lm.probs
+
+    def test_signed_zeros_round_trip_byte_for_byte(self, tmp_path):
+        # 0.0 == -0.0, so a memo keyed by the float would write both alike
+        text = ("\\data\\\nngram 1=3\nngram 2=1\n\n"
+                "\\1-grams:\n-99\t<unk>\n-0\ta\t-0\n0\tb\n\n"
+                "\\2-grams:\n0\ta b\n\n\\end\\\n")
+        path = tmp_path / "m.arpa"
+        path.write_text(text, encoding="utf-8")
+        lm = read_arpa(path)
+        assert math.copysign(1.0, lm.probs[()]["a"]) == -1.0
+        assert math.copysign(1.0, lm.backoffs[("a",)]) == -1.0
+        write_arpa(lm, tmp_path / "back.arpa")
+        assert (tmp_path / "back.arpa").read_text(encoding="utf-8") == text
 
     def test_round_trip_scores(self, tmp_path):
         lm = train(["abc", "abd", "cab", "ddd"], order=3, discount=0.75)

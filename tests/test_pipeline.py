@@ -564,6 +564,14 @@ class TestEvaluate:
                    end_frame=0, start_s=start, end_s=end, norm_score=score,
                    decision=decision)
 
+    def test_speech_seconds_read_only_headers(self, small_run, monkeypatch):
+        _, out, _, _ = small_run
+        want = 0.0
+        for pg in pipeline.load_pgrams(out / "char").values():
+            want += pg.num_frames * pg.frame_period_s
+        monkeypatch.setattr(pipeline, "read_pgram", None)  # no full read
+        assert pipeline.total_speech_seconds(out / "char") == want
+
     def test_report_fields_and_sweep(self, small_run):
         _, out, refs, _ = small_run
         total_s = pipeline.total_speech_seconds(out / "char")
