@@ -12,16 +12,18 @@ is ``all`` unless ``--workload`` names one workload of that file, which
 pairs a claim about one workload in about a third of the time.  Every
 pair's values, and each side's ``correct`` and ``failed``, are printed as
 it ends.  Then, per workload and metric, the summary gives each
-side's median and quartiles, the pairs CHANGE won (ties count for neither
-side) and whether it is a gain: every CHANGE run is correct and fails no
-more operations in all than PARENT's runs, CHANGE won at least 9/10 of the
-pairs, and its median is better than PARENT's by more than the distance
-between PARENT's quartiles.  Which direction is better also comes from
-CHANGE's ``BENCHMARK.json``.
+side's median and quartiles, the ratio of the medians with its base
+(CHANGE's median over PARENT's, so below 1 is lower), the pairs CHANGE won
+(ties count for neither side) and whether it is a gain: every CHANGE run
+is correct and fails no more operations in all than PARENT's runs, CHANGE
+won at least 9/10 of the pairs, and its median is better than PARENT's by
+more than the distance between PARENT's quartiles.  Which direction is
+better also comes from CHANGE's ``BENCHMARK.json``.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -75,7 +77,9 @@ def summarize(pairs: list[tuple[dict, dict]],
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         rows.append({"metric": key, "better": direction, "parent": pq,
-                     "change": cq, "wins": wins, "pairs": len(pairs),
+                     "change": cq,
+                     "ratio": cq[1] / pq[1] if pq[1] else math.nan,
+                     "wins": wins, "pairs": len(pairs),
                      "gain": (sound and 10 * wins >= 9 * len(pairs)
                               and sign * (cq[1] - pq[1]) > pq[2] - pq[0])})
     return rows
@@ -113,11 +117,13 @@ def main(argv=None) -> None:
                            for k in ("correct", "failed"))
         print(f"pair {i + 1} ({first} first, {status}): {values}", flush=True)
     print(f"{'metric':28s} {'parent q1/median/q3':>26s} "
-          f"{'change q1/median/q3':>26s}  won  gain")
+          f"{'change q1/median/q3':>26s} {'median change/parent':>20s}"
+          f"  won  gain")
     for row in summarize(pairs, better):
         p, c = row["parent"], row["change"]
         print(f"{row['metric']:28s} {p[0]:8.4g} {p[1]:8.4g} {p[2]:8.4g} "
-              f"{c[0]:8.4g} {c[1]:8.4g} {c[2]:8.4g}  "
+              f"{c[0]:8.4g} {c[1]:8.4g} {c[2]:8.4g} "
+              f"{row['ratio']:6.3f} = {c[1]:.4g}/{p[1]:.4g}  "
               f"{row['wins']}/{row['pairs']}  "
               f"{'yes' if row['gain'] else 'no'}")
 

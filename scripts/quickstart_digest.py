@@ -13,8 +13,9 @@ its own ``*_jobs2.jsonl`` file, whose digest must equal the first decode's.
 Two source trees that give the same lines give byte-identical outputs, so
 running this once per tree, with that tree's ``src`` on PYTHONPATH, and
 diffing the two listings checks that a change kept every output.
-``tests/quickstart_digest.txt`` is the listing without ``--uniform``, which
-``tests/test_quickstart_pin.py`` holds every change to.
+``tests/quickstart_digest.txt`` is the listing without ``--uniform`` and
+``tests/quickstart_digest_uniform.txt`` the one with it;
+``tests/test_quickstart_pin.py`` holds every change to both.
 """
 
 import argparse

@@ -14,7 +14,9 @@ keeps for one search; the other is the automaton's next-move table, built
 once by ``KeywordTrie.finalize``, so no trie row is built during a search.
 Only the extensions that land on a prefix already in the beam are summed
 in scalar code, and only the beam_size survivors get a prefix tuple and an
-LM state (``NGramLM.next_state``).  Without an LM or a trie the search runs
+LM state.  An LM state is an integer, its row in the table, and the state
+after a unit comes from ``ScoreRows.after``, which computes each (state,
+unit) transition once a search.  Without an LM or a trie the search runs
 the same path over neutral tables: an order-1 LM whose every increment is
 0.0, and the empty trie, whose one bonus is 0.0.  So the search biases
 exactly when it is given a trie, and a trie built with alpha = beta = 0
@@ -195,8 +197,7 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
     # log10 LM increment of each column's unit, one row per LM state;
     # without an LM, of an order-1 LM whose every unigram is log10 p = 0.0
     names = [us.units[u] for u in cols]
-    rows = ScoreRows(lm or NGramLM(1, set(names),
-                                   {(): dict.fromkeys(names, 0.0)}), names)
+    rows = ScoreRows(lm or _flat_lm(names), names)
     # next trie node on each column's unit, one row per node; without a
     # trie, of the empty one: a root row, bonus 0.0
     trie = trie or build_bias_trie([], None, BiasConfig())
@@ -268,14 +269,14 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
                 keep = np.array(keep[:cfg.beam_size])
 
         new_prefixes, new_lm_id = [], []
+        lm_ids = lm_id.tolist()
         for c in keep.tolist():
             new_prefixes.append(_candidate(c, prefixes, units))
             if c < n:
-                new_lm_id.append(lm_id[c])
+                new_lm_id.append(lm_ids[c])
                 continue
             i, j = divmod(c - n, m)
-            new_lm_id.append(rows.id(rows.lm.next_state(
-                rows.states[lm_id[i]], names[at[j]])))
+            new_lm_id.append(rows.after(lm_ids[i], int(at[j])))
         prefixes = new_prefixes
         lm_id = np.array(new_lm_id, dtype=np.intp)
         node = np.concatenate([node, ext_node.ravel()])[keep]
@@ -300,6 +301,13 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
             score_am=am[k], score_lm=lm10[k], score_bias=bias[k],
             score_total=total[k], spans=next(spans) if prefix else []))
     return out
+
+
+def _flat_lm(names: list[str]) -> NGramLM:
+    """The order-1 LM of the tokens names in which each has log10 p = 0.0."""
+    words = sorted(set(names))
+    return NGramLM(words, [np.arange(len(words))], [np.zeros(len(words))],
+                   [np.full(len(words), np.nan)])
 
 
 def _candidate(c: int, prefixes: list, units) -> tuple[int, ...]:

@@ -5,31 +5,42 @@ toy scale and degenerates to MLE at D=0.  All stored values are log10, the
 ARPA convention; the decoder converts to natural log once at the fusion
 boundary.
 
-The model is one table grouped by context, as in Pauls & Klein, "Faster and
-smaller n-gram language models" (ACL 2011), kept as plain dicts:
-``probs[context][token]`` is the n-gram ``context + (token,)``, so a
-context's successors are read without probing, and a context shares its
-tuple key with its backoff weight.  ``NGramLM.backoff_walk`` is the one
-place the backoff rule is written; ``score_token`` scores one token with it
-and ``ScoreRows`` a row of tokens.  ``next_state`` is the one place the
-state after a token is written.
+The model is arrays of integer ids, as KenLM keeps its sorted tables
+(Heafield, "KenLM: faster and smaller language model queries", WMT 2011),
+grouped by context as in Pauls & Klein, "Faster and smaller n-gram language
+models" (ACL 2011).  A word's id is its index in the sorted word list, so id
+order is ARPA order.  Order k keeps its n-grams sorted by their code, the
+rank of the (k-1)-gram prefix among order k-1's n-grams times the number of
+ids plus the last word's id (the empty context is rank 0 of order 0), so
+codes sort by (context, token) and stay below (number of (k-1)-grams) x ids
+at any vocabulary size.  Beside each code are its log10 probability and
+log10 backoff weight, NaN where there is none (the reader rejects
+non-finite values).  An n-gram is found with ``np.searchsorted``; below the
+top order each n-gram also keeps where its run of successors starts in the
+order above and whether it has a backoff or a successor.  So an n-gram
+costs 24 bytes at the top order and 33 below it, and the model holds no
+Python object per n-gram or per context.  Text appears only in ``words``,
+``vocab``, ``read_arpa``, ``write_arpa`` and the string-level
+``score_token`` / ``score_sequence``.
 
-Set-up works on arrays, as KenLM builds its sorted tables (Heafield, "KenLM:
-faster and smaller language model queries", WMT 2011).  ``train`` maps
-tokens to integer ids and counts each order's k-grams with one ``np.unique``
-of integer codes, built from the rank of each k-gram's (k-1)-gram prefix so
-that no vocabulary size overflows them; it takes ``math.log10`` once per
-distinct value.  ``write_arpa`` formats each distinct value once, and
-``read_arpa`` parses one section at a time.
+The contexts of a state that are n-grams, longest first, are its walk
+(``NGramLM._walk``, extended a word at a time by ``NGramLM._extend``): the
+one place the backoff rule is read, by ``score_token`` for one token and by
+``ScoreRows`` for a row of tokens.
+
+``train`` maps tokens to ids and counts each order's k-grams with one
+``np.unique`` of their codes; it takes ``math.log10`` once per distinct
+value.  ``write_arpa`` formats each distinct value once, and ``read_arpa``
+parses one section at a time into compact arrays.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
-from itertools import chain, compress, islice, repeat
-from dataclasses import dataclass, field
+from array import array
+from collections import defaultdict
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -42,28 +53,61 @@ UNK = "<unk>"
 LOG10_ZERO = -99.0  # ARPA convention for zero-probability entries
 
 
-@dataclass
 class NGramLM:
-    order: int
-    vocab: set[str]
-    # context tuple -> token -> log10 prob of context + (token,), with the
-    # unigrams under (); context tuple -> log10 backoff weight
-    probs: dict[tuple[str, ...], dict[str, float]] = field(default_factory=dict)
-    backoffs: dict[tuple[str, ...], float] = field(default_factory=dict)
+    """A backoff model over ``words``, which are sorted; a word's id is its
+    index.  ``codes[k - 1]``, ``logp[k - 1]`` and ``backoff[k - 1]`` are
+    order k's arrays (see the module docstring); below the top order,
+    ``first[k - 1]`` and ``live[k - 1]`` are derived from them.  ``vocab``
+    is the words with a unigram but <s>, plus </s> and <unk>; any other
+    token is <unk>.
+    """
+
+    def __init__(self, words, codes, logp, backoff):
+        self.order = len(codes)
+        self.words = list(words)
+        self.ids = {w: i for i, w in enumerate(self.words)}
+        self.codes, self.logp, self.backoff = codes, logp, backoff
+        self.vocab = ({self.words[i] for i in codes[0].tolist()} - {BOS}
+                      | {EOS, UNK})
+        # below the top order: where each n-gram's run of successors starts
+        # in the order above (and where the last run ends), and which
+        # n-grams have a backoff or a successor
+        self.first = [longer.searchsorted(np.arange(len(c) + 1)
+                                          * len(self.words))
+                      for c, longer in zip(codes, codes[1:])]
+        self.live = [~np.isnan(b) | (f[1:] > f[:-1])
+                     for b, f in zip(backoff, self.first)]
 
     def _norm(self, token: str) -> str:
         return token if token in self.vocab or token == BOS else UNK
 
-    def backoff_walk(self, state: tuple[str, ...]):
-        """Yield (context, backoff weights of the longer contexts summed
-        left to right from 0.0), from the longest context of state to ()."""
-        context = state[-(self.order - 1):] if self.order > 1 else ()
-        backoff = 0.0
-        while context:
-            yield context, backoff
-            backoff += self.backoffs.get(context, 0.0)
-            context = context[1:]
-        yield context, backoff
+    def _find(self, k: int, r: int, w: int) -> int:
+        """The rank of the order-k n-gram of the context of rank r in order
+        k - 1 followed by word id w, or -1 if there is none."""
+        codes = self.codes[k - 1]
+        code = r * len(self.words) + w
+        i = int(codes.searchsorted(code))
+        return i if i < len(codes) and codes[i] == code else -1
+
+    def _extend(self, walk, w: int):
+        """Yield the walk of a state followed by word id w (-1 for a word
+        without an id), from the state's walk, one context at a time.  A
+        walk is the (order, rank) of each context of the state that is an
+        n-gram, longest first, then (0, 0), the empty context; the other
+        contexts of the backoff walk weigh 0.0 and score nothing."""
+        if w >= 0:
+            for k, r in walk:
+                if k + 1 < self.order:
+                    r = self._find(k + 1, r, w)
+                    if r >= 0:
+                        yield k + 1, r
+        yield 0, 0
+
+    def _walk(self, state: tuple[str, ...]) -> list:
+        walk = [(0, 0)]
+        for w in state:
+            walk = list(self._extend(walk, self.ids.get(w, -1)))
+        return walk
 
     def score_token(self, state: tuple[str, ...], token: str) -> tuple[float, tuple[str, ...]]:
         """Backoff score of token given state; returns (log10 p, next state).
@@ -71,21 +115,23 @@ class NGramLM:
         ``state`` is ``()``, ``(BOS,)`` or a state this method returned, so it
         holds only vocabulary words, BOS and UNK; only ``token`` is mapped.
         The score is the n-gram after the longest context that has one, or
-        LOG10_ZERO for a token without a unigram, after the backoffs above.
+        LOG10_ZERO for a token without a unigram, after the backoffs of the
+        longer contexts, summed from 0.0 longest first.
         """
         token = self._norm(token)
-        for context, backoff in self.backoff_walk(state):
-            logp = self.probs.get(context, _NONE).get(token)
-            if logp is not None:
+        t = self.ids[token]
+        backoff = 0.0
+        for k, r in self._walk(state):
+            i = self._find(k + 1, r, t)
+            if i >= 0:
+                logp = float(self.logp[k][i])
                 break
+            if k and not math.isnan(b := float(self.backoff[k - 1][r])):
+                backoff += b
         else:
             logp = LOG10_ZERO
-        return backoff + logp, self.next_state(state, token)
-
-    def next_state(self, state: tuple[str, ...], token: str) -> tuple[str, ...]:
-        """The state after token, as ``score_token`` returns it."""
-        return ((state + (self._norm(token),))[-(self.order - 1):]
-                if self.order > 1 else ())
+        return backoff + logp, ((state + (token,))[-(self.order - 1):]
+                                if self.order > 1 else ())
 
     def score_sequence(self, tokens: list[str]) -> float:
         """Summed log10 score of tokens from the empty state, without
@@ -97,52 +143,112 @@ class NGramLM:
             total += s
         return total
 
+    def ngrams(self):
+        """Each order's n-grams in ARPA order, lowest order first, as (word
+        ids, one row per n-gram; log10 probabilities; log10 backoffs, NaN
+        where there is none).  The word of id i is ``words[i]``."""
+        grams = np.zeros((1, 0), dtype=np.int64)  # the empty context
+        for codes, logp, backoff in zip(self.codes, self.logp, self.backoff):
+            grams = np.column_stack([grams[codes // len(self.words)],
+                                     codes % len(self.words)])
+            yield grams, logp, backoff
 
-_NONE: dict[str, float] = {}  # no successors; never written to
+
+def _find_all(codes: np.ndarray, want: np.ndarray):
+    """Where each code of want would sit in the sorted codes, and which of
+    them are there."""
+    at = codes.searchsorted(want)
+    if not len(codes):
+        return at, np.zeros(len(want), dtype=bool)
+    return at, codes.take(at, mode="clip") == want
 
 
 class ScoreRows:
     """``score_token`` of every token in a fixed list, one row per state.
 
-    ``id(state)`` is the state's row in ``table``, filled on first use, so
-    after ``k = id(state)``, ``table[k][i] == lm.score_token(state,
-    tokens[i])[0]`` bit for bit; ``states[k]`` is the state of row k.  A new
-    row may replace ``table`` by a larger array.  A row starts as the
-    unigram row under every backoff of ``lm.backoff_walk``; then each longer
-    context, shortest first, writes its successors into their columns under
-    the backoffs above it, so the longest context with an n-gram wins.  The
-    rows are memoised, so an instance should live only as long as its
-    caller.
+    ``id(state)`` is the row of a string state and ``after(k, c)`` the row
+    of row k's state followed by column c's token, so after ``k =
+    id(state)``, ``table[k][i] == lm.score_token(state, tokens[i])[0]`` bit
+    for bit.  A row is keyed by its state's deciding context: the longest
+    context of the state's walk that has a backoff or a successor.  The
+    longer contexts of the backoff walk weigh 0.0 and write nothing, so
+    every state with one deciding context has the same row, filled once,
+    and the state after a token depends only on the deciding context.
+
+    A row is filled in place.  Each word id writes to the first column of
+    its word, or, without a column, to a spare last column of ``_cells``,
+    of which ``table`` is the view without it; a column that repeats a word
+    copies the first one's cell at the end.  A row starts as the unigrams
+    under every backoff; then each longer context, shortest first, writes
+    its successors under the backoffs above it, ``row[column of each
+    successor] = above + logp[a:b]`` over the context's run a:b, so the
+    longest context with an n-gram wins.  A new row may replace ``table``
+    by a larger array.  Rows and transitions (each (row, column) pair
+    computed once) are memoised, so an instance should live only as long
+    as its caller.
     """
 
     def __init__(self, lm: NGramLM, tokens):
         self.lm = lm
-        self.columns: dict[str, list[int]] = {}  # token -> its columns
-        for i, t in enumerate(tokens):
-            self.columns.setdefault(lm._norm(t), []).append(i)
-        unigrams = lm.probs.get((), _NONE)
-        self.unigrams = np.array([unigrams.get(lm._norm(t), LOG10_ZERO)
-                                  for t in tokens], dtype=np.float64)
-        self._ids: dict[tuple[str, ...], int] = {}
-        self.states: list[tuple[str, ...]] = []
-        self.table = np.empty((16, len(tokens)))
+        # each column's word id
+        self.tokens = [lm.ids[lm._norm(t)] for t in tokens]
+        width = len(self.tokens)
+        # each word id's first column, written last to first
+        self.column = np.full(len(lm.words), width)
+        self.column[self.tokens[::-1]] = np.arange(width)[::-1]
+        # the columns that repeat a word, and the word's first column
+        first = self.column[self.tokens]
+        self.repeats = np.flatnonzero(first != np.arange(width))
+        self.repeated = first[self.repeats]
+        self.unigrams = np.full(width + 1, LOG10_ZERO)
+        self.unigrams[self.column[lm.codes[0]]] = lm.logp[0]  # codes are ids
+        self.walks: list[list] = []  # each row's walk from its deciding one
+        self._rows: dict[tuple[int, int], int] = {}  # deciding context -> row
+        self._after: dict[tuple[int, int], int] = {}  # (row, column) -> row
+        self._cells = np.empty((16, width + 1))
+        self.table = self._cells[:, :width]
 
     def id(self, state: tuple[str, ...]) -> int:
-        i = self._ids.get(state)
+        return self._row(iter(self.lm._walk(state)))
+
+    def after(self, k: int, c: int) -> int:
+        i = self._after.get((k, c))
+        if i is None:
+            i = self._after[k, c] = self._row(
+                self.lm._extend(self.walks[k], self.tokens[c]))
+        return i
+
+    def _row(self, contexts) -> int:
+        """The row of the state whose walk is the iterable contexts, read
+        only as far as the deciding context when its row exists."""
+        lm = self.lm
+        for k, r in contexts:
+            if not k or lm.live[k - 1][r]:
+                break
+        i = self._rows.get((k, r))
         if i is not None:
             return i
-        i = self._ids[state] = len(self.states)
-        self.states.append(state)
-        if i == len(self.table):
-            self.table = np.concatenate(
-                [self.table, np.empty_like(self.table)])
-        *longer, (_, backoff) = self.lm.backoff_walk(state)
-        row = (backoff + self.unigrams).tolist()
-        for context, above in reversed(longer):
-            for token, logp in self.lm.probs.get(context, _NONE).items():
-                for c in self.columns.get(token, ()):
-                    row[c] = above + logp
-        self.table[i] = row
+        i = self._rows[k, r] = len(self.walks)
+        walk = [(k, r), *contexts]
+        self.walks.append(walk)
+        if i == len(self._cells):
+            self._cells = np.concatenate(
+                [self._cells, np.empty_like(self._cells)])
+            self.table = self._cells[:, :-1]
+        backoff, above = 0.0, []
+        for k, r in walk[:-1]:
+            above.append(backoff)
+            b = lm.backoff[k - 1][r]
+            if b == b:  # else NaN, no backoff
+                backoff += b
+        row = np.add(backoff, self.unigrams, out=self._cells[i])
+        for (k, r), weight in zip(walk[-2::-1], above[::-1]):
+            a, b = lm.first[k - 1][r:r + 2].tolist()
+            if a < b:
+                row[self.column[lm.codes[k][a:b] % len(lm.words)]] = (
+                    weight + lm.logp[k][a:b])
+        if len(self.repeats):
+            row[self.repeats] = row[self.repeated]
         return i
 
 
@@ -154,15 +260,15 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
 
     The sentences are one array of token ids.  Orders are counted lowest
     first: a k-gram's code is the rank of its (k-1)-gram prefix times the
-    number of ids plus its last id, so codes stay below (distinct
-    (k-1)-grams) x ids at any order, and ``np.unique`` of the codes of every
-    k-gram that fits in its sentence gives the distinct k-grams sorted by
-    context and their counts.  Each context's total and N1+ are sums over
-    its run of k-grams; a k-gram's lower-order probability is its suffix's,
-    the (k-1)-gram one position on, which is counted because <s> only ever
-    starts a sentence.  The formula above is the same float operations, in
-    the same order, on arrays; log10 is ``math.log10`` once per distinct
-    value, because ``np.log10`` differs from it in the last bit.
+    number of ids plus its last id, the model's own layout, and
+    ``np.unique`` of the codes of every k-gram that fits in its sentence
+    gives the distinct k-grams sorted by context and their counts.  Each
+    context's total and N1+ are sums over its run of k-grams; a k-gram's
+    lower-order probability is its suffix's, the (k-1)-gram one position
+    on, which is counted because <s> only ever starts a sentence.  The
+    formula above is the same float operations, in the same order, on
+    arrays; log10 is ``math.log10`` once per distinct value, because
+    ``np.log10`` differs from it in the last bit.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -179,8 +285,7 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
     if not sents:
         raise EmptyCorpus("no usable sentences")
 
-    lm = NGramLM(order=order, vocab=vocab | {EOS, UNK})
-    words = sorted(lm.vocab | {BOS})
+    words = sorted(vocab | {BOS, EOS, UNK})
     ids = {w: i for i, w in enumerate(words)}
     nids = len(words)
     seq = np.fromiter(map(ids.__getitem__, chain.from_iterable(sents)),
@@ -209,30 +314,29 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
         lam = discount * n1 / total
         q = (np.maximum(count - discount, 0.0) / np.repeat(total, n1)
              + np.repeat(lam, n1) * lower[rank[at + 1]])
-        contexts = seq[at[heads, None] + np.arange(k - 1)]
-        tables.append((contexts, n1, grams % nids, q, lam))
+        tables.append((grams, grams[heads] // nids, q, lam))
         rank = np.empty_like(seq)
         rank[start] = inverse
         lower = q
 
-    values = [p, *chain.from_iterable(t[3:] for t in tables)]
+    values = [p, *chain.from_iterable(t[2:] for t in tables)]
     distinct, inverse = np.unique(np.concatenate(values), return_inverse=True)
     logs = np.full(len(distinct), LOG10_ZERO)
     positive = distinct > 0
     logs[positive] = list(map(math.log10, distinct[positive].tolist()))
     # the log10 of each array of values, in their order
     logs = iter(np.split(logs[inverse], np.cumsum(list(map(len, values)))))
-    names = np.array(words, dtype=object)
-    lm.probs[()] = dict(zip(words, next(logs).tolist()))
-    lm.probs[()][BOS] = LOG10_ZERO  # the conventional entry for <s>
-    for contexts, n1, last, _, _ in tables:
-        contexts = list(zip(*names[contexts].T.tolist()))
-        # each context's dict takes the next n1 successors of the order
-        successors = zip(names[last].tolist(), next(logs).tolist())
-        lm.probs.update(zip(contexts, map(dict, map(
-            islice, repeat(successors), n1.tolist()))))
-        lm.backoffs.update(zip(contexts, next(logs).tolist()))
-    return lm
+    codes, logp = [np.arange(nids)], [next(logs)]
+    logp[0][ids[BOS]] = LOG10_ZERO  # the conventional entry for <s>
+    backoff = []
+    for grams, contexts, _, _ in tables:
+        codes.append(grams)
+        logp.append(next(logs))
+        # each context's backoff sits on its n-gram, one order down
+        backoff.append(np.full(len(codes[-2]), np.nan))
+        backoff[-1][contexts] = next(logs)
+    backoff.append(np.full(len(codes[-1]), np.nan))
+    return NGramLM(words, codes, logp, backoff)
 
 
 # ---------------------------------------------------------------------------
@@ -243,53 +347,39 @@ _SECTION_LINE = re.compile(r"\\([0-9]+)-grams:")
 
 
 def write_arpa(lm: NGramLM, path) -> None:
-    """Each order's n-grams sorted, that is, by context, then by token.
+    """Each order's n-grams in the order of ``lm.ngrams``: sorted, that is,
+    by context, then by token.
 
-    Each context's words are joined once for all its n-grams, and each
-    distinct value of an order is formatted once: values are told apart by
-    their bits, so 0.0 and -0.0 stay ``0`` and ``-0``.
+    Each n-gram's words are joined by one string operation per word
+    position over the order, and each distinct value of an order is
+    formatted once: values are told apart by their bits, so 0.0 and -0.0
+    stay ``0`` and ``-0``.
     """
-    by_order: dict[int, list] = {k: [] for k in range(1, lm.order + 1)}
-    for context in lm.probs:
-        by_order[len(context) + 1].append(context)
+    names = np.array(lm.words, dtype=object)
+    orders = list(lm.ngrams())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\" + "".join(
-            f"\nngram {k}={sum(map(len, map(lm.probs.__getitem__, c)))}"
-            for k, c in by_order.items()))
-        for k, contexts in by_order.items():
+            f"\nngram {k}={len(grams)}"
+            for k, (grams, _, _) in enumerate(orders, 1)))
+        for k, (grams, logp, backoff) in enumerate(orders, 1):
             fh.write(f"\n\n\\{k}-grams:")
-            fh.write("".join(_arpa_lines(lm, k, sorted(contexts))))
+            has = ~np.isnan(backoff)
+            text = _format(np.concatenate([logp, backoff[has]]))
+            lines = "\n" + text[:len(logp)] + "\t" + names[grams[:, 0]]
+            for j in range(1, k):
+                lines = lines + " " + names[grams[:, j]]
+            lines[has] = lines[has] + "\t" + text[len(logp):]
+            fh.write("".join(lines.tolist()))
         fh.write("\n\n\\end\\\n")
 
 
-def _arpa_lines(lm: NGramLM, k: int, contexts: list) -> list[str]:
-    """Each line of the n-grams after contexts, which are sorted and of
-    order k - 1, with a newline before it."""
-    # per n-gram: its context's words and a space, its token, its log10
-    # probability and its backoff or None
-    heads, tokens, logps, backoffs = [], [], [], []
-    for context in contexts:
-        successors = lm.probs[context]
-        ranked = sorted(successors)
-        heads += [" ".join(context + ("",))] * len(ranked)
-        tokens += ranked
-        logps += map(successors.__getitem__, ranked)
-        backoffs += ([lm.backoffs.get(context + (t,)) for t in ranked]
-                     if k < lm.order else [None] * len(ranked))
-    text = _format(logps + [b for b in backoffs if b is not None])
-    after = iter(text[len(logps):])
-    return [f"\n{p}\t{head}{token}" if b is None
-            else f"\n{p}\t{head}{token}\t{next(after)}"
-            for p, head, token, b in zip(text, heads, tokens, backoffs)]
-
-
-def _format(values: list[float]) -> list[str]:
-    """``f"{x:.17g}"`` of each value, formatted once per distinct bits."""
-    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
+def _format(values: np.ndarray) -> np.ndarray:
+    """``f"{x:.17g}"`` of each value, formatted once per distinct bits, as
+    an array of objects."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     text = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()],
                     dtype=object)
-    return text[inverse].tolist()
+    return text[inverse]
 
 
 def read_arpa(path) -> NGramLM:
@@ -298,7 +388,10 @@ def read_arpa(path) -> NGramLM:
     An entry is ``prob w1 .. wk [backoff]`` split on any whitespace, so a
     last field is a backoff exactly when the line has k+2 fields.  The
     entries between two lines that start with a backslash are read
-    together, as one section.
+    together, as one section, into compact arrays; each order is then
+    coded and sorted at once.  The codes need every n-gram's (k-1)-gram
+    prefix, so an n-gram without one is BadFormat, as is a repeated n-gram.
+    A backoff on a top-order n-gram weighs no context and is dropped.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -323,8 +416,13 @@ def read_arpa(path) -> NGramLM:
     if not order or sorted(declared) != list(range(1, order + 1)):
         raise BadFormat(f"ngram counts must declare orders 1..n, got "
                         f"{sorted(declared)}")
-    lm = NGramLM(order=order, vocab=set())
-    found = [0] * (order + 1)
+    # a word's number is its place in the order of first use: looking up a
+    # new word numbers it
+    numbers: defaultdict[str, int] = defaultdict()
+    numbers.default_factory = numbers.__len__
+    # per order: word numbers, log10 probabilities, backoffs (NaN if none)
+    # and how many backoffs the entries gave
+    sections = {k: [array("q"), array("d"), array("d"), 0] for k in declared}
     rest = list(it)
     k, begin = None, 0
     marks = compress(range(len(rest)), map(str.startswith, rest, repeat("\\")))
@@ -333,8 +431,8 @@ def read_arpa(path) -> NGramLM:
         if entries:
             if k is None:
                 raise BadFormat(f"entry outside section: {entries[0]!r}")
-            _read_section(lm, k, entries)
-            found[k] += len(entries)
+            sections[k][3] += _read_section(k, entries, numbers.__getitem__,
+                                            *sections[k][:3])
         if i == len(rest):
             raise BadFormat("missing \\end\\")
         if rest[i] == "\\end\\":
@@ -345,41 +443,58 @@ def read_arpa(path) -> NGramLM:
         k, begin = int(m[1]), i + 1
     if any(rest[i + 1:]):
         raise BadFormat("text after \\end\\")
-    if not all(map(math.isfinite, chain(lm.backoffs.values(), *map(
-            dict.values, lm.probs.values())))):
-        raise BadFormat("non-finite probability or backoff weight")
-    for k, n in declared.items():
-        if found[k] != n:
-            raise BadFormat(f"declared {n} {k}-grams, found {found[k]}")
-    lm.vocab = set(lm.probs.get((), ())) - {BOS} | {EOS, UNK}
-    return lm
+    words = sorted(numbers.keys() | {BOS, EOS, UNK})
+    ids = {w: i for i, w in enumerate(words)}
+    to_id = np.array([ids[w] for w in numbers], dtype=np.int64)
+    codes, logp, backoff = [], [], []
+    for k in range(1, order + 1):
+        grams, probs, backoffs, given = sections[k]
+        probs, backoffs = np.array(probs), np.array(backoffs)
+        if not (np.isfinite(probs).all()
+                and np.count_nonzero(np.isfinite(backoffs)) == given):
+            raise BadFormat("non-finite probability or backoff weight")
+        if len(probs) != declared[k]:
+            raise BadFormat(f"declared {declared[k]} {k}-grams, found "
+                            f"{len(probs)}")
+        grams = to_id[np.array(grams, dtype=np.int64)].reshape(-1, k)
+        rank = np.zeros(len(grams), dtype=np.int64)
+        for j in range(k - 1):  # the rank of each prefix in its order
+            rank, found = _find_all(codes[j], rank * len(words) + grams[:, j])
+            if not found.all():
+                gram = " ".join(words[w] for w in grams[~found][0])
+                raise BadFormat(f"{k}-gram {gram!r} has no {k - 1}-gram "
+                                f"prefix")
+        code = rank * len(words) + grams[:, -1]
+        by_code = np.argsort(code, kind="stable")
+        code = code[by_code]
+        if (repeated := np.diff(code) == 0).any():
+            gram = grams[by_code[1:][repeated][0]]
+            raise BadFormat(f"repeated {k}-gram: "
+                            f"{' '.join(words[w] for w in gram)!r}")
+        codes.append(code)
+        logp.append(probs[by_code])
+        backoff.append(backoffs[by_code] if k < order
+                       else np.full(len(code), np.nan))
+    return NGramLM(words, codes, logp, backoff)
 
 
-def _read_section(lm: NGramLM, k: int, entries: list[str]) -> None:
-    """Add the entries of a \\k-grams section, each a stripped line that is
-    not empty, to lm.  A run of entries with one context looks it up once."""
-    probs, intern = lm.probs, sys.intern
-    words = None  # the context words of the run
+def _read_section(k: int, entries: list[str], number, grams: array,
+                  probs: array, backoffs: array) -> int:
+    """Append the entries of a \\k-grams section, each a stripped line that
+    is not empty: each n-gram's k word numbers (``number(word)``) to
+    grams, its log10 probability to probs and its backoff, or NaN, to
+    backoffs.  Returns how many backoffs the entries gave."""
+    given = 0
     for s in entries:
         fields = s.split()
-        if fields[1:k] != words:
-            words = fields[1:k]
-            # one string object per distinct word, shared by every n-gram
-            context = tuple(map(intern, words))
-            successors = probs.get(context)
-            if successors is None:
-                successors = probs[context] = {}
-        if len(fields) not in (k + 1, k + 2) or (
-                word := intern(fields[k])) in successors:
-            raise BadFormat(f"bad or repeated entry in \\{k}-grams: {s!r}")
+        if len(fields) not in (k + 1, k + 2):
+            raise BadFormat(f"bad entry in \\{k}-grams: {s!r}")
         try:
-            successors[word] = float(fields[0])
-            if len(fields) == k + 2:
-                # one tuple keys the backoff and, below the top order,
-                # the successors
-                gram = context + (word,)
-                lm.backoffs[gram] = float(fields[-1])
-                if k < lm.order and gram not in probs:
-                    probs[gram] = {}
+            probs.append(float(fields[0]))
+            backoffs.append(float(fields[-1]) if len(fields) == k + 2
+                            else math.nan)
         except ValueError:
             raise BadFormat(f"bad number in {s!r}") from None
+        grams.extend(map(number, fields[1:k + 1]))
+        given += len(fields) - k - 1
+    return given

@@ -37,6 +37,7 @@ def test_summary_counts_wins_and_applies_the_gain_rule(monkeypatch):
     assert speed["wins"] == 9 and speed["pairs"] == 10
     assert speed["parent"] == (102.25, 104.5, 106.75)
     assert speed["change"][1] == 123.5
+    assert speed["ratio"] == 123.5 / 104.5
     assert speed["gain"]
     # a lower-is-better metric won once only: no gain
     assert rss["metric"] == "noisy.peak_rss_mb"
@@ -112,3 +113,24 @@ def test_the_workload_goes_to_every_bench_command(monkeypatch, tmp_path,
     with pytest.raises(SystemExit):  # not a workload of BENCHMARK.json
         bench_pairs.main([str(parent), str(change), "--workload", "loud"])
     assert not commands
+
+
+def test_summary_prints_each_median_ratio_with_its_base(monkeypatch, tmp_path,
+                                                        capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 35, "workloads": [{"name": "noisy"}],
+        "end_to_end": [{"name": "peak_rss_mb", "better": "lower"}]}))
+    rss = {tmp_path / "parent": 80.0, tmp_path: 60.0}
+
+    def fake_run(cmd, cwd, **kw):
+        line = result_line(100.0, rss[cwd])
+        return subprocess.CompletedProcess(cmd, 0, line + "\n", "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--pairs",
+                      "2"])
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    assert "median change/parent" in header
+    assert row.split()[0] == "noisy.peak_rss_mb"
+    assert " 0.750 = 60/80 " in row

@@ -11,7 +11,7 @@ from kwspot.corpus import make_language
 from kwspot.decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                             build_bias_trie, logaddexp, prefix_beam_search)
 from kwspot.errors import AlignmentInfeasible, InvalidKeyword, UnitSetMismatch
-from kwspot.lm import NGramLM, train
+from kwspot.lm import NGramLM, ScoreRows, train
 from kwspot.pgram import (Posteriorgram, SynthConfig, synth_generate,
                           token_layout)
 from kwspot.units import BLANK, UnitKind, UnitSet
@@ -360,9 +360,9 @@ def test_search_equals_scalar_oracle(inputs):
 
 
 def test_search_never_calls_score_token(monkeypatch):
-    # the LM states of the survivors come from NGramLM.next_state and their
-    # increments from ScoreRows, so score_token is not needed.  Unit d is
-    # not in the LM, and <unk> has contexts, so a state must map d to <unk>
+    # the LM states of the survivors and their increments come from
+    # ScoreRows, so score_token is not needed.  Unit d is not in the LM, and
+    # <unk> has contexts, so a state must map d to <unk>
     targets = [1, 4, 0, 1, 4, 3, 4, 1, 0]
     p = np.full((len(targets), 5), 0.125)
     p[np.arange(len(targets)), targets] = 0.5
@@ -379,6 +379,32 @@ def test_search_never_calls_score_token(monkeypatch):
     monkeypatch.setattr(NGramLM, "score_token", refuse)
     got = prefix_beam_search(pg, US5, lm=lm, trie=trie, cfg=cfg)
     assert got == want and len(got) == 4
+
+
+def test_search_computes_each_transition_once(monkeypatch):
+    # beam members that share an LM state and are extended by one unit ask
+    # ScoreRows.after for one (row, column) pair: it is computed once
+    targets = [1, 4, 0, 1, 4, 3, 4, 1, 0]
+    p = np.full((len(targets), 5), 0.125)
+    p[np.arange(len(targets)), targets] = 0.5
+    pg = pg_from_probs(p, US5.id)
+    lm = train([list("abca"), list("cab"), list("bacab")], order=2)
+    cfg = BeamConfig(beam_size=6, nbest=6, token_min_logp=-math.inf)
+    want = oracles.prefix_beam_search(pg, US5, lm=lm, cfg=cfg)
+    asked, computed = [], []
+    after, extend = ScoreRows.after, NGramLM._extend
+
+    def counted_after(self, k, c):
+        asked.append((k, c))
+        return after(self, k, c)
+
+    def counted_extend(self, walk, w):
+        computed.append((tuple(walk), w))
+        return extend(self, walk, w)
+    monkeypatch.setattr(ScoreRows, "after", counted_after)
+    monkeypatch.setattr(NGramLM, "_extend", counted_extend)
+    assert prefix_beam_search(pg, US5, lm=lm, cfg=cfg) == want
+    assert len(computed) == len(set(asked)) < len(asked)
 
 
 def test_search_aligns_its_nbest_in_one_call(monkeypatch):

@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import math
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,22 +10,39 @@ from hypothesis import strategies as st
 
 from kwspot.corpus import make_corpus, make_language
 from kwspot.errors import BadFormat, EmptyCorpus
-from kwspot.lm import (BOS, EOS, UNK, NGramLM, ScoreRows, read_arpa, train,
+from kwspot.lm import (BOS, EOS, UNK, ScoreRows, read_arpa, train,
                        write_arpa)
 from kwspot.units import syllabify
 from fuzzing import edit_lists, mutate
 from oracles import train_reference
 
 
+def listing(lm):
+    """(probs, backoffs): each n-gram's log10 probability and each log10
+    backoff weight, keyed by word tuple, read from ``lm.ngrams``."""
+    probs, backoffs = {}, {}
+    for grams, logp, backoff in lm.ngrams():
+        for ids, p, b in zip(grams.tolist(), logp.tolist(), backoff.tolist()):
+            gram = tuple(lm.words[i] for i in ids)
+            probs[gram] = p
+            if not math.isnan(b):
+                backoffs[gram] = b
+    return probs, backoffs
+
+
 def all_contexts(lm):
-    return {()} | {ctx + (w,) for ctx, successors in lm.probs.items()
-                   if len(ctx) < lm.order - 1 for w in successors}
+    return {()} | {gram for gram in listing(lm)[0] if len(gram) < lm.order}
 
 
-def flat(lm):
-    """probs as one dict from n-gram tuple to log10 probability."""
-    return {ctx + (w,): p for ctx, successors in lm.probs.items()
-            for w, p in successors.items()}
+def without_unk_unigram(lm, path):
+    """lm read back from its ARPA text with the <unk> unigram taken out."""
+    write_arpa(lm, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.remove(next(s for s in lines if s.endswith(f"\t{UNK}\n")))
+    n1 = next(i for i, s in enumerate(lines) if s.startswith("ngram 1="))
+    lines[n1] = f"ngram 1={int(lines[n1][len('ngram 1='):]) - 1}\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return read_arpa(path)
 
 
 def context_mass(lm, ctx):
@@ -96,11 +113,12 @@ corpora = st.lists(
        st.lists(st.text(alphabet="abcdz", min_size=1, max_size=6),
                 max_size=4),
        st.booleans())
-def test_score_rows_equal_score_token_bit_for_bit(lines, order, discount,
-                                                  texts, drop_unk):
+def test_score_rows_equal_score_token_bit_for_bit(tmp_path_factory, lines,
+                                                  order, discount, texts,
+                                                  drop_unk):
     lm = train(lines, order=order, discount=discount)
     if drop_unk:  # an ARPA file may omit <unk>: its unigram is LOG10_ZERO
-        del lm.probs[()][UNK]
+        lm = without_unk_unigram(lm, tmp_path_factory.mktemp("lm") / "m.arpa")
     # units in and out of the vocabulary, and the LM's own symbols
     tokens = ["a", "b", "c", "d", "z", "zz", BOS, EOS, UNK]
     states = {(), (BOS,)}
@@ -114,6 +132,48 @@ def test_score_rows_equal_score_token_bit_for_bit(lines, order, discount,
         want = np.array([lm.score_token(state, t)[0] for t in tokens])
         i = rows.id(state)  # before reading table, which id may grow
         assert rows.table[i].tobytes() == want.tobytes(), state
+
+
+def deciding_context(lm, state):
+    """The longest context of state's backoff walk that has a backoff or a
+    successor, from the n-gram listing."""
+    probs, backoffs = listing(lm)
+    context = state[max(len(state) - lm.order + 1, 0):]
+    while context and context not in backoffs and not any(
+            gram[:-1] == context for gram in probs):
+        context = context[1:]
+    return context
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora, st.integers(1, 4), st.sampled_from([0.0, 0.4, 0.75]),
+       st.lists(st.text(alphabet="abcdz", min_size=1, max_size=6),
+                max_size=4))
+def test_score_rows_fill_one_row_per_deciding_context(lines, order, discount,
+                                                      texts):
+    # states whose longer contexts have neither a backoff nor a successor
+    # share the row of their deciding context, filled once, byte for byte
+    lm = train(lines, order=order, discount=discount)
+    tokens = ["a", "b", "c", "d", "z", EOS]
+    states = {(), (BOS,)}
+    for text in texts:
+        state = (BOS,)
+        for tok in text:
+            state = lm.score_token(state, tok)[1]
+            states.add(state)
+            states.add(state[1:])
+    states = sorted(states)
+    rows = ScoreRows(lm, tokens)
+    ids = [rows.id(state) for state in states]
+    deciding = [deciding_context(lm, state) for state in states]
+    assert len(rows.walks) == len(set(deciding))
+    for (i, d, s), (j, e, t) in itertools.combinations(
+            zip(ids, deciding, states), 2):
+        assert (i == j) == (d == e), (s, t)
+        if d == e:
+            assert (np.array([lm.score_token(s, tok)[0] for tok in tokens])
+                    .tobytes() == np.array([lm.score_token(t, tok)[0]
+                                            for tok in tokens]).tobytes())
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,23 +197,25 @@ token_corpora = st.lists(
 def test_train_equals_recursive_reference(lines, order, discount):
     lm = train(lines, order=order, discount=discount)
     probs, backoffs, vocab = train_reference(lines, order, discount)
-    assert flat(lm) == probs
-    assert lm.backoffs == backoffs
-    assert lm.probs.keys() == {()} | backoffs.keys()
+    assert listing(lm) == (probs, backoffs)
+    # the contexts that have successors are those that have a backoff
+    assert {gram[:-1] for gram in probs if len(gram) > 1} == backoffs.keys()
     assert lm.vocab == vocab
 
 
-def test_train_codes_fit_a_large_vocabulary_at_order_5():
+def test_train_codes_fit_a_large_vocabulary_at_order_5(tmp_path):
     """7,000 tokens, each used once, at order 5: a 5-gram's code in base
-    7,003 (the tokens, </s>, <unk> and <s>) would pass 2**63."""
+    7,003 (the tokens, </s>, <unk> and <s>) would pass 2**63.  The reader
+    codes n-grams the same way."""
     tokens = [f"w{i}" for i in range(7000)]
     np.random.default_rng(5).shuffle(tokens)
     lines = [tokens[i:i + 20] for i in range(0, len(tokens), 20)]
     lm = train(lines, order=5, discount=0.75)
     probs, backoffs, vocab = train_reference(lines, 5, 0.75)
-    assert flat(lm) == probs
-    assert lm.backoffs == backoffs
+    assert listing(lm) == (probs, backoffs)
     assert lm.vocab == vocab
+    write_arpa(lm, tmp_path / "m.arpa")
+    assert listing(read_arpa(tmp_path / "m.arpa")) == (probs, backoffs)
 
 
 VALID_ARPA = ("\\data\\\nngram 1=3\nngram 2=1\n\n"
@@ -168,9 +230,9 @@ class TestArpa:
         tabs = read_arpa(path)
         path.write_text(VALID_ARPA.replace("\t", "  "), encoding="utf-8")
         spaces = read_arpa(path)
-        assert tabs.probs == spaces.probs == {
-            (): {"a": -0.3, "b": -0.5, UNK: -99.0}, ("a",): {"b": -0.1}}
-        assert tabs.backoffs == spaces.backoffs == {("a",): -0.2}
+        assert listing(tabs) == listing(spaces) == (
+            {("a",): -0.3, ("b",): -0.5, (UNK,): -99.0, ("a", "b"): -0.1},
+            {("a",): -0.2})
         assert tabs.order == 2
 
     @pytest.mark.parametrize("old, new", [
@@ -182,6 +244,7 @@ class TestArpa:
         ("-0.5\tb", "-0.5"),                    # missing word
         ("-0.5\tb", "nan\tb"),                  # non-finite
         ("-0.1\ta b", "-0.1\ta b c"),           # 3 words, 2-gram section
+        ("-0.1\ta b", "-0.1\tc b"),             # 2-gram without its prefix
         ("-0.5\tb", "-0.3\ta"),                 # repeated entry
         ("\\2-grams:", "\\two-grams:"),         # bad section header
         ("\\end\\\n", ""),                      # truncated
@@ -192,6 +255,20 @@ class TestArpa:
         path = tmp_path / "bad.arpa"
         path.write_text(VALID_ARPA.replace(old, new, 1), encoding="utf-8")
         with pytest.raises(BadFormat):
+            read_arpa(path)
+
+    def test_ngram_without_its_prefix_is_bad_format(self, tmp_path):
+        # an n-gram is coded by the rank of its (k-1)-gram prefix, so the
+        # prefix must be an n-gram of the file
+        text = ("\\data\\\nngram 1=2\nngram 2=1\nngram 3=1\n\n"
+                "\\1-grams:\n-0.3\ta\t-0.1\n-0.5\tb\n\n"
+                "\\2-grams:\n-0.1\ta b\t-0.2\n\n"
+                "\\3-grams:\n-0.2\ta b a\n\n\\end\\\n")
+        path = tmp_path / "m.arpa"
+        path.write_text(text, encoding="utf-8")
+        assert listing(read_arpa(path))[0][("a", "b", "a")] == -0.2
+        path.write_text(text.replace("\ta b a", "\tb b a"), encoding="utf-8")
+        with pytest.raises(BadFormat, match="has no 2-gram prefix"):
             read_arpa(path)
 
     def test_undecodable_bytes_are_bad_format(self, tmp_path):
@@ -221,8 +298,9 @@ class TestArpa:
                         .replace("-0.1\ta b", "-0.1\ta b\t-0.7"),
                         encoding="utf-8")
         lm = read_arpa(path)
-        assert lm.probs == {(): {"a": -0.3, "b": -0.5, UNK: -99.0},
-                            ("a",): {"b": -0.1}, ("b",): {}}
+        assert listing(lm) == (
+            {("a",): -0.3, ("b",): -0.5, (UNK,): -99.0, ("a", "b"): -0.1},
+            {("a",): -0.2, ("b",): -0.4})
         assert lm.score_token(("b",), "a")[0] == -0.4 + -0.3
         write_arpa(lm, tmp_path / "back.arpa")
         assert (tmp_path / "back.arpa").read_text(encoding="utf-8") == (
@@ -230,7 +308,7 @@ class TestArpa:
             "\\1-grams:\n-99\t<unk>\n-0.29999999999999999\ta\t-0.20000000000000001\n"
             "-0.5\tb\t-0.40000000000000002\n\n"
             "\\2-grams:\n-0.10000000000000001\ta b\n\n\\end\\\n")
-        assert read_arpa(tmp_path / "back.arpa").probs == lm.probs
+        assert listing(read_arpa(tmp_path / "back.arpa")) == listing(lm)
 
     def test_signed_zeros_round_trip_byte_for_byte(self, tmp_path):
         # 0.0 == -0.0, so a memo keyed by the float would write both alike
@@ -239,9 +317,10 @@ class TestArpa:
                 "\\2-grams:\n0\ta b\n\n\\end\\\n")
         path = tmp_path / "m.arpa"
         path.write_text(text, encoding="utf-8")
+        probs, backoffs = listing(read_arpa(path))
+        assert math.copysign(1.0, probs[("a",)]) == -1.0
+        assert math.copysign(1.0, backoffs[("a",)]) == -1.0
         lm = read_arpa(path)
-        assert math.copysign(1.0, lm.probs[()]["a"]) == -1.0
-        assert math.copysign(1.0, lm.backoffs[("a",)]) == -1.0
         write_arpa(lm, tmp_path / "back.arpa")
         assert (tmp_path / "back.arpa").read_text(encoding="utf-8") == text
 
@@ -314,19 +393,46 @@ def test_arpa_bytes_are_pinned(pinned_corpus, tmp_path, unit, order):
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_contexts_share_their_backoff_keys(tmp_path, order):
+    # an n-gram's code holds its context's rank, which is where the
+    # context's own n-gram, and so its backoff weight, sits one order down
     trained = train(["abcab", "bca", "cc"], order=order)
     write_arpa(trained, tmp_path / "m.arpa")
     for lm in (trained, read_arpa(tmp_path / "m.arpa")):
-        backoff_key = {ctx: ctx for ctx in lm.backoffs}
-        assert all(backoff_key[ctx] is ctx for ctx in lm.probs if ctx)
+        orders = list(lm.ngrams())
+        for (lower, _, backoff), (grams, _, _), codes in zip(
+                orders, orders[1:], lm.codes[1:]):
+            rank = codes // len(lm.words)
+            assert (lower[rank] == grams[:, :-1]).all()
+            assert not np.isnan(backoff[rank]).any()
 
 
 def test_read_arpa_shares_one_string_per_word(tmp_path):
+    # n-grams name their words by id, so the model keeps one string per
+    # distinct word, in its sorted word list, and numbers elsewhere
     sents = [["zhong1", "guo2", "ren2"], ["guo2", "ren2", "zhong1", "guo2"]]
     write_arpa(train(sents, order=3), tmp_path / "m.arpa")
     lm = read_arpa(tmp_path / "m.arpa")
-    words = [w for ctx, successors in lm.probs.items()
-             for w in (*ctx, *successors)]
-    words += [w for gram in lm.backoffs for w in gram]
-    assert len(words) > len(set(words))
-    assert all(sys.intern(w) is w for w in words)
+    assert lm.words == sorted({"zhong1", "guo2", "ren2", BOS, EOS, UNK})
+    assert all(a.dtype.kind in "fi" for a in itertools.chain(
+        lm.codes, lm.logp, lm.backoff))
+    assert sum(len(grams) for grams, _, _ in lm.ngrams()) > len(lm.words)
+
+
+@pytest.mark.parametrize("source", ["train", "read_arpa"])
+def test_lm_keeps_at_most_40_bytes_an_entry(tmp_path, source):
+    """The model is arrays: a return to a Python object per n-gram (about
+    139 bytes an entry as dicts of dicts) fails here."""
+    lines = make_corpus(make_language(), num_utts=30, num_keywords=50,
+                        seed=0).lm_lines
+    write_arpa(train(lines, order=4), tmp_path / "m.arpa")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lm = (train(lines, order=4) if source == "train"
+              else read_arpa(tmp_path / "m.arpa"))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    probs, backoffs = listing(lm)
+    assert len(probs) + len(backoffs) > 5000
+    assert kept <= 40 * (len(probs) + len(backoffs))
