@@ -5,9 +5,12 @@ docstring, so blank lines, comment lines and docstrings are left out and
 each line of a multi-line statement or string value counts.
 
     python3 scripts/code_lines.py [SRC_DIR]    # default: src/kwspot
+    python3 scripts/code_lines.py BASE_DIR CHANGE_DIR
 
-Run it on two trees and compare the totals to see whether a change added
-or removed code.
+Given two source directories, say the parent's and a change's, it prints
+each module's code lines in both, then CHANGE_DIR's minus BASE_DIR's (a
+module missing from one counts 0 there), so the totals' line shows
+whether the change added or removed code.
 """
 
 import argparse
@@ -46,18 +49,36 @@ def count_code_lines(source: str) -> int:
     return len(lines)
 
 
+def count_dir(src_dir: Path) -> dict[str, int]:
+    """The code lines of each module of src_dir, by file name."""
+    return {path.name: count_code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(src_dir.glob("*.py"))}
+
+
+def report(counts: list[dict[str, int]]) -> list[str]:
+    """One line per module, then one for the total: the module's code
+    lines in each count of counts and, for two counts, the second's minus
+    the first's."""
+    lines = []
+    for name in [*sorted(set().union(*counts)), "total"]:
+        ns = [sum(c.values()) if name == "total" else c.get(name, 0)
+              for c in counts]
+        cells = [f"{n:6d}" for n in ns]
+        if len(ns) == 2:
+            cells.append(f"{ns[1] - ns[0]:+6d}")
+        lines.append("  ".join([*cells, name]))
+    return lines
+
+
 def main() -> None:
     root = Path(__file__).resolve().parents[1]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("src_dir", nargs="?", type=Path,
-                    default=root / "src" / "kwspot")
+    ap.add_argument("src_dirs", nargs="*", type=Path, metavar="SRC_DIR",
+                    default=[root / "src" / "kwspot"])
     args = ap.parse_args()
-    total = 0
-    for path in sorted(args.src_dir.glob("*.py")):
-        n = count_code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    if len(args.src_dirs) > 2:
+        ap.error("give one source directory, or two to compare")
+    print("\n".join(report([count_dir(d) for d in args.src_dirs])))
 
 
 if __name__ == "__main__":

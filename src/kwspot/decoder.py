@@ -82,8 +82,10 @@ class KeywordTrie:
     ``finalize`` turns the goto and failure links into one next-move table:
     ``next[n, u]`` is the node reached from node n on unit u, and a unit at
     or past the table's width (1 + the largest unit id inserted) leads to
-    the root.  ``node_bonus[n]`` sums the weights of every chunk that ends
-    at n, its own and those of the nodes on its failure chain.
+    the root.  The table holds node ids in the narrowest unsigned type
+    that fits the last one: uint8 up to 256 nodes, then uint16.
+    ``node_bonus[n]`` sums the weights of every chunk that ends at n, its
+    own and those of the nodes on its failure chain.
     """
 
     def __init__(self):
@@ -114,7 +116,8 @@ class KeywordTrie:
         edges overwrite the row, and each child fails to the node the
         target moves to on the child's unit."""
         width = 1 + max((u for edges in self.goto for u in edges), default=0)
-        self.next = np.zeros((len(self.goto), width), dtype=np.intp)
+        self.next = np.zeros((len(self.goto), width),
+                             dtype=np.min_scalar_type(len(self.goto) - 1))
         self.node_bonus = np.array(self.weight)
         queue = deque([0])
         while queue:
@@ -306,8 +309,7 @@ def prefix_beam_search(pg: Posteriorgram, us: UnitSet,
 def _flat_lm(names: list[str]) -> NGramLM:
     """The order-1 LM of the tokens names in which each has log10 p = 0.0."""
     words = sorted(set(names))
-    return NGramLM(words, [np.arange(len(words))], [np.zeros(len(words))],
-                   [np.full(len(words), np.nan)])
+    return NGramLM(words, [np.arange(len(words))], [np.zeros(len(words))], [])
 
 
 def _candidate(c: int, prefixes: list, units) -> tuple[int, ...]:

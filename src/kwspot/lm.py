@@ -13,15 +13,18 @@ order is ARPA order.  Order k keeps its n-grams sorted by their code, the
 rank of the (k-1)-gram prefix among order k-1's n-grams times the number of
 ids plus the last word's id (the empty context is rank 0 of order 0), so
 codes sort by (context, token) and stay below (number of (k-1)-grams) x ids
-at any vocabulary size.  Beside each code are its log10 probability and
+at any vocabulary size; they are int32 where that bound fits, else int64.
+Beside each code is its log10 probability and, below the top order, its
 log10 backoff weight, NaN where there is none (the reader rejects
-non-finite values).  An n-gram is found with ``np.searchsorted``; below the
-top order each n-gram also keeps where its run of successors starts in the
-order above and whether it has a backoff or a successor.  So an n-gram
-costs 24 bytes at the top order and 33 below it, and the model holds no
-Python object per n-gram or per context.  Text appears only in ``words``,
-``vocab``, ``read_arpa``, ``write_arpa`` and the string-level
-``score_token`` / ``score_sequence``.
+non-finite values); nothing reads a top-order backoff, so none is kept.
+An n-gram is found with ``np.searchsorted``; below the top order each
+n-gram also keeps where its run of successors starts in the order above,
+at the width of that order's codes, and whether it has a backoff or a
+successor.  So an n-gram costs 12 bytes at the top order and 25 below it
+while the bounds fit int32, and the model holds no Python object per
+n-gram or per context.  Text appears only in ``words``, ``vocab``,
+``read_arpa``, ``write_arpa`` and the string-level ``score_token`` /
+``score_sequence``.
 
 The contexts of a state that are n-grams, longest first, are its walk
 (``NGramLM._walk``, extended a word at a time by ``NGramLM._extend``): the
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, compress, repeat
 
@@ -55,26 +59,33 @@ LOG10_ZERO = -99.0  # ARPA convention for zero-probability entries
 
 class NGramLM:
     """A backoff model over ``words``, which are sorted; a word's id is its
-    index.  ``codes[k - 1]``, ``logp[k - 1]`` and ``backoff[k - 1]`` are
-    order k's arrays (see the module docstring); below the top order,
-    ``first[k - 1]`` and ``live[k - 1]`` are derived from them.  ``vocab``
-    is the words with a unigram but <s>, plus </s> and <unk>; any other
-    token is <unk>.
+    index.  ``codes[k - 1]`` and ``logp[k - 1]`` are order k's arrays, and
+    below the top order so are ``backoff[k - 1]``, ``first[k - 1]`` and
+    ``live[k - 1]`` (see the module docstring); the codes are stored at
+    the width of their bound, and ``first`` and ``live`` are derived.
+    ``vocab`` is the words with a unigram but <s>, plus </s> and <unk>; any
+    other token is <unk>.
     """
 
     def __init__(self, words, codes, logp, backoff):
         self.order = len(codes)
         self.words = list(words)
         self.ids = {w: i for i, w in enumerate(self.words)}
-        self.codes, self.logp, self.backoff = codes, logp, backoff
+        nids = len(self.words)
+        # order k's codes are below (number of (k-1)-grams) x ids
+        self.codes = [c.astype(np.int32 if n * nids < 2 ** 31 else np.int64,
+                               copy=False)
+                      for n, c in zip([1, *map(len, codes)], codes)]
+        self.logp, self.backoff = logp, backoff
         self.vocab = ({self.words[i] for i in codes[0].tolist()} - {BOS}
                       | {EOS, UNK})
         # below the top order: where each n-gram's run of successors starts
         # in the order above (and where the last run ends), and which
         # n-grams have a backoff or a successor
-        self.first = [longer.searchsorted(np.arange(len(c) + 1)
-                                          * len(self.words))
-                      for c, longer in zip(codes, codes[1:])]
+        self.first = [
+            longer.searchsorted(np.arange(len(c) + 1, dtype=longer.dtype)
+                                * nids).astype(longer.dtype)
+            for c, longer in zip(self.codes, self.codes[1:])]
         self.live = [~np.isnan(b) | (f[1:] > f[:-1])
                      for b, f in zip(backoff, self.first)]
 
@@ -84,9 +95,11 @@ class NGramLM:
     def _find(self, k: int, r: int, w: int) -> int:
         """The rank of the order-k n-gram of the context of rank r in order
         k - 1 followed by word id w, or -1 if there is none."""
-        codes = self.codes[k - 1]
+        # bisect reads Python ints; searchsorted would cast an int32 table
+        # to int64 on every call with a Python int key
+        codes = memoryview(self.codes[k - 1])
         code = r * len(self.words) + w
-        i = int(codes.searchsorted(code))
+        i = bisect_left(codes, code)
         return i if i < len(codes) and codes[i] == code else -1
 
     def _extend(self, walk, w: int):
@@ -146,9 +159,12 @@ class NGramLM:
     def ngrams(self):
         """Each order's n-grams in ARPA order, lowest order first, as (word
         ids, one row per n-gram; log10 probabilities; log10 backoffs, NaN
-        where there is none).  The word of id i is ``words[i]``."""
+        where there is none, as at every top-order n-gram).  The word of id
+        i is ``words[i]``."""
         grams = np.zeros((1, 0), dtype=np.int64)  # the empty context
-        for codes, logp, backoff in zip(self.codes, self.logp, self.backoff):
+        backoffs = [*self.backoff,
+                    np.broadcast_to(np.nan, len(self.codes[-1]))]
+        for codes, logp, backoff in zip(self.codes, self.logp, backoffs):
             grams = np.column_stack([grams[codes // len(self.words)],
                                      codes % len(self.words)])
             yield grams, logp, backoff
@@ -193,6 +209,9 @@ class ScoreRows:
         # each column's word id
         self.tokens = [lm.ids[lm._norm(t)] for t in tokens]
         width = len(self.tokens)
+        # an intp divisor makes a run's word ids intp, the index type that
+        # ``column`` reads fastest
+        self.nids = np.intp(len(lm.words))
         # each word id's first column, written last to first
         self.column = np.full(len(lm.words), width)
         self.column[self.tokens[::-1]] = np.arange(width)[::-1]
@@ -245,7 +264,7 @@ class ScoreRows:
         for (k, r), weight in zip(walk[-2::-1], above[::-1]):
             a, b = lm.first[k - 1][r:r + 2].tolist()
             if a < b:
-                row[self.column[lm.codes[k][a:b] % len(lm.words)]] = (
+                row[self.column[lm.codes[k][a:b] % self.nids]] = (
                     weight + lm.logp[k][a:b])
         if len(self.repeats):
             row[self.repeats] = row[self.repeated]
@@ -335,7 +354,6 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
         # each context's backoff sits on its n-gram, one order down
         backoff.append(np.full(len(codes[-2]), np.nan))
         backoff[-1][contexts] = next(logs)
-    backoff.append(np.full(len(codes[-1]), np.nan))
     return NGramLM(words, codes, logp, backoff)
 
 
@@ -473,8 +491,8 @@ def read_arpa(path) -> NGramLM:
                             f"{' '.join(words[w] for w in gram)!r}")
         codes.append(code)
         logp.append(probs[by_code])
-        backoff.append(backoffs[by_code] if k < order
-                       else np.full(len(code), np.nan))
+        if k < order:
+            backoff.append(backoffs[by_code])
     return NGramLM(words, codes, logp, backoff)
 
 

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwspot import decoder
-from kwspot.corpus import make_language
+from kwspot.corpus import make_corpus, make_language
 from kwspot.decoder import (BeamConfig, BiasConfig, KeywordTrie, NBestEntry,
                             build_bias_trie, logaddexp, prefix_beam_search)
 from kwspot.errors import AlignmentInfeasible, InvalidKeyword, UnitSetMismatch
 from kwspot.lm import NGramLM, ScoreRows, train
+from kwspot.pipeline import build_keywords
 from kwspot.pgram import (Posteriorgram, SynthConfig, synth_generate,
                           token_layout)
 from kwspot.units import BLANK, UnitKind, UnitSet
@@ -109,6 +110,33 @@ def walk(trie, units, node=0):
     return node
 
 
+def check_trie(chunks, seq) -> KeywordTrie:
+    """Finalize a trie of the (units, weight) chunks, check its next-move
+    table against the goto/failure walk and its bonuses along seq against
+    the naive suffix sum, and return it."""
+    trie = KeywordTrie()
+    for chunk, weight in chunks:
+        trie.insert(chunk, float(weight))
+    trie.finalize()
+    width = trie.next.shape[1]
+    assert width == 1 + max(u for chunk, _ in chunks for u in chunk)
+    # the table is the goto/failure walk from every node on every unit,
+    # and the walk on a unit at or past its width ends at the root
+    for node in range(len(trie.goto)):
+        assert trie.next[node].tolist() == [
+            trie_step(trie, node, v) for v in range(width)]
+        assert [trie_step(trie, node, v)
+                for v in range(width, width + 3)] == [0, 0, 0]
+    node = 0
+    for i, u in enumerate(seq):
+        node = walk(trie, [u], node)
+        # every inserted chunk that ends at position i awards its weight
+        expected = sum(w for c, w in chunks
+                       if len(c) <= i + 1 and seq[i + 1 - len(c):i + 1] == c)
+        assert trie.node_bonus[node] == expected
+    return trie
+
+
 class TestBiasTrie:
     def test_affine_weight(self):
         lm = train(["ab ab ab ab"], order=2, discount=0.0)
@@ -160,26 +188,28 @@ class TestBiasTrie:
                            min_size=1, max_size=6),
            seq=st.lists(st.integers(0, 5), max_size=12))
     def test_bonus_matches_naive_suffix_sum(self, chunks, seq):
-        trie = KeywordTrie()
-        for chunk, weight in chunks:
-            trie.insert(chunk, float(weight))
-        trie.finalize()
-        width = trie.next.shape[1]
-        assert width == 1 + max(u for chunk, _ in chunks for u in chunk)
-        # the table is the goto/failure walk from every node on every unit,
-        # and the walk on a unit at or past its width ends at the root
-        for node in range(len(trie.goto)):
-            assert trie.next[node].tolist() == [
-                trie_step(trie, node, v) for v in range(width)]
-            assert [trie_step(trie, node, v)
-                    for v in range(width, width + 3)] == [0, 0, 0]
-        node = 0
-        for i, u in enumerate(seq):
-            node = walk(trie, [u], node)
-            # every inserted chunk that ends at position i awards its weight
-            expected = sum(w for c, w in chunks
-                           if len(c) <= i + 1 and seq[i + 1 - len(c):i + 1] == c)
-            assert trie.node_bonus[node] == expected
+        check_trie(chunks, seq)
+
+    def test_trie_past_256_nodes_moves_in_uint16(self):
+        rng = np.random.default_rng(7)
+        chunks = [(rng.integers(1, 30, rng.integers(1, 5)).tolist(),
+                   int(rng.integers(-5, 6))) for _ in range(200)]
+        seq = rng.integers(0, 33, 400).tolist()
+        trie = check_trie(chunks, seq)
+        assert len(trie.goto) > 256
+        assert trie.next.dtype == np.uint16
+
+    @pytest.mark.parametrize("seed", [1000, 2000])
+    def test_benchmark_sized_tries_move_in_uint8(self, seed):
+        lang = make_language()
+        corpus = make_corpus(lang, num_utts=8, num_keywords=50, seed=seed)
+        keywords = build_keywords(corpus.keywords, lang.char_set,
+                                  lang.lexicon, lang.syll_set)
+        for units in ("char_units", "syll_units"):
+            trie = build_bias_trie([list(getattr(k, units)) for k in keywords],
+                                   None, BiasConfig())
+            assert 50 < len(trie.goto) <= 256
+            assert trie.next.dtype == np.uint8
 
 
 class TestBiasMonotonicity:

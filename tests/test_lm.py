@@ -418,10 +418,9 @@ def test_read_arpa_shares_one_string_per_word(tmp_path):
     assert sum(len(grams) for grams, _, _ in lm.ngrams()) > len(lm.words)
 
 
-@pytest.mark.parametrize("source", ["train", "read_arpa"])
-def test_lm_keeps_at_most_40_bytes_an_entry(tmp_path, source):
-    """The model is arrays: a return to a Python object per n-gram (about
-    139 bytes an entry as dicts of dicts) fails here."""
+def bytes_kept_an_entry(tmp_path, source: str) -> float:
+    """The bytes that the demo corpus's order-4 char LM keeps (tracemalloc)
+    per n-gram and backoff weight, from ``train`` or ``read_arpa``."""
     lines = make_corpus(make_language(), num_utts=30, num_keywords=50,
                         seed=0).lm_lines
     write_arpa(train(lines, order=4), tmp_path / "m.arpa")
@@ -435,4 +434,39 @@ def test_lm_keeps_at_most_40_bytes_an_entry(tmp_path, source):
         tracemalloc.stop()
     probs, backoffs = listing(lm)
     assert len(probs) + len(backoffs) > 5000
-    assert kept <= 40 * (len(probs) + len(backoffs))
+    return kept / (len(probs) + len(backoffs))
+
+
+@pytest.mark.parametrize("source", ["train", "read_arpa"])
+def test_lm_keeps_at_most_40_bytes_an_entry(tmp_path, source):
+    """The model is arrays: a return to a Python object per n-gram (about
+    139 bytes an entry as dicts of dicts) fails here."""
+    assert bytes_kept_an_entry(tmp_path, source) <= 40
+
+
+@pytest.mark.parametrize("source", ["train", "read_arpa"])
+def test_lm_keeps_at_most_20_bytes_an_entry(tmp_path, source):
+    """Codes and successor offsets are int32 where their bounds fit, and
+    the top order keeps no backoffs: int64 tables and a NaN backoff per
+    top-order n-gram (about 24 and 21 bytes an entry) fail here."""
+    assert bytes_kept_an_entry(tmp_path, source) <= 20
+
+
+def test_codes_past_int32_stay_int64(tmp_path):
+    """50,000 unigrams: order 2's code bound, 50,000 x 50,003 ids, passes
+    2**31 - 1, so its codes are int64, and a bigram whose code is past
+    2**31 is found."""
+    words = [f"w{i:05d}" for i in range(50000)]
+    path = tmp_path / "m.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=50000\nngram 2=2\n\n\\1-grams:\n"
+        + "".join(f"-5\t{w}\t-0.5\n" for w in words)
+        + "\n\\2-grams:\n-0.25\tw00000 w49999\n-0.75\tw49999 w00000\n"
+        "\n\\end\\\n", encoding="utf-8")
+    lm = read_arpa(path)
+    assert [c.dtype for c in lm.codes] == [np.int32, np.int64]
+    assert lm.first[0].dtype == np.int64
+    assert lm.codes[1][-1] > 2 ** 31  # the bigram after w49999
+    assert lm.score_token(("w49999",), "w00000") == (-0.75, ("w00000",))
+    assert lm.score_token(("w00000",), "w49999") == (-0.25, ("w49999",))
+    assert lm.score_token(("w49999",), "w00001") == (-5.5, ("w00001",))
