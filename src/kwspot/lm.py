@@ -31,20 +31,23 @@ The contexts of a state that are n-grams, longest first, are its walk
 one place the backoff rule is read, by ``score_token`` for one token and by
 ``ScoreRows`` for a row of tokens.
 
-``train`` maps tokens to ids and counts each order's k-grams with one
-``np.unique`` of their codes; it takes ``math.log10`` once per distinct
-value.  ``write_arpa`` formats each distinct value once, and ``read_arpa``
-parses one section at a time into compact arrays.
+Set-up does its per-entry work a column at a time.  ``train`` maps tokens
+to ids and counts each order's k-grams with one ``np.unique`` of their
+codes; it takes ``math.log10`` once per distinct value.  ``write_arpa``
+builds an order's word text from the order below and formats each distinct
+value once.  ``read_arpa`` parses a section in chunks of entries: one split
+of a chunk gives its fields, and its numbers and words are then parsed a
+column at a time, into compact arrays.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, compress, repeat
+from operator import contains
 
 import numpy as np
 
@@ -284,10 +287,11 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
     gives the distinct k-grams sorted by context and their counts.  Each
     context's total and N1+ are sums over its run of k-grams; a k-gram's
     lower-order probability is its suffix's, the (k-1)-gram one position
-    on, which is counted because <s> only ever starts a sentence.  The
-    formula above is the same float operations, in the same order, on
-    arrays; log10 is ``math.log10`` once per distinct value, because
-    ``np.log10`` differs from it in the last bit.
+    on from any of its occurrences (all of which have one suffix), which is
+    counted because <s> only ever starts a sentence.  The formula above is
+    the same float operations, in the same order, on arrays; log10 is
+    ``math.log10`` once per distinct value, because ``np.log10`` differs
+    from it in the last bit.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -323,10 +327,11 @@ def train(lines, order: int = 4, discount: float = 0.75) -> NGramLM:
     tables = []
     for k in range(2, order + 1):
         start = start[start + k <= ends[start]]
-        grams, first, inverse, count = np.unique(
-            rank[start] * nids + seq[start + k - 1], return_index=True,
-            return_inverse=True, return_counts=True)
-        at = start[first]  # a position of each distinct k-gram
+        grams, inverse, count = np.unique(
+            rank[start] * nids + seq[start + k - 1], return_inverse=True,
+            return_counts=True)
+        at = np.empty(len(grams), dtype=np.intp)
+        at[inverse] = start  # a position of each distinct k-gram
         heads = np.flatnonzero(np.diff(grams // nids, prepend=-1))
         total = np.add.reduceat(count, heads)
         n1 = np.diff(heads, append=len(grams))
@@ -368,34 +373,47 @@ def write_arpa(lm: NGramLM, path) -> None:
     """Each order's n-grams in the order of ``lm.ngrams``: sorted, that is,
     by context, then by token.
 
-    Each n-gram's words are joined by one string operation per word
-    position over the order, and each distinct value of an order is
-    formatted once: values are told apart by their bits, so 0.0 and -0.0
-    stay ``0`` and ``-0``.
+    An n-gram's words are its context's words and a space, kept from the
+    previous order at the rank its code holds, then its last word, so an
+    order costs two joins a line for the order above, whatever its length.
+    No line is built as a string of its own: an order's lines are an array
+    of their pieces, written with one join, which keeps the peak memory
+    low.  Each distinct value of an order is formatted once: values are
+    told apart by their bits, so 0.0 and -0.0 stay ``0`` and ``-0``.
     """
     names = np.array(lm.words, dtype=object)
-    orders = list(lm.ngrams())
+    nids = len(lm.words)
+    backoffs = [*lm.backoff, np.broadcast_to(np.nan, len(lm.codes[-1]))]
+    contexts = np.array([""], dtype=object)  # the empty context's words
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\" + "".join(
-            f"\nngram {k}={len(grams)}"
-            for k, (grams, _, _) in enumerate(orders, 1)))
-        for k, (grams, logp, backoff) in enumerate(orders, 1):
+            f"\nngram {k}={len(codes)}"
+            for k, codes in enumerate(lm.codes, 1)))
+        for k, (codes, logp, backoff) in enumerate(
+                zip(lm.codes, lm.logp, backoffs), 1):
             fh.write(f"\n\n\\{k}-grams:")
+            context, last = contexts[codes // nids], names[codes % nids]
             has = ~np.isnan(backoff)
             text = _format(np.concatenate([logp, backoff[has]]))
-            lines = "\n" + text[:len(logp)] + "\t" + names[grams[:, 0]]
-            for j in range(1, k):
-                lines = lines + " " + names[grams[:, j]]
-            lines[has] = lines[has] + "\t" + text[len(logp):]
-            fh.write("".join(lines.tolist()))
+            # "\n", logp, "\t", the context's words and a space, the last
+            # word, then "\t" and the backoff or nothing
+            lines = np.full((len(codes), 7), "", dtype=object)
+            lines[:, 0], lines[:, 2], lines[has, 5] = "\n", "\t", "\t"
+            lines[:, 1], lines[:, 3], lines[:, 4] = (text[:len(codes)],
+                                                     context, last)
+            lines[has, 6] = text[len(codes):]
+            fh.write("".join(lines.ravel().tolist()))
+            if k < lm.order:
+                contexts = context + last + " "
         fh.write("\n\n\\end\\\n")
 
 
 def _format(values: np.ndarray) -> np.ndarray:
     """``f"{x:.17g}"`` of each value, formatted once per distinct bits, as
-    an array of objects."""
+    an array of objects: ``"%.17g" % x`` is the same C formatting with
+    less call overhead."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()],
+    text = np.array(list(map("%.17g".__mod__, bits.view(np.float64).tolist())),
                     dtype=object)
     return text[inverse]
 
@@ -405,26 +423,32 @@ def read_arpa(path) -> NGramLM:
 
     An entry is ``prob w1 .. wk [backoff]`` split on any whitespace, so a
     last field is a backoff exactly when the line has k+2 fields.  The
-    entries between two lines that start with a backslash are read
-    together, as one section, into compact arrays; each order is then
-    coded and sorted at once.  The codes need every n-gram's (k-1)-gram
-    prefix, so an n-gram without one is BadFormat, as is a repeated n-gram.
-    A backoff on a top-order n-gram weighs no context and is dropped.
+    file is read as a list of its lines, not as one string, whose single
+    large allocation raised the peak RSS of a process that reads many
+    models.  Only the header, the section lines (those that start with a
+    backslash after any blanks) and ``\\end\\`` are stripped; splitting an
+    entry drops its blanks and line end.  The entries of a section are
+    parsed in chunks of ``_CHUNK`` lines (see ``_read_entries``), into
+    compact arrays, and a bad one is named as the first in the file; each
+    order is then coded and sorted at once.  The codes need every n-gram's
+    (k-1)-gram prefix, so an n-gram without one is BadFormat, as is a
+    repeated n-gram.  A backoff on a top-order n-gram weighs no context and
+    is dropped.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = list(map(str.strip, fh))
+            lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise BadFormat(f"{path}: not UTF-8 ({exc.reason})") from None
-    it = iter(lines)
-    for s in it:
-        if s == "\\data\\":
+    head = enumerate(lines)
+    for i, s in head:
+        if s.strip() == "\\data\\":
             break
     else:
         raise BadFormat("missing \\data\\ section")
     declared = {}
-    for s in it:
-        if not s:
+    for i, s in head:
+        if not (s := s.strip()):
             break
         m = _COUNT_LINE.fullmatch(s)
         if m is None or int(m[1]) in declared:
@@ -438,43 +462,48 @@ def read_arpa(path) -> NGramLM:
     # new word numbers it
     numbers: defaultdict[str, int] = defaultdict()
     numbers.default_factory = numbers.__len__
-    # per order: word numbers, log10 probabilities, backoffs (NaN if none)
-    # and how many backoffs the entries gave
-    sections = {k: [array("q"), array("d"), array("d"), 0] for k in declared}
-    rest = list(it)
-    k, begin = None, 0
-    marks = compress(range(len(rest)), map(str.startswith, rest, repeat("\\")))
-    for i in [*marks, len(rest)]:  # each section line, then the file's end
-        entries = list(filter(None, rest[begin:i]))
-        if entries:
-            if k is None:
-                raise BadFormat(f"entry outside section: {entries[0]!r}")
-            sections[k][3] += _read_section(k, entries, numbers.__getitem__,
-                                            *sections[k][:3])
-        if i == len(rest):
+    # per order, each chunk's word numbers, log10 probabilities, backoffs
+    # (NaN if none) and how many backoffs its entries gave
+    sections = {k: [(np.empty(0, np.int64), np.empty(0), np.empty(0), 0)]
+                for k in declared}
+    # the section lines after the counts, among the lines with a backslash
+    marks = [j for j in compress(range(len(lines)),
+                                 map(contains, lines, repeat("\\")))
+             if j > i and lines[j].lstrip().startswith("\\")]
+    k, begin = None, i + 1
+    for i in [*marks, len(lines)]:  # each section line, then the file's end
+        if k is None:
+            entry = next(filter(None, map(str.strip, lines[begin:i])), None)
+            if entry is not None:
+                raise BadFormat(f"entry outside section: {entry!r}")
+        else:
+            sections[k] += (_read_entries(k, lines[a:min(a + _CHUNK, i)],
+                                          numbers.__getitem__)
+                            for a in range(begin, i, _CHUNK))
+        if i == len(lines):
             raise BadFormat("missing \\end\\")
-        if rest[i] == "\\end\\":
+        if (s := lines[i].strip()) == "\\end\\":
             break
-        m = _SECTION_LINE.fullmatch(rest[i])
+        m = _SECTION_LINE.fullmatch(s)
         if m is None or int(m[1]) not in declared:
-            raise BadFormat(f"bad or undeclared section: {rest[i]!r}")
+            raise BadFormat(f"bad or undeclared section: {s!r}")
         k, begin = int(m[1]), i + 1
-    if any(rest[i + 1:]):
+    if any(map(str.strip, lines[i + 1:])):
         raise BadFormat("text after \\end\\")
     words = sorted(numbers.keys() | {BOS, EOS, UNK})
     ids = {w: i for i, w in enumerate(words)}
     to_id = np.array([ids[w] for w in numbers], dtype=np.int64)
     codes, logp, backoff = [], [], []
     for k in range(1, order + 1):
-        grams, probs, backoffs, given = sections[k]
-        probs, backoffs = np.array(probs), np.array(backoffs)
+        grams, probs, backoffs, given = zip(*sections[k])
+        probs, backoffs = np.concatenate(probs), np.concatenate(backoffs)
         if not (np.isfinite(probs).all()
-                and np.count_nonzero(np.isfinite(backoffs)) == given):
+                and np.count_nonzero(np.isfinite(backoffs)) == sum(given)):
             raise BadFormat("non-finite probability or backoff weight")
         if len(probs) != declared[k]:
             raise BadFormat(f"declared {declared[k]} {k}-grams, found "
                             f"{len(probs)}")
-        grams = to_id[np.array(grams, dtype=np.int64)].reshape(-1, k)
+        grams = to_id[np.concatenate(grams)].reshape(-1, k)
         rank = np.zeros(len(grams), dtype=np.int64)
         for j in range(k - 1):  # the rank of each prefix in its order
             rank, found = _find_all(codes[j], rank * len(words) + grams[:, j])
@@ -496,23 +525,54 @@ def read_arpa(path) -> NGramLM:
     return NGramLM(words, codes, logp, backoff)
 
 
-def _read_section(k: int, entries: list[str], number, grams: array,
-                  probs: array, backoffs: array) -> int:
-    """Append the entries of a \\k-grams section, each a stripped line that
-    is not empty: each n-gram's k word numbers (``number(word)``) to
-    grams, its log10 probability to probs and its backoff, or NaN, to
-    backoffs.  Returns how many backoffs the entries gave."""
-    given = 0
-    for s in entries:
-        fields = s.split()
+# lines parsed together.  A chunk's temporaries are a few tens of KB: a
+# whole section's fields would raise the reader's peak memory, and even
+# chunks of 1,024 lines left enough heap behind to raise the peak RSS of a
+# process that reads many models (wide: 0.4 MB), at no gain in speed
+_CHUNK = 256
+
+
+def _read_entries(k: int, entries: list[str], number):
+    """The entries of a \\k-grams section, lines of which a blank one is
+    skipped: each n-gram's k word numbers (``number(word)``), one row after
+    another; their log10 probabilities; their backoffs, NaN where there is
+    none; and how many backoffs they gave.
+
+    One split a line gives each entry's width and one split of the joined
+    lines all their fields, so each column is found by the widths; then
+    the numbers go through ``float`` and the words through ``number``, a
+    column at a time.  On an error the lines are checked again one at a
+    time, so that the first bad entry is the one named."""
+    width = np.fromiter(map(len, map(str.split, entries)), np.intp,
+                        len(entries))
+    width = width[width > 0]
+    fields = np.array(" ".join(entries).split(), dtype=object)
+    start = np.cumsum(width) - width  # each entry's first field
+    has = width == k + 2
+    if not (has | (width == k + 1)).all():
+        raise _bad_entry(k, entries)
+    at = np.concatenate([start, start[has] + k + 1])
+    try:
+        values = np.fromiter(map(float, fields[at].tolist()), np.float64,
+                             len(at))
+    except ValueError:
+        raise _bad_entry(k, entries) from None
+    backoff = np.full(len(width), math.nan)
+    backoff[has] = values[len(width):]
+    words = fields[(start[:, None] + np.arange(1, k + 1)).ravel()].tolist()
+    return (np.fromiter(map(number, words), np.int64, len(words)),
+            values[:len(width)], backoff, len(at) - len(width))
+
+
+def _bad_entry(k: int, entries: list[str]) -> BadFormat:
+    """The error of the first bad entry of a \\k-grams section's lines."""
+    for s in map(str.strip, entries):
+        if not (fields := s.split()):
+            continue
         if len(fields) not in (k + 1, k + 2):
-            raise BadFormat(f"bad entry in \\{k}-grams: {s!r}")
+            return BadFormat(f"bad entry in \\{k}-grams: {s!r}")
         try:
-            probs.append(float(fields[0]))
-            backoffs.append(float(fields[-1]) if len(fields) == k + 2
-                            else math.nan)
+            list(map(float, fields[:1] + fields[k + 1:]))
         except ValueError:
-            raise BadFormat(f"bad number in {s!r}") from None
-        grams.extend(map(number, fields[1:k + 1]))
-        given += len(fields) - k - 1
-    return given
+            return BadFormat(f"bad number in {s!r}")
+    raise AssertionError("no bad entry")

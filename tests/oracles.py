@@ -14,17 +14,24 @@ of every hypothesis, scores every candidate with its own ``score_ctc`` call
 and merges all of the utterance's hits at once (``merge_stages``), the
 merge ``kwspot.kws.decide`` does per keyword.  The reference threshold sweep
 realigns the hits at or above each threshold with
-``kwspot.metrics.align_hits``.
+``kwspot.metrics.align_hits``.  The reference ARPA reader parses one entry
+at a time and builds the ``kwspot.lm.NGramLM`` the column-at-a-time reader
+must equal, with the same ``BadFormat`` messages.
 """
 
 import itertools
 import math
+import re
+from array import array
+from collections import defaultdict
+from itertools import compress, repeat
 
 import numpy as np
 
 from kwspot.decoder import BeamConfig, NBestEntry
-from kwspot.errors import AlignmentInfeasible, UnitSetMismatch
+from kwspot.errors import AlignmentInfeasible, BadFormat, UnitSetMismatch
 from kwspot.kws import Hit, Stage
+from kwspot.lm import BOS, EOS, UNK, NGramLM
 from kwspot.metrics import align_hits, atwv, f1
 from kwspot.pgram import ctc_min_frames
 from kwspot.phonetics import syllable_distance
@@ -216,6 +223,109 @@ def train_reference(lines, order, discount):
         for ctx, total in ctx_total[k].items():
             backoffs[ctx] = log10(discount * ctx_types[k][ctx] / total)
     return probs, backoffs, full_vocab
+
+
+_COUNT_LINE = re.compile(r"ngram\s+([0-9]+)\s*=\s*([0-9]+)")
+_SECTION_LINE = re.compile(r"\\([0-9]+)-grams:")
+
+
+def read_arpa_reference(path) -> NGramLM:
+    """The ARPA reader that parses one entry at a time: every line is
+    stripped, each entry is split and checked on its own, in file order,
+    and its words are numbered as they come."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(map(str.strip, fh))
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"{path}: not UTF-8 ({exc.reason})") from None
+    it = iter(lines)
+    for s in it:
+        if s == "\\data\\":
+            break
+    else:
+        raise BadFormat("missing \\data\\ section")
+    declared = {}
+    for s in it:
+        if not s:
+            break
+        m = _COUNT_LINE.fullmatch(s)
+        if m is None or int(m[1]) in declared:
+            raise BadFormat(f"bad count line: {s!r}")
+        declared[int(m[1])] = int(m[2])
+    order = len(declared)
+    if not order or sorted(declared) != list(range(1, order + 1)):
+        raise BadFormat(f"ngram counts must declare orders 1..n, got "
+                        f"{sorted(declared)}")
+    numbers = defaultdict()
+    numbers.default_factory = numbers.__len__
+    sections = {k: [array("q"), array("d"), array("d"), 0] for k in declared}
+    rest = list(it)
+    k, begin = None, 0
+    marks = compress(range(len(rest)), map(str.startswith, rest, repeat("\\")))
+    for i in [*marks, len(rest)]:
+        entries = list(filter(None, rest[begin:i]))
+        if entries:
+            if k is None:
+                raise BadFormat(f"entry outside section: {entries[0]!r}")
+            grams, probs, backoffs, _ = sections[k]
+            for s in entries:
+                fields = s.split()
+                if len(fields) not in (k + 1, k + 2):
+                    raise BadFormat(f"bad entry in \\{k}-grams: {s!r}")
+                try:
+                    probs.append(float(fields[0]))
+                    backoffs.append(float(fields[-1])
+                                    if len(fields) == k + 2 else math.nan)
+                except ValueError:
+                    raise BadFormat(f"bad number in {s!r}") from None
+                grams.extend(numbers[w] for w in fields[1:k + 1])
+                sections[k][3] += len(fields) - k - 1
+        if i == len(rest):
+            raise BadFormat("missing \\end\\")
+        if rest[i] == "\\end\\":
+            break
+        m = _SECTION_LINE.fullmatch(rest[i])
+        if m is None or int(m[1]) not in declared:
+            raise BadFormat(f"bad or undeclared section: {rest[i]!r}")
+        k, begin = int(m[1]), i + 1
+    if any(rest[i + 1:]):
+        raise BadFormat("text after \\end\\")
+    words = sorted(numbers.keys() | {BOS, EOS, UNK})
+    ids = {w: i for i, w in enumerate(words)}
+    to_id = np.array([ids[w] for w in numbers], dtype=np.int64)
+    codes, logp, backoff = [], [], []
+    for k in range(1, order + 1):
+        grams, probs, backoffs, given = sections[k]
+        probs, backoffs = np.array(probs), np.array(backoffs)
+        if not (np.isfinite(probs).all()
+                and np.count_nonzero(np.isfinite(backoffs)) == given):
+            raise BadFormat("non-finite probability or backoff weight")
+        if len(probs) != declared[k]:
+            raise BadFormat(f"declared {declared[k]} {k}-grams, found "
+                            f"{len(probs)}")
+        grams = to_id[np.array(grams, dtype=np.int64)].reshape(-1, k)
+        rank = np.zeros(len(grams), dtype=np.int64)
+        for j in range(k - 1):  # the rank of each prefix in its order
+            want = rank * len(words) + grams[:, j]
+            rank = codes[j].searchsorted(want)
+            found = (codes[j].take(rank, mode="clip") == want
+                     if len(codes[j]) else np.zeros(len(want), dtype=bool))
+            if not found.all():
+                gram = " ".join(words[w] for w in grams[~found][0])
+                raise BadFormat(f"{k}-gram {gram!r} has no {k - 1}-gram "
+                                f"prefix")
+        code = rank * len(words) + grams[:, -1]
+        by_code = np.argsort(code, kind="stable")
+        code = code[by_code]
+        if (repeated := np.diff(code) == 0).any():
+            gram = grams[by_code[1:][repeated][0]]
+            raise BadFormat(f"repeated {k}-gram: "
+                            f"{' '.join(words[w] for w in gram)!r}")
+        codes.append(code)
+        logp.append(probs[by_code])
+        if k < order:
+            backoff.append(backoffs[by_code])
+    return NGramLM(words, codes, logp, backoff)
 
 
 def syllable_phrase_distance(a, b, table):

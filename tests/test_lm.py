@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 from kwspot.corpus import make_corpus, make_language
 from kwspot.errors import BadFormat, EmptyCorpus
-from kwspot.lm import (BOS, EOS, UNK, ScoreRows, read_arpa, train,
-                       write_arpa)
+from kwspot.lm import (BOS, EOS, UNK, _CHUNK, ScoreRows, _format, read_arpa,
+                       train, write_arpa)
 from kwspot.units import syllabify
 from fuzzing import edit_lists, mutate
-from oracles import train_reference
+from oracles import read_arpa_reference, train_reference
 
 
 def listing(lm):
@@ -223,6 +224,46 @@ VALID_ARPA = ("\\data\\\nngram 1=3\nngram 2=1\n\n"
               "\\2-grams:\n-0.1\ta b\n\n\\end\\\n")
 
 
+# edits of VALID_ARPA that make it malformed, and the message of each
+MALFORMED = {
+    # undeclared section
+    ("ngram 2=1\n", ""): "bad or undeclared section: '\\\\2-grams:'",
+    # bad count
+    ("ngram 1=3", "ngram 1=x"): "bad count line: 'ngram 1=x'",
+    # orders not 1..n
+    ("ngram 1=3", "ngram 3=3"):
+        "ngram counts must declare orders 1..n, got [2, 3]",
+    # bad probability
+    ("-0.5\tb", "xx\tb"): "bad number in 'xx\\tb'",
+    # extra field
+    ("-0.5\tb", "-0.5\tb\t-0.1\tjunk"):
+        "bad entry in \\1-grams: '-0.5\\tb\\t-0.1\\tjunk'",
+    # missing word
+    ("-0.5\tb", "-0.5"): "bad entry in \\1-grams: '-0.5'",
+    # non-finite
+    ("-0.5\tb", "nan\tb"): "non-finite probability or backoff weight",
+    # 3 words in a 2-gram section: the third is read as a backoff
+    ("-0.1\ta b", "-0.1\ta b c"): "bad number in '-0.1\\ta b c'",
+    # 2-gram without its prefix
+    ("-0.1\ta b", "-0.1\tc b"): "2-gram 'c b' has no 1-gram prefix",
+    # repeated entry
+    ("-0.5\tb", "-0.3\ta"): "repeated 1-gram: 'a'",
+    # bad section header
+    ("\\2-grams:", "\\two-grams:"):
+        "bad or undeclared section: '\\\\two-grams:'",
+    # truncated
+    ("\\end\\\n", ""): "missing \\end\\",
+    # text after end
+    ("\\end\\\n", "\\end\\\n-1\tc\n"): "text after \\end\\",
+    # an entry before the first section
+    ("\\1-grams:\n", "-0.4\tq\n\\1-grams:\n"):
+        "entry outside section: '-0.4\\tq'",
+    # two bad entries: the first in the file is named, whatever its kind
+    ("-0.5\tb\n", "-0.5\tb\t-x\n-0.5\n"): "bad number in '-0.5\\tb\\t-x'",
+    ("-0.5\tb\n", "-0.5\n-0.5\tb\t-x\n"): "bad entry in \\1-grams: '-0.5'",
+}
+
+
 class TestArpa:
     def test_whitespace_and_tab_lines_parse_alike(self, tmp_path):
         path = tmp_path / "m.arpa"
@@ -235,27 +276,14 @@ class TestArpa:
             {("a",): -0.2})
         assert tabs.order == 2
 
-    @pytest.mark.parametrize("old, new", [
-        ("ngram 2=1\n", ""),                    # undeclared section
-        ("ngram 1=3", "ngram 1=x"),             # bad count
-        ("ngram 1=3", "ngram 3=3"),             # orders not 1..n
-        ("-0.5\tb", "xx\tb"),                   # bad probability
-        ("-0.5\tb", "-0.5\tb\t-0.1\tjunk"),     # extra field
-        ("-0.5\tb", "-0.5"),                    # missing word
-        ("-0.5\tb", "nan\tb"),                  # non-finite
-        ("-0.1\ta b", "-0.1\ta b c"),           # 3 words, 2-gram section
-        ("-0.1\ta b", "-0.1\tc b"),             # 2-gram without its prefix
-        ("-0.5\tb", "-0.3\ta"),                 # repeated entry
-        ("\\2-grams:", "\\two-grams:"),         # bad section header
-        ("\\end\\\n", ""),                      # truncated
-        ("\\end\\\n", "\\end\\\n-1\tc\n"),      # text after end
-    ])
+    @pytest.mark.parametrize("old, new", list(MALFORMED))
     def test_malformed_is_bad_format(self, tmp_path, old, new):
         assert old in VALID_ARPA
         path = tmp_path / "bad.arpa"
         path.write_text(VALID_ARPA.replace(old, new, 1), encoding="utf-8")
-        with pytest.raises(BadFormat):
+        with pytest.raises(BadFormat) as exc:
             read_arpa(path)
+        assert str(exc.value) == MALFORMED[old, new]
 
     def test_ngram_without_its_prefix_is_bad_format(self, tmp_path):
         # an n-gram is coded by the rank of its (k-1)-gram prefix, so the
@@ -359,6 +387,108 @@ class TestArpa:
         assert 10 ** lm.score_sequence(["b"]) == pytest.approx(0.2)
 
 
+def read_or_message(read, path):
+    """read(path)'s words and n-gram listing, floats as their bits, or the
+    message of the BadFormat it raised."""
+    try:
+        lm = read(path)
+    except BadFormat as exc:
+        return str(exc)
+    return lm.words, [(grams.tolist(), logp.view(np.int64).tolist(),
+                       backoff.view(np.int64).tolist())
+                      for grams, logp, backoff in lm.ngrams()]
+
+
+def long_arpa(n: int) -> str:
+    """A valid bigram file whose unigram section has n + 1 entries."""
+    return (f"\\data\\\nngram 1={n + 1}\nngram 2=1\n\n\\1-grams:\n-99\t<unk>\n"
+            + "".join(f"-{i % 7}.25\tw{i:04d}\t-0.{i % 9}5\n"
+                      for i in range(n))
+            + "\n\\2-grams:\n-0.25\tw0000 w0001\n\n\\end\\\n")
+
+
+# runs of whitespace that split an entry's fields
+BLANKS = [" ", "\t", "  \t", "\x0b", "\u3000", " \x0b\t"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_arpa_equals_the_per_entry_reference(tmp_path_factory, data):
+    """On VALID_ARPA, a file from ``train`` or one whose unigram section is
+    longer than a chunk, with its blanks respelled, blank or indented lines
+    and bad entries put in, CRLF or CR line ends and byte edits, ``read_arpa``
+    and the per-entry reader give the same model, bit for bit, or the same
+    BadFormat message."""
+    path = tmp_path_factory.mktemp("arpa") / "m.arpa"
+    source = data.draw(st.sampled_from(["valid", "trained", "long"]))
+    if source == "trained":
+        order = data.draw(st.integers(1, 4))
+        write_arpa(train(data.draw(corpora), order=order), path)
+        text = path.read_text(encoding="utf-8")
+    else:
+        text = (VALID_ARPA if source == "valid"
+                else long_arpa(data.draw(st.integers(_CHUNK,
+                                                     4 * _CHUNK))))
+    lines = text.split("\n")
+    rnd = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        lines = [re.sub("[ \t]", lambda _: rnd.choice(BLANKS), s)
+                 for s in lines]
+    for _ in range(data.draw(st.integers(0, 4))):  # indented lines
+        i = rnd.randrange(len(lines))
+        lines[i] = rnd.choice(BLANKS) + lines[i]
+    for _ in range(data.draw(st.integers(0, 4))):  # blank lines
+        lines.insert(rnd.randrange(len(lines)), rnd.choice(["", *BLANKS]))
+    for _ in range(data.draw(st.integers(0, 2))):  # a bad number or width
+        i = rnd.randrange(len(lines))
+        lines[i] = rnd.choice(["x", ""]) + lines[i] + rnd.choice(["", "\tq q"])
+    text = data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    # at most one list of byte edits, with or without a bad byte at the end
+    edits = data.draw(st.lists(st.tuples(edit_lists("ab \t\n\\-=0123.xgram:"),
+                                         st.booleans()), max_size=1))
+    path.write_bytes(mutate(text, *edits[0]) if edits else text.encode())
+    assert (read_or_message(read_arpa, path)
+            == read_or_message(read_arpa_reference, path))
+
+
+@pytest.mark.parametrize("first, second", [("x", "\tq q"), ("\tq q", "x")])
+def test_the_first_bad_entry_of_a_later_chunk_is_named(tmp_path, first,
+                                                       second):
+    # two entries of the unigram section's second chunk of lines: a bad
+    # number ("x" before the entry) and too many fields, in either order
+    lines = long_arpa(3 * _CHUNK).split("\n")
+    at = lines.index("\\1-grams:") + 1 + _CHUNK + 10
+    bad = [("x" + lines[at] if first == "x" else lines[at] + first),
+           ("x" + lines[at + 10] if second == "x"
+            else lines[at + 10] + second)]
+    lines[at], lines[at + 10] = bad
+    path = tmp_path / "m.arpa"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    want = (f"bad number in {bad[0]!r}" if first == "x"
+            else f"bad entry in \\1-grams: {bad[0]!r}")
+    with pytest.raises(BadFormat) as exc:
+        read_arpa(path)
+    assert str(exc.value) == want == read_or_message(read_arpa_reference,
+                                                     path)
+
+
+# float64 bit patterns: signed zeros, the smallest subnormals, the largest
+# finite values, infinities and NaNs
+SPECIAL_BITS = np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max,
+                         -np.finfo(float).max, np.inf, -np.inf, np.nan,
+                         -np.nan]).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), max_size=20),
+       st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                          st.sampled_from(SPECIAL_BITS)), max_size=20))
+def test_format_is_the_f_string_of_each_value(floats, bits):
+    values = np.concatenate([np.array(floats, dtype=np.float64),
+                             np.array(bits, dtype=np.int64).view(np.float64)])
+    assert _format(values).tolist() == [f"{x:.17g}" for x in values.tolist()]
+
+
 # sha256 of write_arpa's output, pinned from the flat n-gram table that
 # preceded the layout grouped by context: the ARPA text must not change
 ARPA_SHA256 = {
@@ -418,11 +548,17 @@ def test_read_arpa_shares_one_string_per_word(tmp_path):
     assert sum(len(grams) for grams, _, _ in lm.ngrams()) > len(lm.words)
 
 
+def demo_lines():
+    """The demo corpus's LM lines, whose order-4 char LM has 6,604 n-grams
+    and 3,218 backoff weights."""
+    return make_corpus(make_language(), num_utts=30, num_keywords=50,
+                       seed=0).lm_lines
+
+
 def bytes_kept_an_entry(tmp_path, source: str) -> float:
     """The bytes that the demo corpus's order-4 char LM keeps (tracemalloc)
     per n-gram and backoff weight, from ``train`` or ``read_arpa``."""
-    lines = make_corpus(make_language(), num_utts=30, num_keywords=50,
-                        seed=0).lm_lines
+    lines = demo_lines()
     write_arpa(train(lines, order=4), tmp_path / "m.arpa")
     tracemalloc.start()
     try:
@@ -450,6 +586,28 @@ def test_lm_keeps_at_most_20_bytes_an_entry(tmp_path, source):
     the top order keeps no backoffs: int64 tables and a NaN backoff per
     top-order n-gram (about 24 and 21 bytes an entry) fail here."""
     assert bytes_kept_an_entry(tmp_path, source) <= 20
+
+
+def peak_bytes(fn, *args) -> int:
+    """tracemalloc's peak over one call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_arpa_io_peaks_stay_near_the_per_entry_code(tmp_path):
+    """The demo corpus's order-4 char LM is a 292,560-byte ARPA file.  The
+    per-entry reader and writer peaked at 1,830,696 and 1,750,182 bytes on
+    it (tracemalloc); each may peak 10 % higher.  A reader that held a whole
+    section's fields at once fails here."""
+    lm = train(demo_lines(), order=4)
+    write_arpa(lm, tmp_path / "m.arpa")
+    assert (tmp_path / "m.arpa").stat().st_size == 292_560
+    assert peak_bytes(read_arpa, tmp_path / "m.arpa") <= 1.1 * 1_830_696
+    assert peak_bytes(write_arpa, lm, tmp_path / "w.arpa") <= 1.1 * 1_750_182
 
 
 def test_codes_past_int32_stay_int64(tmp_path):
